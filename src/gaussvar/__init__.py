@@ -9,6 +9,7 @@ from .approxlemma import (
     cm_table,
     cstar,
     default_error_grid,
+    log_cm,
     uniform_error,
     weighted_error,
 )
@@ -28,6 +29,7 @@ from .polyring import (
     MultiPoly,
     Wavevector,
     format_poly,
+    monomial_values,
     monomials_up_to_degree,
     parse_poly,
     poly_add,
@@ -45,6 +47,7 @@ from .quadrature import (
     TailBudget,
     build_rule,
     choose_truncation,
+    discretize,
     gaussian_moment,
     integrability_scan,
     integrate,

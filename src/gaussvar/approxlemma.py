@@ -27,6 +27,7 @@ __all__ = [
     "CmRecord",
     "alpha_gap",
     "cm_closed_form",
+    "log_cm",
     "cm_brute",
     "cstar",
     "cm_record",
@@ -45,16 +46,22 @@ def _check_km(k: float, m: int, m_min: int = 1) -> None:
         raise ValueError(f"order m must be >= {m_min}, got {m}")
 
 
-def cm_closed_form(k: float, m: int) -> float:
-    """C_m from its closed form.
+def log_cm(k: float, m: int) -> float:
+    """ln C_m from the closed form.
 
     With w = k^2/4 + (k/4) sqrt(k^2 + 8m) (the maximizer in y),
-    C_m = (1/m!) w^m exp(w - w^2/k^2), evaluated as
-    exp(m ln w - lgamma(m+1) + w - w^2/k^2).
+    C_m = (1/m!) w^m exp(w - w^2/k^2), so
+    ln C_m = m ln w - lgamma(m+1) + w - w^2/k^2.  This stays finite where
+    C_m itself underflows (k = 1 from m of about 300).
     """
     _check_km(k, m)
     w = k * k / 4.0 + (k / 4.0) * math.sqrt(k * k + 8.0 * m)
-    return math.exp(m * math.log(w) - math.lgamma(m + 1.0) + w - w * w / (k * k))
+    return m * math.log(w) - math.lgamma(m + 1.0) + w - w * w / (k * k)
+
+
+def cm_closed_form(k: float, m: int) -> float:
+    """C_m from its closed form, exp(:func:`log_cm`)."""
+    return math.exp(log_cm(k, m))
 
 
 def cm_brute(k: float, m: int) -> float:

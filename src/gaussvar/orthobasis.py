@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyring import MultiPoly, monomials_up_to_degree
+from .polyring import MultiPoly, monomial_values, monomials_up_to_degree
 from .quadrature import (
-    QuadRule, QuadratureError, build_rule, choose_truncation, integrate,
+    QuadRule, QuadratureError, build_rule, choose_truncation, discretize,
 )
-from .variety import VarietyChart, chart_euclidean, chart_graph, estimate_growth, restrict
+from .variety import VarietyChart, chart_euclidean, chart_graph, estimate_growth
 
 __all__ = [
     "GramBasis",
@@ -79,38 +79,16 @@ class GramBasis:
         return out
 
 
-def _monomial_values(monomials, points_ambient: np.ndarray) -> np.ndarray:
-    """Matrix of monomial values, one row per monomial."""
-    E = np.empty((len(monomials), points_ambient.shape[0]))
-    for i, mono in enumerate(monomials):
-        prod = np.ones(points_ambient.shape[0])
-        for j, e in enumerate(mono.exponents):
-            if e:
-                prod = prod * points_ambient[:, j] ** e
-        E[i] = prod
-    return E
-
-
-def _measure_weights(chart: VarietyChart, rule: QuadRule, weight: str) -> np.ndarray:
-    W = rule.weights * chart.volume_density(rule.points)
-    if weight == "gauss":
-        W = W * np.exp(-chart.radial_sq(rule.points))
-    elif weight != "none":
-        raise ValueError(f"weight must be 'gauss' or 'none', got {weight!r}")
-    return W
-
-
 def gram_matrix(chart: VarietyChart, degree_cap: int, rule: QuadRule,
                 weight: str = "gauss") -> GramBasis:
     """Pairwise inner products of all restricted monomials of degree <= D."""
     if degree_cap < 0:
         raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
     monomials = tuple(monomials_up_to_degree(chart.ambient_dim, degree_cap))
-    X = chart.embed(rule.points)
-    E = _monomial_values(monomials, X)
-    W = _measure_weights(chart, rule, weight)
-    G = (E * W) @ E.T
-    G = 0.5 * (G + G.T)
+    disc = discretize(chart, rule)
+    E = monomial_values(monomials, disc.X)
+    E *= np.sqrt(disc.weights(weight))
+    G = E @ E.T  # numpy forms A @ A.T as a symmetric rank-k update
     if not np.all(np.isfinite(G)):
         i, j = np.argwhere(~np.isfinite(G))[0]
         raise QuadratureError(
@@ -185,11 +163,10 @@ def project(gb: GramBasis, f, rule: QuadRule, target: str = "f") -> ProjectionRe
     """
     if not gb.is_orthonormalized():
         raise ValueError("basis not extracted yet; call orthonormalize first")
-    chart = gb.chart
-    W = _measure_weights(chart, rule, gb.weight)
-    X = chart.embed(rule.points)
-    E = _monomial_values(gb.monomials, X)
-    B = gb.ortho_coeffs @ E
+    disc = discretize(gb.chart, rule)
+    W, X = disc.weights(gb.weight), disc.X
+    del disc  # frees r^2 and dmu before the large products below
+    B = gb.ortho_coeffs @ monomial_values(gb.monomials, X)
     fvals = np.asarray(f(rule.points), dtype=float)
     if not np.all(np.isfinite(fvals)):
         i = int(np.nonzero(~np.isfinite(fvals))[0][0])
@@ -211,11 +188,10 @@ def basis_inner_products(gb: GramBasis, rule: QuadRule) -> np.ndarray:
     """Re-integrate <b_i, b_j> with an independent rule (verification aid)."""
     if not gb.is_orthonormalized():
         raise ValueError("basis not extracted yet; call orthonormalize first")
-    W = _measure_weights(gb.chart, rule, gb.weight)
-    X = gb.chart.embed(rule.points)
-    B = gb.ortho_coeffs @ _monomial_values(gb.monomials, X)
-    M = (B * W) @ B.T
-    return 0.5 * (M + M.T)
+    disc = discretize(gb.chart, rule)
+    B = gb.ortho_coeffs @ monomial_values(gb.monomials, disc.X)
+    B *= np.sqrt(disc.weights(gb.weight))
+    return B @ B.T
 
 
 # ------------------------------------------------------------------ equivalence
@@ -229,19 +205,13 @@ def weighted_equivalence_check(chart: VarietyChart, p: MultiPoly, f,
     right side: integral |f - p|^2 e^{-r^2} dmu, each with its own
     quadrature pass (``rule_rhs`` defaults to ``rule``).
     """
-    pr = restrict(p, chart)
-
-    def lhs_integrand(U):
-        damp = np.exp(-0.25 * chart.radial_sq(U))
-        diff = np.asarray(f(U)) * damp - np.real(pr(U)) * damp
-        return diff * diff
-
-    def rhs_integrand(U):
-        diff = np.asarray(f(U)) - np.real(pr(U))
-        return diff * diff
-
-    lhs = float(integrate(chart, lhs_integrand, rule, weight_scale=0.5))
-    rhs = float(integrate(chart, rhs_integrand, rule_rhs or rule))
+    disc = discretize(chart, rule)
+    damp = np.exp(-0.25 * disc.r2)
+    diff = np.asarray(f(rule.points)) * damp - np.real(p.eval(disc.X)) * damp
+    lhs = float(disc.integrate(diff * diff, scale=0.5))
+    disc = discretize(chart, rule_rhs or rule)
+    diff = np.asarray(f(disc.rule.points)) - np.real(p.eval(disc.X))
+    rhs = float(disc.integrate(diff * diff))
     return lhs, rhs
 
 

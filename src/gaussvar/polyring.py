@@ -8,9 +8,11 @@ variables the order reads
 
     1 < x1 < x2 < x1^2 < x1*x2 < x2^2 < ...
 
-All types here are immutable after construction and safe to share between
-threads.  Coefficients are double precision (real or complex); no epsilon
-pruning is done inside the ring, only exact zeros are dropped.
+Every evaluation goes through one kernel, :func:`monomial_values`, which
+forms each monomial as its parent times one coordinate.  All types here are
+immutable after construction and safe to share between threads.
+Coefficients are double precision (real or complex); no epsilon pruning is
+done inside the ring, only exact zeros are dropped.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "MultiPoly",
     "Wavevector",
     "monomials_up_to_degree",
+    "monomial_values",
     "poly_eval",
     "poly_add",
     "poly_mul",
@@ -287,13 +290,11 @@ class MultiPoly:
             )
         use_complex = np.iscomplexobj(arr) or not self.is_real()
         arr = arr.astype(np.complex128 if use_complex else np.float64, copy=False)
+        terms = self.sorted_terms()
+        E = monomial_values([mono for mono, _ in terms], arr)
         out = np.zeros(arr.shape[0], dtype=arr.dtype)
-        for mono, coeff in self.sorted_terms():
-            prod = np.ones(arr.shape[0], dtype=arr.dtype)
-            for i, e in enumerate(mono.exponents):
-                if e:
-                    prod = prod * arr[:, i] ** e
-            out = out + coeff * prod
+        for (_, coeff), row in zip(terms, E):
+            out = out + coeff * row
         if single:
             return out[0]
         return out
@@ -302,6 +303,44 @@ class MultiPoly:
 
     def to_text(self) -> str:
         return format_poly(self)
+
+
+def _parent(exponents: tuple) -> tuple[tuple, int]:
+    """(exponents lowered by one in the last variable present, that variable)."""
+    j = max(i for i, e in enumerate(exponents) if e)
+    return exponents[:j] + (exponents[j] - 1,) + exponents[j + 1:], j
+
+
+def monomial_values(monomials, points: np.ndarray) -> np.ndarray:
+    """Values of ``monomials`` at ``points`` (shape (N, n)), one row per monomial.
+
+    Every row is written into one preallocated matrix as its parent row
+    x^(e - u_j) times the coordinate x_j, where j is the last variable with
+    e_j > 0, so x1^a is the running product ((x1 * x1) * x1) ... .  The
+    constant and the coordinates are read straight from ``points``; parents
+    of degree >= 2 missing from ``monomials`` get scratch rows past the
+    returned ones.  The monomials may come in any order; the result has the
+    dtype of ``points``.
+    """
+    exps = [m.exponents for m in monomials]
+    count = len(exps)
+    index = {e: i for i, e in enumerate(exps)}
+    for e in exps:  # also visits the parents appended below
+        if sum(e) > 2 and _parent(e)[0] not in index:
+            index[_parent(e)[0]] = len(exps)
+            exps.append(_parent(e)[0])
+    E = np.empty((len(exps), points.shape[0]), dtype=points.dtype)
+    for i in sorted(range(len(exps)), key=lambda i: sum(exps[i])):
+        e = exps[i]
+        if not any(e):
+            E[i] = 1
+        elif sum(e) == 1:
+            E[i] = points[:, e.index(1)]
+        else:
+            parent, j = _parent(e)
+            src = points[:, parent.index(1)] if sum(e) == 2 else E[index[parent]]
+            np.multiply(src, points[:, j], out=E[i])
+    return E[:count]
 
 
 def variables(n: int) -> tuple[MultiPoly, ...]:

@@ -1,8 +1,8 @@
 """Numerical integration against exp(-r^2) dmu on a chart.
 
-The measure-carrying factor exp(-r^2) couples all parameters through the
-chart's radial field, so it is kept in the integrand; the per-dimension
-rules discretize plain Lebesgue measure on a truncated box:
+The measure-carrying factor exp(-r^2) couples all parameters through
+r^2 = |x(u)|^2, so it is kept in the integrand; the per-dimension rules
+discretize plain Lebesgue measure on a truncated box:
 
 * unbounded dimensions -- Gauss-Legendre panels on [lo, 0] and [0, hi],
   where [lo, hi] is solved from radial_sq <= R^2 for a truncation radius R
@@ -12,6 +12,9 @@ rules discretize plain Lebesgue measure on a truncated box:
 * periodic dimensions -- the uniform trapezoidal rule on [0, 2*pi), exact
   for trigonometric polynomials of degree < nodes/2.
 
+:func:`discretize` samples a chart on a rule once -- the embedded points
+X, r^2 = |X|^2 and the measure weights dmu = rule weights x density -- and
+every integral, Gram matrix and projection works from that sample.
 Summation over the tensor grid uses numpy's pairwise reduction in a fixed
 node order, so every result is reproducible bit-for-bit for a fixed rule.
 """
@@ -29,10 +32,12 @@ __all__ = [
     "QuadratureError",
     "DimRule",
     "QuadRule",
+    "Discretization",
     "TailBudget",
     "MomentTable",
     "IntegrabilityScan",
     "build_rule",
+    "discretize",
     "integrate",
     "gaussian_moment",
     "moment_table",
@@ -46,6 +51,8 @@ __all__ = [
 DEFAULT_NODES = {"gauss": 64, "periodic": 64, "bounded": 48}
 
 _TERM_FLOOR = 1e-300
+
+_RULE_KIND = {"unbounded": "gauss", "bounded": "bounded", "periodic": "periodic"}
 
 
 class QuadratureError(RuntimeError):
@@ -126,7 +133,7 @@ def build_rule(chart: VarietyChart, radius: float, nodes_per_dim=None) -> QuadRu
             )
     dims = []
     for dim, dom in enumerate(chart.domains):
-        kind = {"unbounded": "gauss", "bounded": "bounded", "periodic": "periodic"}[dom.kind]
+        kind = _RULE_KIND[dom.kind]
         n = counts[dim] if counts[dim] is not None else DEFAULT_NODES[kind]
         if not isinstance(n, int) or n < 4:
             raise QuadratureError(f"nodes_per_dim must be integers >= 4, got {n!r}")
@@ -150,15 +157,57 @@ def build_rule(chart: VarietyChart, radius: float, nodes_per_dim=None) -> QuadRu
     return QuadRule(dims, radius)
 
 
-def _check_rule(chart: VarietyChart, rule: QuadRule) -> None:
-    expected = ["unbounded" if d.kind == "gauss" else
-                ("bounded" if d.kind == "bounded" else "periodic")
-                for d in rule.dims]
-    actual = [d.kind for d in chart.domains]
-    if expected != actual:
+@dataclass(frozen=True)
+class Discretization:
+    """A chart sampled once on a rule's nodes.
+
+    ``X`` holds the embedded nodes (N, n), ``r2`` the squared radii |X|^2
+    and ``dmu`` the rule weights times the volume density.
+    """
+
+    rule: QuadRule
+    X: np.ndarray
+    r2: np.ndarray
+    dmu: np.ndarray
+
+    def weights(self, weight: str = "gauss", scale: float = 1.0) -> np.ndarray:
+        """Node weights of e^{-scale * r^2} dmu, or of plain dmu for "none"."""
+        if weight == "gauss":
+            return self.dmu * np.exp(-scale * self.r2)
+        if weight != "none":
+            raise ValueError(f"weight must be 'gauss' or 'none', got {weight!r}")
+        return self.dmu
+
+    def integrate(self, vals, weight: str = "gauss", scale: float = 1.0):
+        """Weighted sum of node values; names the first non-finite node."""
+        U = self.rule.points
+        W = self.weights(weight, scale)
+        vals = np.asarray(vals)
+        if vals.shape != (U.shape[0],):
+            vals = np.broadcast_to(vals, (U.shape[0],))
+        bad = ~np.isfinite(W) | ~np.isfinite(vals)
+        if np.any(bad):
+            i = int(np.nonzero(bad)[0][0])
+            raise QuadratureError(
+                f"non-finite integrand sample at node {i}, parameters {U[i].tolist()}"
+            )
+        return np.sum(W * vals)
+
+
+def discretize(chart: VarietyChart, rule: QuadRule) -> Discretization:
+    """Sample ``chart`` on the nodes of ``rule``, which must match its domains."""
+    kinds = [d.kind for d in rule.dims]
+    if kinds != [_RULE_KIND[d.kind] for d in chart.domains]:
         raise QuadratureError(
-            f"rule domain kinds {expected} do not match chart {actual}"
+            f"rule kinds {kinds} do not fit chart domains "
+            f"{[d.kind for d in chart.domains]}"
         )
+    U = rule.points
+    X = chart.embed(U)
+    return Discretization(
+        rule=rule, X=X, r2=np.sum(X * X, axis=1),
+        dmu=rule.weights * chart.volume_density(U),
+    )
 
 
 def integrate(chart: VarietyChart, g, rule: QuadRule,
@@ -170,40 +219,14 @@ def integrate(chart: VarietyChart, g, rule: QuadRule,
     plain dmu is integrated.  Raises :class:`QuadratureError` naming the
     offending node when a sample is non-finite.
     """
-    _check_rule(chart, rule)
-    U = rule.points
-    W = rule.weights * chart.volume_density(U)
-    if weight == "gauss":
-        W = W * np.exp(-weight_scale * chart.radial_sq(U))
-    elif weight != "none":
-        raise ValueError(f"weight must be 'gauss' or 'none', got {weight!r}")
-    vals = g(U) if callable(g) else np.full(U.shape[0], float(g))
-    vals = np.asarray(vals)
-    if vals.shape != (U.shape[0],):
-        vals = np.broadcast_to(vals, (U.shape[0],))
-    bad = ~np.isfinite(W)
-    if not np.iscomplexobj(vals):
-        bad |= ~np.isfinite(vals)
-    else:
-        bad |= ~np.isfinite(vals.real) | ~np.isfinite(vals.imag)
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0])
-        raise QuadratureError(
-            f"non-finite integrand sample at node {i}, parameters {U[i].tolist()}"
-        )
-    return np.sum(W * vals)
+    disc = discretize(chart, rule)
+    vals = g(rule.points) if callable(g) else float(g)
+    return disc.integrate(vals, weight, weight_scale)
 
 
 def gaussian_moment(chart: VarietyChart, m: int, rule: QuadRule) -> float:
     """The moment I_m = integral r^m e^{-r^2} dmu over the chart."""
-    if m < 0:
-        raise ValueError(f"moment order must be >= 0, got {m}")
-
-    def g(U):
-        r2 = chart.radial_sq(U)
-        return r2 ** (m // 2) if m % 2 == 0 else r2 ** (m / 2.0)
-
-    return float(integrate(chart, g, rule))
+    return moment_table(chart, [m], rule).rows[0][1]
 
 
 # ------------------------------------------------------------------ tail budget
@@ -281,9 +304,14 @@ class MomentTable:
 def moment_table(chart: VarietyChart, m_values, rule: QuadRule,
                  growth: GrowthEstimate | None = None) -> MomentTable:
     """Compute I_m for each m, recording the tail budget when growth is known."""
+    disc = discretize(chart, rule)
+    r2 = disc.r2
     rows = []
     for m in m_values:
-        value = gaussian_moment(chart, m, rule)
+        if m < 0:
+            raise ValueError(f"moment order must be >= 0, got {m}")
+        vals = r2 ** (m // 2) if m % 2 == 0 else r2 ** (m / 2.0)
+        value = float(disc.integrate(vals))
         if growth is not None:
             bound = tail_budget(growth.C, growth.l, m, rule.truncation_radius).bound
         else:
@@ -330,11 +358,8 @@ def integrability_scan(chart: VarietyChart, alpha: float,
         raise ValueError("need at least 4 radii to judge divergence")
     values = []
     for R in radii:
-        rule = build_rule(chart, R, nodes_per_dim)
-        val = integrate(
-            chart, lambda U: np.exp(2.0 * alpha * chart.radial_sq(U)), rule
-        )
-        values.append(float(val))
+        disc = discretize(chart, build_rule(chart, R, nodes_per_dim))
+        values.append(float(disc.integrate(np.exp(2.0 * alpha * disc.r2))))
     divergent = any(
         values[i + 3] > 10.0 * values[i] for i in range(len(values) - 3)
     )
@@ -353,11 +378,9 @@ def shell_moment_sum(chart: VarietyChart, m: int, rule: QuadRule):
     the nodes, so the total must agree with the direct moment up to
     summation reordering.
     """
-    _check_rule(chart, rule)
-    U = rule.points
-    r2 = chart.radial_sq(U)
-    r = np.sqrt(r2)
-    vals = rule.weights * chart.volume_density(U) * np.exp(-r2) * r ** m
+    disc = discretize(chart, rule)
+    r = np.sqrt(disc.r2)
+    vals = disc.weights() * r ** m
     shell_idx = np.floor(r).astype(int)
     j_max = int(shell_idx.max())
     shells = np.array(

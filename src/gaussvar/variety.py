@@ -1,10 +1,10 @@
 """Parametrized charts of embedded varieties in R^n.
 
-Each chart bundles the embedding map of a d-parameter family into R^n with
-the two scalar fields every downstream computation needs: the volume
-density sqrt(det(J^T J)) that converts parameter integrals to surface
-integrals, and the squared distance to the origin of the embedded point.
-The supported families are
+A chart carries exactly what the measure e^{-|x|^2} dmu needs: the
+embedding x(u) of a d-parameter family into R^n and the volume density
+sqrt(det(J^T J)) that converts parameter integrals to surface integrals.
+The squared radius r^2 = |x(u)|^2 is derived from the embedding, so no
+chart states it separately.  The supported families are
 
 * ``euclidean``      -- R^n with the identity embedding,
 * ``graph``          -- the graph x -> (x, f_1(x), ..., f_{n-1}(x)) of a
@@ -80,21 +80,24 @@ class ParamDomain:
 
 
 class VarietyChart:
-    """A parametrization U subset R^d -> R^n with density and radial field."""
+    """A parametrization U subset R^d -> R^n with its volume density.
+
+    ``embed`` must return a fresh array on every call: :meth:`radial_sq`
+    squares it in place.
+    """
 
     __slots__ = (
-        "kind", "ambient_dim", "domains", "_embed", "_density", "_radial",
+        "kind", "ambient_dim", "domains", "_embed", "_density",
         "chart_id", "source",
     )
 
-    def __init__(self, kind, ambient_dim, domains, embed, density, radial,
+    def __init__(self, kind, ambient_dim, domains, embed, density,
                  chart_id, source=None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "ambient_dim", int(ambient_dim))
         object.__setattr__(self, "domains", tuple(domains))
         object.__setattr__(self, "_embed", embed)
         object.__setattr__(self, "_density", density)
-        object.__setattr__(self, "_radial", radial)
         object.__setattr__(self, "chart_id", chart_id)
         object.__setattr__(self, "source", dict(source or {}))
         if self.intrinsic_dim > self.ambient_dim:
@@ -142,7 +145,8 @@ class VarietyChart:
     def radial_sq(self, u):
         """Squared distance |x|^2 of the embedded point(s) to the origin."""
         arr, single = self._params(u)
-        vals = self._radial(arr)
+        pts = self._embed(arr)
+        vals = np.square(pts, out=pts).sum(axis=1)
         return float(vals[0]) if single else vals
 
     def __repr__(self) -> str:
@@ -153,7 +157,7 @@ class VarietyChart:
 
 
 def chart_euclidean(n: int) -> VarietyChart:
-    """R^n with the identity embedding: density 1, r^2 = sum u_i^2."""
+    """R^n with the identity embedding and density 1."""
     if n < 1:
         raise ChartError(f"euclidean chart needs n >= 1, got {n}")
 
@@ -163,12 +167,9 @@ def chart_euclidean(n: int) -> VarietyChart:
     def density(U):
         return np.ones(U.shape[0])
 
-    def radial(U):
-        return np.sum(U * U, axis=1)
-
     return VarietyChart(
         "euclidean", n, (ParamDomain("unbounded"),) * n,
-        embed, density, radial, f"euclidean(n={n})", {"n": n},
+        embed, density, f"euclidean(n={n})", {"n": n},
     )
 
 
@@ -183,8 +184,7 @@ def chart_graph(components, domain=None) -> VarietyChart:
     """Graph of a polynomial map R -> R^{n-1}; n = 1 + len(components).
 
     ``domain`` restricts the base variable to a bounded interval [lo, hi];
-    by default the base is all of R.  The density is sqrt(1 + |f'(x)|^2)
-    and r^2 = x^2 + |f(x)|^2.
+    by default the base is all of R.  The density is sqrt(1 + |f'(x)|^2).
     """
     comps = [_require_univariate(c, f"component {i}") for i, c in enumerate(components)]
     derivs = [c.partial(0) for c in comps]
@@ -205,18 +205,10 @@ def chart_graph(components, domain=None) -> VarietyChart:
             acc = acc + val * val
         return np.sqrt(acc)
 
-    def radial(U):
-        x = U[:, 0].reshape(-1, 1)
-        acc = U[:, 0] ** 2
-        for c in comps:
-            val = np.real(c.eval(x))
-            acc = acc + val * val
-        return acc
-
     texts = ",".join(c.to_text() for c in comps)
     dom_id = "R" if dom.kind == "unbounded" else f"[{dom.lo:g},{dom.hi:g}]"
     return VarietyChart(
-        "graph", n, (dom,), embed, density, radial,
+        "graph", n, (dom,), embed, density,
         f"graph([{texts}],{dom_id})", {"components": comps, "domain": dom},
     )
 
@@ -254,9 +246,9 @@ def _check_profile_positive(f: MultiPoly, dom: ParamDomain) -> None:
 def chart_revolution(f: MultiPoly, h: MultiPoly, u1_domain=None) -> VarietyChart:
     """Revolution surface (f(u1) cos u2, f(u1) sin u2, h(u1)) in R^3.
 
-    Density f * sqrt(f'^2 + h'^2), r^2 = f^2 + h^2.  The profile f must be
-    positive; this is checked on a 1000-point grid plus the critical points
-    of f located by bisection of f'.
+    Density f * sqrt(f'^2 + h'^2).  The profile f must be positive; this is
+    checked on a 1000-point grid plus the critical points of f located by
+    bisection of f'.
     """
     f = _require_univariate(f, "f")
     h = _require_univariate(h, "h")
@@ -278,16 +270,10 @@ def chart_revolution(f: MultiPoly, h: MultiPoly, u1_domain=None) -> VarietyChart
         hpv = np.real(hp.eval(u1))
         return fv * np.sqrt(fpv * fpv + hpv * hpv)
 
-    def radial(U):
-        u1 = U[:, 0].reshape(-1, 1)
-        fv = np.real(f.eval(u1))
-        hv = np.real(h.eval(u1))
-        return fv * fv + hv * hv
-
     dom_id = "R" if dom1.kind == "unbounded" else f"[{dom1.lo:g},{dom1.hi:g}]"
     return VarietyChart(
         "revolution", 3, (dom1, ParamDomain("periodic")),
-        embed, density, radial,
+        embed, density,
         f"revolution(f={f.to_text()},h={h.to_text()},u1={dom_id})",
         {"f": f, "h": h},
     )
@@ -296,9 +282,8 @@ def chart_revolution(f: MultiPoly, h: MultiPoly, u1_domain=None) -> VarietyChart
 def chart_modulus_graph(F: MultiPoly) -> VarietyChart:
     """The surface (x, y, |F(z)|) over z = x + iy for a complex polynomial F.
 
-    Density sqrt(1 + |F'(z)|^2), r^2 = |z|^2 + |F(z)|^2.  |F| is not smooth
-    at zeros of F, but those form a null set and the direct formulas below
-    stay finite there.
+    Density sqrt(1 + |F'(z)|^2).  |F| is not smooth at zeros of F, but those
+    form a null set and the direct formulas below stay finite there.
     """
     F = _require_univariate(F, "F")
     Fp = F.partial(0)
@@ -314,14 +299,10 @@ def chart_modulus_graph(F: MultiPoly) -> VarietyChart:
         dw = np.abs(Fp.eval(_z(U)))
         return np.sqrt(1.0 + dw * dw)
 
-    def radial(U):
-        w = np.abs(F.eval(_z(U)))
-        return U[:, 0] ** 2 + U[:, 1] ** 2 + w * w
-
     return VarietyChart(
         "modulus_graph", 3,
         (ParamDomain("unbounded"), ParamDomain("unbounded")),
-        embed, density, radial,
+        embed, density,
         f"modulus_graph(F={F.to_text()})", {"F": F},
     )
 
@@ -335,46 +316,23 @@ def chart_circle() -> VarietyChart:
     def density(U):
         return np.ones(U.shape[0])
 
-    def radial(U):
-        return np.ones(U.shape[0])
-
     return VarietyChart(
         "circle", 2, (ParamDomain("periodic"),),
-        embed, density, radial, "circle()", {},
+        embed, density, "circle()", {},
     )
 
 
 # ------------------------------------------------------------------ restriction
 
 
-class RestrictedPolynomial:
-    """An ambient polynomial restricted to a chart; callable on parameters."""
-
-    __slots__ = ("poly", "chart")
-
-    def __init__(self, poly: MultiPoly, chart: VarietyChart) -> None:
-        if poly.ambient_dim != chart.ambient_dim:
-            raise ValueError(
-                f"polynomial ambient dimension {poly.ambient_dim} does not "
-                f"match chart ambient dimension {chart.ambient_dim}"
-            )
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "chart", chart)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RestrictedPolynomial is immutable")
-
-    def __call__(self, u):
-        pts = self.chart.embed(u)
-        return self.poly.eval(pts)
-
-    def __repr__(self) -> str:
-        return f"RestrictedPolynomial({self.poly.to_text()} on {self.chart.chart_id})"
-
-
-def restrict(p: MultiPoly, chart: VarietyChart) -> RestrictedPolynomial:
-    """Compose an ambient polynomial with the chart's embedding."""
-    return RestrictedPolynomial(p, chart)
+def restrict(p: MultiPoly, chart: VarietyChart):
+    """Compose an ambient polynomial with the chart's embedding; callable on parameters."""
+    if p.ambient_dim != chart.ambient_dim:
+        raise ValueError(
+            f"polynomial ambient dimension {p.ambient_dim} does not "
+            f"match chart ambient dimension {chart.ambient_dim}"
+        )
+    return lambda u: p.eval(chart.embed(u))
 
 
 # ------------------------------------------------------------------ truncation solve
@@ -384,9 +342,9 @@ def solve_param_bound(chart: VarietyChart, dim: int, radius: float,
                       samples: int = 10000, pad: float = 0.1):
     """Interval [lo, hi] on parameter axis ``dim`` covering {r^2 <= radius^2}.
 
-    Samples the radial field along the axis (other parameters at their
+    Samples r^2 along the axis (other parameters at their
     domain baselines), takes the outermost crossing of radius^2 on each
-    side and pads it by ``pad``.  The chart's radial polynomial eventually
+    side and pads it by ``pad``.  The chart's r^2 eventually
     grows along any unbounded direction, so a doubling search finds a
     bracket.
     """
@@ -465,24 +423,19 @@ def _measure_volumes(chart: VarietyChart, radii: np.ndarray) -> np.ndarray:
         nodes, h = _growth_axis(chart, 0, r_max, _GROWTH_GRID[1])
         U = np.zeros((nodes.size, chart.intrinsic_dim))
         U[:, 0] = nodes
-        angular = 2.0 * math.pi if chart.kind == "revolution" else 1.0
-        dens = chart.volume_density(U)
-        r2 = chart.radial_sq(U)
-        if not np.all(np.isfinite(dens)):
-            raise GrowthError("non-finite volume density sample")
-        wd = dens * h * angular
-        return np.array([np.sum(wd[r2 <= r * r]) for r in radii])
-    npts = _GROWTH_GRID.get(chart.intrinsic_dim, 65)
-    axes = [_growth_axis(chart, dim, r_max, npts)
-            for dim in range(chart.intrinsic_dim)]
-    mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    U = np.stack([m.ravel() for m in mesh], axis=1)
-    cell = math.prod(a[1] for a in axes)
+        cell, angular = h, 2.0 * math.pi if chart.kind == "revolution" else 1.0
+    else:
+        npts = _GROWTH_GRID.get(chart.intrinsic_dim, 65)
+        axes = [_growth_axis(chart, dim, r_max, npts)
+                for dim in range(chart.intrinsic_dim)]
+        mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+        U = np.stack([m.ravel() for m in mesh], axis=1)
+        cell, angular = math.prod(a[1] for a in axes), 1.0
     dens = chart.volume_density(U)
     r2 = chart.radial_sq(U)
     if not np.all(np.isfinite(dens)):
         raise GrowthError("non-finite volume density sample")
-    wd = dens * cell
+    wd = dens * cell * angular
     return np.array([np.sum(wd[r2 <= r * r]) for r in radii])
 
 

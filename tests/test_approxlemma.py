@@ -11,6 +11,7 @@ from gaussvar.approxlemma import (
     cm_table,
     cstar,
     default_error_grid,
+    log_cm,
     records_to_csv,
     uniform_error,
     weighted_error,
@@ -48,7 +49,14 @@ class TestClosedForm:
         values = [cm_closed_form(k, m) for m in range(start, 201)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("k", K_VALUES)
+    def test_closed_form_is_exp_of_log(self, k):
+        for m in (1, 5, 40, 200):
+            assert cm_closed_form(k, m) == math.exp(log_cm(k, m))
+
     def test_validation(self):
+        with pytest.raises(ValueError):
+            log_cm(1.0, 0)
         with pytest.raises(ValueError):
             cm_closed_form(0.0, 3)
         with pytest.raises(ValueError):
@@ -57,8 +65,8 @@ class TestClosedForm:
 
 class TestAsymptotics:
     def test_gap_to_closed_form_stays_bounded(self):
-        gaps = [math.log(cm_closed_form(1.0, m)) - cstar(1.0, m)
-                for m in (50, 100, 200)]
+        # C_400 itself underflows to 0.0; its logarithm does not
+        gaps = [log_cm(1.0, m) - cstar(1.0, m) for m in (50, 100, 200, 400)]
         assert max(gaps) - min(gaps) < 1.0
 
     def test_divergence_to_minus_infinity(self):
@@ -153,7 +161,8 @@ class TestPolyringConsistency:
     def test_polynomial_route_matches_taylor_sums_bitwise(self):
         # with k on the first axis the stored coefficient of x1^a is exactly
         # (i^a) * (1/a!), so the generic polynomial evaluation and the direct
-        # partial sum perform identical float operations
+        # partial sum perform identical float operations; x1^a is the
+        # running product x1^(a-1) * x1, as in the evaluation kernel
         k = Wavevector((1.0, 0.0))
         t = np.concatenate([[0.0], np.logspace(-3.0, 1.3, 700)])
         X = np.stack([t, np.zeros_like(t)], axis=1)
@@ -162,11 +171,11 @@ class TestPolyringConsistency:
             p = truncated_exponential(k, m)
             via_poly = p.eval(X)
             direct = np.zeros(t.size, dtype=complex)
+            prod = np.ones(t.size, dtype=complex)
             for a in range(m):
                 coeff = (1j ** a) * (1.0 / math.factorial(a))
-                prod = np.ones(t.size, dtype=complex)
-                prod = prod * Xc[:, 0] ** a
                 direct = direct + coeff * prod
+                prod = prod * Xc[:, 0]
             assert np.array_equal(via_poly, direct)
             w_poly = np.exp(-t ** 2) * np.abs(via_poly - np.exp(1j * t))
             w_direct = np.exp(-t ** 2) * np.abs(direct - np.exp(1j * t))

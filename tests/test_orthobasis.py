@@ -15,7 +15,7 @@ from gaussvar.orthobasis import (
     weighted_equivalence_check,
 )
 from gaussvar.polyring import MultiPoly
-from gaussvar.quadrature import build_rule, integrate
+from gaussvar.quadrature import QuadratureError, build_rule, integrate
 
 
 class TestGramMatrix:
@@ -52,13 +52,28 @@ class TestGramMatrix:
         rule = request.getfixturevalue(rule_fixture)
         gb = gram_matrix(chart, 4, rule)
         G = gb.gram
-        assert np.max(np.abs(G - G.T)) <= 1e-12 * np.max(np.abs(G))
+        assert np.array_equal(G, G.T)
         eigs = np.linalg.eigvalsh(G)
         assert eigs.min() >= -1e-10 * eigs.max()
 
     def test_euclidean_full_rank(self, euclid1, euclid1_rule):
         gb = orthonormalize(gram_matrix(euclid1, 5, euclid1_rule))
         assert gb.rank == len(gb.monomials)
+
+
+class TestRuleCheck:
+    # a cylinder rule (gauss x periodic) does not fit the modulus graph
+    # (unbounded x unbounded); every caller must say so
+    @pytest.mark.parametrize("call", [
+        lambda gb, rule: gram_matrix(gb.chart, 2, rule),
+        lambda gb, rule: project(gb, lambda U: np.ones(U.shape[0]), rule),
+        lambda gb, rule: basis_inner_products(gb, rule),
+    ], ids=["gram_matrix", "project", "basis_inner_products"])
+    def test_foreign_rule_rejected(self, call, modgraph_z2, modgraph_z2_rule,
+                                   cylinder_rule):
+        gb = orthonormalize(gram_matrix(modgraph_z2, 2, modgraph_z2_rule))
+        with pytest.raises(QuadratureError):
+            call(gb, cylinder_rule)
 
 
 class TestOrthonormalize:

@@ -4,12 +4,15 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussvar.polyring import (
     Monomial,
     MultiPoly,
     Wavevector,
     format_poly,
+    monomial_values,
     monomials_up_to_degree,
     parse_poly,
     poly_add,
@@ -83,6 +86,48 @@ class TestEvaluation:
         p = MultiPoly.variable(2, 0)
         with pytest.raises(ValueError):
             p.eval((1.0, 2.0, 3.0))
+
+
+@st.composite
+def exponent_lists(draw):
+    """Sparse, unordered exponent lists in n = 1..3 variables."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 6)] * n)
+    return n, draw(st.lists(exps, min_size=1, max_size=12))
+
+
+@st.composite
+def sample_points(draw, n):
+    """40 real or complex points in [-2, 2]^n (each part)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = rng.uniform(-2.0, 2.0, size=(40, n))
+    if draw(st.booleans()):
+        pts = pts + 1j * rng.uniform(-2.0, 2.0, size=(40, n))
+    return pts
+
+
+class TestMonomialKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_power_products(self, data):
+        n, exps = data.draw(exponent_lists())
+        pts = data.draw(sample_points(n))
+        E = monomial_values([Monomial(e) for e in exps], pts)
+        assert E.shape == (len(exps), pts.shape[0]) and E.dtype == pts.dtype
+        eps = np.finfo(float).eps
+        for row, e in zip(E, exps):
+            ref = np.prod([pts[:, j] ** ej for j, ej in enumerate(e)], axis=0)
+            # one rounding per factor in the kernel and in the reference
+            tol = 4.0 * max(sum(e), 1) * eps
+            assert np.all(np.abs(row - ref) <= tol * np.abs(ref))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_square_of_coordinate_is_bit_exact(self, data):
+        n = data.draw(st.integers(1, 3))
+        X = data.draw(sample_points(n))
+        x1 = MultiPoly.variable(n, 0)
+        assert np.array_equal((x1 * x1).eval(X), x1.eval(X) ** 2)
 
 
 class TestRingOps:
