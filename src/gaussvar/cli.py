@@ -93,6 +93,10 @@ def _rule_for(chart, growth, m_max, args):
     return quadrature.build_rule(chart, R, args.nodes)
 
 
+def _exp_target(chart, alpha):
+    return lambda U: np.exp(alpha * chart.radial_sq(U))
+
+
 def cmd_moments(args, out: Path) -> None:
     chart = _chart(args)
     m_max = args.mmax if args.mmax is not None else 6
@@ -133,22 +137,14 @@ def cmd_project(args, out: Path) -> None:
     D_max = args.degree if args.degree is not None else 8
     if D_max < 2:
         raise ConfigError(f"--degree must be >= 2 for a sweep, got {D_max}")
-    alpha = args.alpha
     growth = _growth(chart)
     rule = _rule_for(chart, growth, 2 * D_max, args)
-
-    def target(U):
-        return np.exp(alpha * chart.radial_sq(U))
-
-    reports = []
-    for D in range(2, D_max + 1, 2):
-        gb = orthobasis.orthonormalize(
-            orthobasis.gram_matrix(chart, D, rule, weight=args.weight)
-        )
-        reports.append(
-            orthobasis.project(gb, target, rule, target=f"exp({alpha:g}*r^2)")
-        )
-    orthobasis.projections_to_csv(reports, out / "projection.csv")
+    gb = orthobasis.orthonormalize(
+        orthobasis.gram_matrix(chart, D_max, rule, weight=args.weight)
+    )
+    reports = orthobasis.project(gb, _exp_target(chart, args.alpha), rule,
+                                 target=f"exp({args.alpha:g}*r^2)")
+    orthobasis.projections_to_csv(reports[2::2], out / "projection.csv")
 
 
 def cmd_lemma(args, out: Path) -> None:
@@ -167,14 +163,10 @@ def cmd_lemma(args, out: Path) -> None:
 
 def cmd_equivalence(args, out: Path) -> None:
     chart = _chart(args)
-    alpha = args.alpha
     growth = _growth(chart)
     rule = _rule_for(chart, growth, 4, args)
-    rhs_nodes = (args.nodes if args.nodes is not None else 64) + 16
+    rhs_nodes = [n + 16 for n in rule.nodes_per_dim]
     rule_rhs = quadrature.build_rule(chart, rule.truncation_radius, rhs_nodes)
-
-    def target(U):
-        return np.exp(alpha * chart.radial_sq(U))
 
     n = chart.ambient_dim
     x1 = MultiPoly.variable(n, 0)
@@ -184,7 +176,8 @@ def cmd_equivalence(args, out: Path) -> None:
 
     pairs = [
         ("coord1_sq_vs_zero", coord_sq, MultiPoly.zero(n)),
-        ("exp_target_vs_one", target, MultiPoly.constant(n, 1.0)),
+        ("exp_target_vs_one", _exp_target(chart, args.alpha),
+         MultiPoly.constant(n, 1.0)),
         ("coord1_sq_vs_itself", coord_sq, x1 * x1),
     ]
     rows = []

@@ -6,9 +6,14 @@ linearly dependent through the relations of the variety -- on the unit
 circle x^2 + y^2 = 1 kills one of the six degree-2 monomials -- so the
 basis is extracted by a threshold Cholesky elimination on the Gram matrix
 that processes monomials in graded lexicographic order and drops any whose
-residual against the span of its kept predecessors falls below
+squared residual against the span of its kept predecessors is at most
 rank_tol times its diagonal Gram entry.  The kept set is therefore
 deterministic: a dependent monomial is always the later one in the order.
+
+A monomial's fate depends only on its predecessors, so the degree-D basis
+is the leading block of the degree-D_max basis (the prefix property): one
+Gram matrix and one elimination at D_max serve a whole degree sweep, and
+:func:`project` reports every D <= D_max at once.
 """
 
 from __future__ import annotations
@@ -154,12 +159,15 @@ class ProjectionReport:
         return self.residual_norm / self.f_norm
 
 
-def project(gb: GramBasis, f, rule: QuadRule, target: str = "f") -> ProjectionReport:
-    """Project ``f`` (callable on parameters) onto the orthonormal basis.
+def project(gb: GramBasis, f, rule: QuadRule,
+            target: str = "f") -> list[ProjectionReport]:
+    """Project ``f`` (callable on parameters) onto every nested degree slice.
 
-    The residual norm is evaluated as the quadrature norm of the pointwise
-    difference f - sum_k c_k b_k, which agrees with
-    sqrt(<f, f> - sum c_k^2) but cannot go negative through cancellation.
+    Report D, for D = 0..gb.degree_cap, uses the leading basis elements
+    whose kept monomial has degree <= D: the basis a degree-D Gram matrix
+    gives.  Its residual norm is the quadrature norm of f - sum_k c_k b_k,
+    updated one degree block at a time; unlike sqrt(<f, f> - sum c_k^2) it
+    cannot go negative through cancellation.
     """
     if not gb.is_orthonormalized():
         raise ValueError("basis not extracted yet; call orthonormalize first")
@@ -175,13 +183,18 @@ def project(gb: GramBasis, f, rule: QuadRule, target: str = "f") -> ProjectionRe
             f"{rule.points[i].tolist()}"
         )
     coeffs = B @ (W * fvals)
-    f_norm_sq = float(np.sum(W * fvals * fvals))
-    diff = fvals - coeffs @ B
-    res_sq = max(float(np.sum(W * diff * diff)), 0.0)
-    return ProjectionReport(
-        target=target, degree_cap=gb.degree_cap, coefficients=coeffs,
-        residual_norm=math.sqrt(res_sq), f_norm=math.sqrt(f_norm_sq),
-    )
+    f_norm = math.sqrt(float(np.sum(W * fvals * fvals)))
+    kept_degrees = [gb.monomials[i].degree for i in gb.kept_indices]
+    ends = np.searchsorted(kept_degrees, np.arange(gb.degree_cap + 1), side="right")
+    diff, reports = fvals, []
+    for D, (start, end) in enumerate(zip([0, *ends], ends)):
+        diff = diff - coeffs[start:end] @ B[start:end]
+        reports.append(ProjectionReport(
+            target=target, degree_cap=D, coefficients=coeffs[:end],
+            residual_norm=math.sqrt(max(float(np.sum(W * diff * diff)), 0.0)),
+            f_norm=f_norm,
+        ))
+    return reports
 
 
 def basis_inner_products(gb: GramBasis, rule: QuadRule) -> np.ndarray:

@@ -214,41 +214,34 @@ def chart_graph(components, domain=None) -> VarietyChart:
 
 
 def _check_profile_positive(f: MultiPoly, dom: ParamDomain) -> None:
-    """Sample f on a grid plus its critical points; reject if min <= 0."""
-    lo, hi = ((dom.lo, dom.hi) if dom.kind == "bounded" else (-30.0, 30.0))
-    grid = np.linspace(lo, hi, 1000)
-    vals = np.real(f.eval(grid.reshape(-1, 1)))
-    fp = f.partial(0)
-    dvals = np.real(fp.eval(grid.reshape(-1, 1)))
-    crit = []
-    sign_change = np.where(np.sign(dvals[:-1]) * np.sign(dvals[1:]) < 0)[0]
-    for i in sign_change:
-        a, b = grid[i], grid[i + 1]
-        fa = float(np.real(fp.eval(np.array([[a]]))[0]))
-        for _ in range(80):  # bisection to ~1e-12 on unit-scale brackets
-            m = 0.5 * (a + b)
-            fm = float(np.real(fp.eval(np.array([[m]]))[0]))
-            if fa * fm <= 0:
-                b = m
-            else:
-                a, fa = m, fm
-        crit.append(0.5 * (a + b))
-    if crit:
-        cvals = np.real(f.eval(np.asarray(crit).reshape(-1, 1)))
-        vals = np.concatenate([vals, cvals])
-    if np.min(vals) <= 0:
-        raise ChartError(
-            "revolution profile f must be positive on the parameter domain; "
-            f"sampled minimum {np.min(vals):.6g}"
-        )
+    """Reject f unless it is positive on the whole domain.
+
+    The minimum of f on an interval is at a root of f' or at an end point,
+    so f is evaluated at the real parts of the roots of f' in the domain and
+    at the ends of a bounded domain.  On R, f must also be a positive
+    constant or have even degree and a positive leading coefficient.
+    """
+    c = np.zeros(max(f.degree, 0) + 1)
+    for mono, coeff in f.terms.items():
+        c[mono.exponents[0]] = np.real(coeff)
+    p = np.poly1d(c[::-1])  # drops zero leading coefficients
+    pts = np.real(p.deriv().roots)
+    if dom.kind == "bounded":
+        pts = np.append(pts[(pts >= dom.lo) & (pts <= dom.hi)], [dom.lo, dom.hi])
+    elif p.order % 2 or p.coeffs[0] <= 0:
+        raise ChartError(f"revolution profile f = {f.to_text()} is not positive on R")
+    # the baseline point settles a constant f, whose f' has no roots
+    low = float(np.min(p(np.append(pts, dom.baseline()))))
+    if low <= 0:
+        raise ChartError("revolution profile f must be positive on the parameter "
+                         f"domain; minimum {low:.6g}")
 
 
 def chart_revolution(f: MultiPoly, h: MultiPoly, u1_domain=None) -> VarietyChart:
     """Revolution surface (f(u1) cos u2, f(u1) sin u2, h(u1)) in R^3.
 
     Density f * sqrt(f'^2 + h'^2).  The profile f must be positive; this is
-    checked on a 1000-point grid plus the critical points of f located by
-    bisection of f'.
+    checked exactly, at the roots of f' and at the domain ends.
     """
     f = _require_univariate(f, "f")
     h = _require_univariate(h, "h")
@@ -338,13 +331,16 @@ def restrict(p: MultiPoly, chart: VarietyChart):
 # ------------------------------------------------------------------ truncation solve
 
 
-def solve_param_bound(chart: VarietyChart, dim: int, radius: float,
-                      samples: int = 10000, pad: float = 0.1):
+_BOUND_SAMPLES = 10000
+_BOUND_PAD = 0.1
+
+
+def solve_param_bound(chart: VarietyChart, dim: int, radius: float):
     """Interval [lo, hi] on parameter axis ``dim`` covering {r^2 <= radius^2}.
 
     Samples r^2 along the axis (other parameters at their
     domain baselines), takes the outermost crossing of radius^2 on each
-    side and pads it by ``pad``.  The chart's r^2 eventually
+    side and pads it by ``_BOUND_PAD``.  The chart's r^2 eventually
     grows along any unbounded direction, so a doubling search finds a
     bracket.
     """
@@ -360,25 +356,22 @@ def solve_param_bound(chart: VarietyChart, dim: int, radius: float,
 
     span = 2.0 * max(radius, 1.0)
     for _ in range(60):
-        ts = np.linspace(0.0, span, samples)
-        vals = radial_along(ts)
-        if vals[-1] > r2cap and radial_along(-ts)[-1] > r2cap:
+        if np.all(radial_along(np.array([span, -span])) > r2cap):
             break
         span *= 2.0
     else:
         raise GrowthError(
             f"could not bracket r^2 <= {r2cap:g} along parameter {dim}"
         )
+    ts = np.linspace(0.0, span, _BOUND_SAMPLES)
     out = []
     for sign in (1.0, -1.0):
-        ts = np.linspace(0.0, span, samples)
-        vals = radial_along(sign * ts)
-        inside = np.nonzero(vals <= r2cap)[0]
+        inside = np.nonzero(radial_along(sign * ts) <= r2cap)[0]
         if inside.size == 0:
             raise GrowthError(
                 f"chart misses the ball of radius {radius:g} along parameter {dim}"
             )
-        out.append(sign * ts[inside[-1]] * (1.0 + pad))
+        out.append(sign * ts[inside[-1]] * (1.0 + _BOUND_PAD))
     hi, lo = out
     return lo, hi
 

@@ -100,10 +100,8 @@ def test_08_density_witness(cylinder, cylinder_rule, graph_x2, graph_x2_rule):
         (graph_x2, graph_x2_rule, False),
     ):
         f = lambda U: np.exp(0.25 * chart.radial_sq(U))
-        rels = []
-        for D in (2, 4, 6, 8):
-            gb = orthonormalize(gram_matrix(chart, D, rule))
-            rels.append(project(gb, f, rule).rel_residual)
+        gb = orthonormalize(gram_matrix(chart, 8, rule))
+        rels = [rep.rel_residual for rep in project(gb, f, rule)[2::2]]
         ok &= all(b < a for a, b in zip(rels, rels[1:]))
         if need_final:
             ok &= rels[-1] < 0.1

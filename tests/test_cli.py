@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from gaussvar import orthobasis
 from gaussvar.cli import EXIT_CONFIG, EXIT_OK, main
 
 
@@ -116,6 +117,19 @@ class TestProject:
         assert [r[0] for r in rows] == ["2", "4", "6", "8"]
         rels = [float(r[3]) for r in rows]
         assert all(b < a for a, b in zip(rels, rels[1:]))
+
+    def test_sweep_uses_one_factorization(self, cylinder_spec, tmp_path, monkeypatch):
+        calls = []
+        original = orthobasis.orthonormalize
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].degree_cap)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(orthobasis, "orthonormalize", counting)
+        assert main(["project", "--spec", str(cylinder_spec), "--degree", "8",
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert calls == [8]
 
 
 class TestEquivalence:

@@ -133,7 +133,7 @@ class TestProjection:
         def b0(U):
             return np.real(b0_poly.eval(cylinder.embed(U)))
 
-        rep = project(gb, b0, cylinder_rule)
+        rep = project(gb, b0, cylinder_rule)[-1]
         expected = np.zeros(gb.rank)
         expected[0] = 1.0
         assert np.allclose(rep.coefficients, expected, atol=1e-8)
@@ -141,35 +141,55 @@ class TestProjection:
 
     def test_polynomial_in_subspace_has_no_residual(self, euclid1, euclid1_rule):
         gb = orthonormalize(gram_matrix(euclid1, 4, euclid1_rule))
-        rep = project(gb, lambda U: U[:, 0] ** 4, euclid1_rule)
+        rep = project(gb, lambda U: U[:, 0] ** 4, euclid1_rule)[-1]
         assert rep.residual_norm <= 1e-8
 
     def test_cylinder_density_witness(self, cylinder, cylinder_rule):
         f = lambda U: np.exp(0.25 * cylinder.radial_sq(U))
-        rels = []
-        for D in (2, 4, 6, 8):
-            gb = orthonormalize(gram_matrix(cylinder, D, cylinder_rule))
-            rep = project(gb, f, cylinder_rule)
-            rels.append(rep.rel_residual)
+        gb = orthonormalize(gram_matrix(cylinder, 8, cylinder_rule))
+        rels = [rep.rel_residual for rep in project(gb, f, cylinder_rule)[2::2]]
         assert all(b < a for a, b in zip(rels, rels[1:]))
         assert rels[-1] < 0.1
 
     def test_graph_density_witness(self, graph_x2, graph_x2_rule):
         f = lambda U: np.exp(0.25 * graph_x2.radial_sq(U))
-        rels = []
-        for D in (2, 4, 6, 8):
-            gb = orthonormalize(gram_matrix(graph_x2, D, graph_x2_rule))
-            rep = project(gb, f, graph_x2_rule)
-            rels.append(rep.rel_residual)
+        gb = orthonormalize(gram_matrix(graph_x2, 8, graph_x2_rule))
+        rels = [rep.rel_residual for rep in project(gb, f, graph_x2_rule)[2::2]]
         assert all(b < a for a, b in zip(rels, rels[1:]))
 
     def test_nested_residual_monotonicity(self, euclid1, euclid1_rule):
         f = lambda U: np.exp(0.25 * euclid1.radial_sq(U))
-        res = []
-        for D in (0, 2, 4, 6):
-            gb = orthonormalize(gram_matrix(euclid1, D, euclid1_rule))
-            res.append(project(gb, f, euclid1_rule).residual_norm)
+        gb = orthonormalize(gram_matrix(euclid1, 6, euclid1_rule))
+        res = [rep.residual_norm for rep in project(gb, f, euclid1_rule)[::2]]
         assert all(b <= a + 1e-9 for a, b in zip(res, res[1:]))
+
+    @pytest.mark.parametrize("fixture,rule_fixture", [
+        ("euclid1", "euclid1_rule"),
+        ("cylinder", "cylinder_rule"),
+        ("graph_x2", "graph_x2_rule"),
+        ("modgraph_z2", "modgraph_z2_rule"),
+        ("circle", "circle_rule"),
+    ])
+    def test_sweep_matches_separate_bases(self, fixture, rule_fixture, request):
+        # report D of one degree-6 basis is the projection onto the basis a
+        # degree-D Gram matrix gives on its own (the prefix property)
+        chart = request.getfixturevalue(fixture)
+        rule = request.getfixturevalue(rule_fixture)
+
+        def f(U):
+            return np.exp(0.25 * chart.radial_sq(U) + 0.5 * np.sin(U[:, 0]))
+
+        gb = orthonormalize(gram_matrix(chart, 6, rule))
+        sweep = project(gb, f, rule)
+        assert [rep.degree_cap for rep in sweep] == list(range(7))
+        for D, rep in enumerate(sweep):
+            gb_D = orthonormalize(gram_matrix(chart, D, rule))
+            alone = project(gb_D, f, rule)[-1]
+            assert gb.kept_indices[:gb_D.rank] == gb_D.kept_indices
+            assert rep.coefficients.shape == (gb_D.rank,)
+            assert np.allclose(rep.coefficients, alone.coefficients, rtol=0, atol=1e-10)
+            assert rep.f_norm == alone.f_norm
+            assert abs(rep.residual_norm - alone.residual_norm) <= 1e-12 * rep.f_norm
 
     def test_bessel_inequality(self, cylinder, cylinder_rule):
         gb = orthonormalize(gram_matrix(cylinder, 4, cylinder_rule))
@@ -179,7 +199,7 @@ class TestProjection:
             lambda U: np.cos(U[:, 1]) * U[:, 0],
         ]
         for f in targets:
-            rep = project(gb, f, cylinder_rule)
+            rep = project(gb, f, cylinder_rule)[-1]
             fsq = float(integrate(cylinder, lambda U: np.asarray(f(U)) ** 2,
                                   cylinder_rule))
             assert np.sum(rep.coefficients ** 2) <= fsq + 1e-9
@@ -264,7 +284,7 @@ class TestExports:
 
     def test_projection_csv(self, euclid1, euclid1_rule, tmp_path):
         gb = orthonormalize(gram_matrix(euclid1, 2, euclid1_rule))
-        rep = project(gb, lambda U: U[:, 0] ** 2, euclid1_rule)
+        rep = project(gb, lambda U: U[:, 0] ** 2, euclid1_rule)[-1]
         path = tmp_path / "projection.csv"
         projections_to_csv([rep], path)
         lines = path.read_text().splitlines()

@@ -92,6 +92,20 @@ class TestRevolution:
             chart_revolution(parse_poly("1*x1^2-0.5", 1), parse_poly("1", 1),
                              u1_domain=(-2.0, 2.0))
 
+    @pytest.mark.parametrize("profile", ["40-1*x1^1", "1+0.00001*x1^3"])
+    def test_profile_negative_far_out_rejected(self, profile):
+        # positive near the origin but negative far out (40 - u at u = 50,
+        # 1 + 1e-5 u^3 at u = -60): a profile of odd degree is unbounded below
+        with pytest.raises(ChartError):
+            chart_revolution(parse_poly(profile, 1), parse_poly("1*x1^1", 1))
+
+    def test_positive_quartic_with_dips_accepted(self):
+        # x^4 - x^2 + c has minima at x^2 = 1/2 of value c - 1/4
+        chart_revolution(parse_poly("1*x1^4-1*x1^2+0.3", 1), parse_poly("1*x1^1", 1))
+        with pytest.raises(ChartError):
+            chart_revolution(parse_poly("1*x1^4-1*x1^2+0.2", 1),
+                             parse_poly("1*x1^1", 1))
+
 
 class TestModulusGraph:
     def test_zero_polynomial_is_flat_plane(self):
