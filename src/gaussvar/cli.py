@@ -89,6 +89,10 @@ def _growth(chart) -> GrowthEstimate:
 
 
 def _rule_for(chart, growth, m_max, args):
+    if not args.eps > 0:
+        raise ConfigError(f"--eps must be positive, got {args.eps:g}")
+    if args.nodes is not None and args.nodes < 4:
+        raise ConfigError(f"--nodes must be >= 4, got {args.nodes}")
     R = quadrature.choose_truncation(growth, m_max, args.eps)
     return quadrature.build_rule(chart, R, args.nodes)
 

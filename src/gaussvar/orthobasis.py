@@ -109,37 +109,37 @@ def gram_matrix(chart: VarietyChart, degree_cap: int, rule: QuadRule,
 def orthonormalize(gb: GramBasis, rank_tol: float = 1e-9) -> GramBasis:
     """Extract the orthonormal basis by graded-lex threshold elimination.
 
-    A monomial is dropped when its squared residual norm against the span
-    of the kept predecessors is at most ``rank_tol`` times its diagonal
-    Gram entry; surviving vectors are normalized.  Projections are applied
-    twice per step to keep the basis numerically orthogonal.
+    Rows of C hold the coefficients of the k vectors kept so far and rows of
+    GC = C G their Gram images.  Candidate i starts as e_i and takes the
+    block step v -= (GC v) C twice: under cancellation one pass leaves parts
+    of v along the kept directions, and a second removes them to rounding
+    level ("twice is enough").  It is dropped when its squared residual
+    v.G.v is at most ``rank_tol`` times G_ii; otherwise it is normalized, and
+    G v, already formed for the residual, is scaled into its row of GC.
     """
     if rank_tol <= 0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
     G = gb.gram
     N = len(gb.monomials)
+    C, GC = np.empty((N, N)), np.empty((N, N))
     kept: list[int] = []
-    rows: list[np.ndarray] = []      # coefficient rows of the kept basis
-    grams: list[np.ndarray] = []     # cached G @ row for fast inner products
     for i in range(N):
-        gii = G[i, i]
+        k = len(kept)
         v = np.zeros(N)
         v[i] = 1.0
         for _ in range(2):
-            for c, w in zip(rows, grams):
-                v = v - (w @ v) * c
-        res2 = float(v @ G @ v)
-        if gii <= 0 or res2 <= rank_tol * gii:
+            v -= (GC[:k] @ v) @ C[:k]
+        Gv = G @ v
+        res2 = float(v @ Gv)
+        if G[i, i] <= 0 or res2 <= rank_tol * G[i, i]:
             continue
-        c = v / math.sqrt(res2)
+        norm = math.sqrt(res2)
+        C[k], GC[k] = v / norm, Gv / norm
         kept.append(i)
-        rows.append(c)
-        grams.append(G @ c)
     return GramBasis(
         chart=gb.chart, degree_cap=gb.degree_cap, monomials=gb.monomials,
         gram=gb.gram, weight=gb.weight, rank=len(kept),
-        kept_indices=tuple(kept),
-        ortho_coeffs=np.array(rows).reshape(len(kept), N),
+        kept_indices=tuple(kept), ortho_coeffs=C[:len(kept)].copy(),
         rank_tol=rank_tol,
     )
 

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,17 @@ from gaussvar import (
 )
 
 MOMENT_RADII = np.linspace(2.0, 10.0, 9)
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """Environment for a child interpreter that imports gaussvar from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 @pytest.fixture(scope="session")

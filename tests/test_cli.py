@@ -66,6 +66,19 @@ class TestMoments:
         assert "--spec" in capsys.readouterr().err
 
 
+class TestRuleSettings:
+    @pytest.mark.parametrize("command", ["moments", "basis"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--nodes", "3"), ("--eps", "0"), ("--eps", "-1"),
+    ])
+    def test_bad_value_exits_2(self, command, flag, value, euclid_spec,
+                               tmp_path, capsys):
+        code = main([command, "--spec", str(euclid_spec), flag, value,
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+
+
 class TestLemma:
     def test_cm_column_decays(self, tmp_path):
         out = tmp_path / "out"
@@ -173,12 +186,12 @@ class TestDeterminism:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self, euclid_spec, tmp_path):
+    def test_module_invocation(self, euclid_spec, tmp_path, src_env):
         out = tmp_path / "out"
         proc = subprocess.run(
             [sys.executable, "-m", "gaussvar.cli", "moments",
              "--spec", str(euclid_spec), "--mmax", "1", "--out", str(out)],
-            capture_output=True, text=True,
+            env=src_env, capture_output=True, text=True,
         )
         assert proc.returncode == EXIT_OK
         assert (out / "moments.csv").exists()

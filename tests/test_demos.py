@@ -1,6 +1,5 @@
 """Every narrative script in demos/ runs to completion."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,13 +11,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_exits_zero(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
+def test_demo_exits_zero(demo, tmp_path, src_env):
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, str(demo)], cwd=tmp_path, env=src_env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -17,6 +17,35 @@ from gaussvar.orthobasis import (
 from gaussvar.polyring import MultiPoly
 from gaussvar.quadrature import QuadratureError, build_rule, integrate
 
+# the five conftest charts with their rules
+CHARTS = [
+    ("euclid1", "euclid1_rule"),
+    ("cylinder", "cylinder_rule"),
+    ("graph_x2", "graph_x2_rule"),
+    ("modgraph_z2", "modgraph_z2_rule"),
+    ("circle", "circle_rule"),
+]
+
+
+def reference_elimination(G, rank_tol=1e-9):
+    """Vector-by-vector threshold elimination: kept indices and rows."""
+    N = G.shape[0]
+    kept, rows, grams = [], [], []
+    for i in range(N):
+        v = np.zeros(N)
+        v[i] = 1.0
+        for _ in range(2):
+            for c, w in zip(rows, grams):
+                v = v - (w @ v) * c
+        res2 = float(v @ G @ v)
+        if G[i, i] <= 0 or res2 <= rank_tol * G[i, i]:
+            continue
+        c = v / math.sqrt(res2)
+        kept.append(i)
+        rows.append(c)
+        grams.append(G @ c)
+    return tuple(kept), np.array(rows).reshape(len(kept), N)
+
 
 class TestGramMatrix:
     def test_euclidean_degree_one(self, euclid1, euclid1_rule):
@@ -40,13 +69,7 @@ class TestGramMatrix:
         dropped = [i for i in range(6) if i not in gb.kept_indices]
         assert [gb.monomials[i].exponents for i in dropped] == [(0, 2)]
 
-    @pytest.mark.parametrize("fixture,rule_fixture", [
-        ("euclid1", "euclid1_rule"),
-        ("cylinder", "cylinder_rule"),
-        ("graph_x2", "graph_x2_rule"),
-        ("modgraph_z2", "modgraph_z2_rule"),
-        ("circle", "circle_rule"),
-    ])
+    @pytest.mark.parametrize("fixture,rule_fixture", CHARTS)
     def test_symmetric_and_psd(self, fixture, rule_fixture, request):
         chart = request.getfixturevalue(fixture)
         rule = request.getfixturevalue(rule_fixture)
@@ -106,6 +129,42 @@ class TestOrthonormalize:
         M = basis_inner_products(gb, finer)
         assert np.max(np.abs(M - np.eye(gb.rank))) <= 1e-7
 
+    @pytest.mark.parametrize("fixture,rule_fixture", CHARTS)
+    def test_matches_reference_elimination(self, fixture, rule_fixture, request):
+        chart = request.getfixturevalue(fixture)
+        rule = request.getfixturevalue(rule_fixture)
+        for D in range(7):
+            gb0 = gram_matrix(chart, D, rule)
+            G_before = gb0.gram.copy()
+            gb = orthonormalize(gb0)
+            kept, C_ref = reference_elimination(G_before)
+            assert gb.kept_indices == kept
+            C = gb.ortho_coeffs
+            assert C.shape == (gb.rank, len(gb.monomials))
+            assert C.flags.owndata
+            assert np.max(np.abs(C - C_ref)) <= 1e-9 * np.max(np.abs(C_ref))
+            assert np.array_equal(gb0.gram, G_before)
+            assert gb.gram is gb0.gram
+
+    def test_second_pass_keeps_basis_orthonormal(self, modgraph_z2,
+                                                  modgraph_z2_rule):
+        # cond(G) ~ 1e21 here: a single pass leaves a defect of about 3e-7
+        gb = orthonormalize(gram_matrix(modgraph_z2, 8, modgraph_z2_rule))
+        C = gb.ortho_coeffs
+        assert np.max(np.abs(C @ gb.gram @ C.T - np.eye(gb.rank))) <= 5e-8
+
+    @pytest.mark.parametrize("D", range(13))
+    def test_circle_rank_oracle(self, D, circle, circle_rule):
+        # the trigonometric polynomials of degree <= D on the circle
+        gb = orthonormalize(gram_matrix(circle, D, circle_rule))
+        assert gb.rank == 2 * D + 1
+
+    @pytest.mark.parametrize("D", [4, 8, 12])
+    def test_cylinder_rank_oracle(self, D, cylinder, cylinder_rule):
+        # x^2 + y^2 = 1: z^c times the 2(D - c) + 1 circle harmonics, c <= D
+        gb = orthonormalize(gram_matrix(cylinder, D, cylinder_rule))
+        assert gb.rank == (D + 1) ** 2
+
     def test_invalid_tolerance(self, euclid1, euclid1_rule):
         gb = gram_matrix(euclid1, 2, euclid1_rule)
         with pytest.raises(ValueError):
@@ -163,13 +222,7 @@ class TestProjection:
         res = [rep.residual_norm for rep in project(gb, f, euclid1_rule)[::2]]
         assert all(b <= a + 1e-9 for a, b in zip(res, res[1:]))
 
-    @pytest.mark.parametrize("fixture,rule_fixture", [
-        ("euclid1", "euclid1_rule"),
-        ("cylinder", "cylinder_rule"),
-        ("graph_x2", "graph_x2_rule"),
-        ("modgraph_z2", "modgraph_z2_rule"),
-        ("circle", "circle_rule"),
-    ])
+    @pytest.mark.parametrize("fixture,rule_fixture", CHARTS)
     def test_sweep_matches_separate_bases(self, fixture, rule_fixture, request):
         # report D of one degree-6 basis is the projection onto the basis a
         # degree-D Gram matrix gives on its own (the prefix property)
