@@ -1,13 +1,15 @@
 """Batch command line: load a variety spec, run a study, write CSV files.
 
 One command is one study writing into one output directory; runs with the
-same configuration produce byte-identical files.  Exit codes: 0 success,
-1 numerical failure, 2 I/O or configuration error.
+same configuration produce byte-identical files.  Each command accepts only
+the flags it reads, and every flag value is checked before the study runs.
+Exit codes: 0 success, 1 numerical failure, 2 I/O or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -40,80 +42,68 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gaussvar",
-        description="Gaussian-measure studies on parametrized varieties",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "moments": "Gaussian moments I_m with tail budgets -> moments.csv",
-        "growth": "volume growth measurement and fit -> growth.csv",
-        "basis": "Gram matrix and orthonormal basis -> gram.csv, basis.csv",
-        "project": "projection residual sweep over degrees -> projection.csv",
-        "lemma": "closed-form vs brute-force sup bound -> cm.csv",
-        "equivalence": "both sides of the weighted identity -> equivalence.csv",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--spec", help="variety spec file (JSON)")
-        p.add_argument("--degree", type=int, default=None,
-                       help="degree cap D (default: 6 for basis, 8 for project)")
-        p.add_argument("--mmax", type=int, default=None,
-                       help="largest moment/expansion order "
-                            "(default: 6 for moments, 60 for lemma)")
-        p.add_argument("--eps", type=float, default=1e-12,
-                       help="tail budget for the truncation radius (default 1e-12)")
-        p.add_argument("--nodes", type=int, default=None,
-                       help="quadrature nodes per dimension "
-                            "(default 64 unbounded/periodic, 48 bounded)")
-        p.add_argument("--out", default="out", help="output directory (default ./out)")
-        p.add_argument("--weight", choices=("gauss", "none"), default="gauss",
-                       help="inner-product weight (default gauss)")
-        p.add_argument("--alpha", type=float, default=0.25,
-                       help="exponent of the target e^{alpha r^2} (default 0.25)")
-        p.add_argument("--k", default="1.0",
-                       help="comma-separated wavevector lengths for lemma "
-                            "(default 1.0)")
-    return parser
+def _need(ok, must):
+    """Check of one flag value: keep it when ``ok`` holds, else name the flag."""
+    def check(flag, value):
+        if not ok(value):
+            raise ConfigError(f"{flag} must be {must}, got {value}")
+        return value
+    return check
 
 
-def _chart(args):
-    if not args.spec:
-        raise ConfigError(f"--spec is required for the {args.command} command")
-    return load_chart(args.spec)
+def _at_least(low):
+    return _need(lambda v: v is None or v >= low, f">= {low}")  # None: the rule's default
 
 
-def _growth(chart) -> GrowthEstimate:
-    return estimate_growth(chart, _MOMENT_RADII)
+def _wavevectors(flag, text):
+    try:
+        ks = [float(s) for s in text.split(",") if s]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {flag} {text!r}: {exc}") from exc
+    if not ks or not all(0 < k < math.inf for k in ks):
+        raise ConfigError(f"{flag} needs positive finite wavevector lengths, got {text!r}")
+    return ks
 
 
-def _rule_for(chart, growth, m_max, args):
-    if not args.eps > 0:
-        raise ConfigError(f"--eps must be positive, got {args.eps:g}")
-    if args.nodes is not None and args.nodes < 4:
-        raise ConfigError(f"--nodes must be >= 4, got {args.nodes}")
+_FLAGS = {  # flag -> argparse settings; each command in _COMMANDS sets the default
+    "spec": dict(help="variety spec file (JSON)"),
+    "mmax": dict(type=int, help="largest moment/expansion order"),
+    "degree": dict(type=int, help="degree cap D"),
+    "eps": dict(type=float, help="tail budget for the truncation radius"),
+    "nodes": dict(type=int, help="nodes per dimension; None: 48 bounded, 64 otherwise"),
+    "weight": dict(choices=("gauss", "none"), help="inner-product weight"),
+    "alpha": dict(type=float, help="exponent of the target e^{alpha r^2}"),
+    "k": dict(help="comma-separated wavevector lengths"),
+}
+_SPEC = (None, _need(bool, "given"))
+_EPS = (1e-12, _need(lambda v: v > 0, "positive"))  # v > 0 is False for NaN
+_NODES = (None, _at_least(4))
+
+
+def _rule_for(chart, m_max, args) -> tuple[GrowthEstimate, quadrature.QuadRule]:
+    growth = estimate_growth(chart, _MOMENT_RADII)
     R = quadrature.choose_truncation(growth, m_max, args.eps)
-    return quadrature.build_rule(chart, R, args.nodes)
+    return growth, quadrature.build_rule(chart, R, args.nodes)
 
 
 def _exp_target(chart, alpha):
+    """e^{alpha r^2}, checked: it is in L^2 iff alpha < 1/2 or the chart is compact."""
+    unbounded = any(d.kind == "unbounded" for d in chart.domains)
+    if not math.isfinite(alpha) or (unbounded and alpha >= 0.5):
+        raise ConfigError(f"--alpha must be finite, and < 1/2 unless the chart is compact, "
+                          f"got {alpha:g} for {chart.chart_id}")
     return lambda U: np.exp(alpha * chart.radial_sq(U))
 
 
 def cmd_moments(args, out: Path) -> None:
-    chart = _chart(args)
-    m_max = args.mmax if args.mmax is not None else 6
-    if m_max < 0:
-        raise ConfigError(f"--mmax must be >= 0, got {m_max}")
-    growth = _growth(chart)
-    rule = _rule_for(chart, growth, m_max, args)
-    table = quadrature.moment_table(chart, range(m_max + 1), rule, growth)
+    chart = load_chart(args.spec)
+    growth, rule = _rule_for(chart, args.mmax, args)
+    table = quadrature.moment_table(chart, range(args.mmax + 1), rule, growth)
     table.to_csv(out / "moments.csv")
 
 
 def cmd_growth(args, out: Path) -> None:
-    chart = _chart(args)
+    chart = load_chart(args.spec)
     growth = estimate_growth(chart, _GROWTH_RADII)
     rows = [
         (_fmt(r), _fmt(v), _fmt(growth.C), str(growth.l), _fmt(growth.slope))
@@ -123,52 +113,33 @@ def cmd_growth(args, out: Path) -> None:
 
 
 def cmd_basis(args, out: Path) -> None:
-    chart = _chart(args)
-    D = args.degree if args.degree is not None else 6
-    if D < 0:
-        raise ConfigError(f"--degree must be >= 0, got {D}")
-    growth = _growth(chart)
-    rule = _rule_for(chart, growth, 2 * D, args)
-    gb = orthobasis.orthonormalize(
-        orthobasis.gram_matrix(chart, D, rule, weight=args.weight)
-    )
+    chart = load_chart(args.spec)
+    _, rule = _rule_for(chart, 2 * args.degree, args)
+    gram = orthobasis.gram_matrix(chart, args.degree, rule, weight=args.weight)
+    gb = orthobasis.orthonormalize(gram)
     orthobasis.gram_to_csv(gb, out / "gram.csv")
     orthobasis.basis_to_csv(gb, out / "basis.csv")
 
 
 def cmd_project(args, out: Path) -> None:
-    chart = _chart(args)
-    D_max = args.degree if args.degree is not None else 8
-    if D_max < 2:
-        raise ConfigError(f"--degree must be >= 2 for a sweep, got {D_max}")
-    growth = _growth(chart)
-    rule = _rule_for(chart, growth, 2 * D_max, args)
-    gb = orthobasis.orthonormalize(
-        orthobasis.gram_matrix(chart, D_max, rule, weight=args.weight)
-    )
-    reports = orthobasis.project(gb, _exp_target(chart, args.alpha), rule,
-                                 target=f"exp({args.alpha:g}*r^2)")
+    chart = load_chart(args.spec)
+    target = _exp_target(chart, args.alpha)
+    _, rule = _rule_for(chart, 2 * args.degree, args)
+    gram = orthobasis.gram_matrix(chart, args.degree, rule, weight=args.weight)
+    gb = orthobasis.orthonormalize(gram)
+    reports = orthobasis.project(gb, target, rule, target=f"exp({args.alpha:g}*r^2)")
     orthobasis.projections_to_csv(reports[2::2], out / "projection.csv")
 
 
 def cmd_lemma(args, out: Path) -> None:
-    m_max = args.mmax if args.mmax is not None else 60
-    if m_max < 1:
-        raise ConfigError(f"--mmax must be >= 1, got {m_max}")
-    try:
-        ks = [float(s) for s in args.k.split(",") if s]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse --k {args.k!r}: {exc}") from exc
-    if not ks or any(k <= 0 for k in ks):
-        raise ConfigError(f"--k needs positive wavevector lengths, got {args.k!r}")
-    records = approxlemma.cm_table(ks, range(1, m_max + 1))
+    records = approxlemma.cm_table(args.k, range(1, args.mmax + 1))
     approxlemma.records_to_csv(records, out / "cm.csv")
 
 
 def cmd_equivalence(args, out: Path) -> None:
-    chart = _chart(args)
-    growth = _growth(chart)
-    rule = _rule_for(chart, growth, 4, args)
+    chart = load_chart(args.spec)
+    target = _exp_target(chart, args.alpha)
+    _, rule = _rule_for(chart, 4, args)
     rhs_nodes = [n + 16 for n in rule.nodes_per_dim]
     rule_rhs = quadrature.build_rule(chart, rule.truncation_radius, rhs_nodes)
 
@@ -180,8 +151,7 @@ def cmd_equivalence(args, out: Path) -> None:
 
     pairs = [
         ("coord1_sq_vs_zero", coord_sq, MultiPoly.zero(n)),
-        ("exp_target_vs_one", _exp_target(chart, args.alpha),
-         MultiPoly.constant(n, 1.0)),
+        ("exp_target_vs_one", target, MultiPoly.constant(n, 1.0)),
         ("coord1_sq_vs_itself", coord_sq, x1 * x1),
     ]
     rows = []
@@ -192,22 +162,51 @@ def cmd_equivalence(args, out: Path) -> None:
     _write_csv(out / "equivalence.csv", "pair,lhs,rhs,rel_gap", rows)
 
 
+# command -> (handler, help line, {flag it reads: (default, check)}), plus --out
 _COMMANDS = {
-    "moments": cmd_moments,
-    "growth": cmd_growth,
-    "basis": cmd_basis,
-    "project": cmd_project,
-    "lemma": cmd_lemma,
-    "equivalence": cmd_equivalence,
+    "moments": (cmd_moments, "Gaussian moments I_m with tail budgets -> moments.csv",
+                {"spec": _SPEC, "mmax": (6, _at_least(0)), "eps": _EPS, "nodes": _NODES}),
+    "growth": (cmd_growth, "volume growth measurement and fit -> growth.csv",
+               {"spec": _SPEC}),
+    "basis": (cmd_basis, "Gram matrix and orthonormal basis -> gram.csv, basis.csv",
+              {"spec": _SPEC, "degree": (6, _at_least(0)), "eps": _EPS,
+               "nodes": _NODES, "weight": ("gauss", None)}),
+    "project": (cmd_project, "projection residual sweep over degrees -> projection.csv",
+                {"spec": _SPEC, "degree": (8, _at_least(2)), "eps": _EPS,
+                 "nodes": _NODES, "weight": ("gauss", None), "alpha": (0.25, None)}),
+    "lemma": (cmd_lemma, "closed-form vs brute-force sup bound -> cm.csv",
+              {"mmax": (60, _at_least(1)), "k": ("1.0", _wavevectors)}),
+    "equivalence": (cmd_equivalence,
+                    "both sides of the weighted identity -> equivalence.csv",
+                    {"spec": _SPEC, "eps": _EPS, "nodes": _NODES, "alpha": (0.25, None)}),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gaussvar",
+        description="Gaussian-measure studies on parametrized varieties",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        for flag, (default, _) in flags.items():
+            p.add_argument(f"--{flag}", default=default, **_FLAGS[flag])
+        p.add_argument("--out", default="out", help="output directory")
+    return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    handler, _, flags = _COMMANDS[args.command]
     try:
+        for flag, (_, check) in flags.items():
+            if check:
+                setattr(args, flag, check(f"--{flag}", getattr(args, flag)))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](args, out)
+        handler(args, out)
     except (ConfigError, SpecFileError, OSError) as exc:
         print(f"gaussvar {args.command}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -28,6 +28,7 @@ __all__ = [
     "Wavevector",
     "monomials_up_to_degree",
     "monomial_values",
+    "as_points",
     "poly_eval",
     "poly_add",
     "poly_mul",
@@ -273,21 +274,7 @@ class MultiPoly:
         Terms are accumulated in graded lexicographic order so results are
         reproducible bit-for-bit for a fixed input.
         """
-        arr = np.asarray(x)
-        single = arr.ndim <= 1
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            if self.ambient_dim == 1 and arr.shape[0] != 1:
-                arr = arr.reshape(-1, 1)
-                single = False
-            else:
-                arr = arr.reshape(1, -1)
-        if arr.shape[1] != self.ambient_dim:
-            raise ValueError(
-                f"point dimension {arr.shape[1]} does not match ambient "
-                f"dimension {self.ambient_dim}"
-            )
+        arr, single = as_points(x, self.ambient_dim, "point")
         use_complex = np.iscomplexobj(arr) or not self.is_real()
         arr = arr.astype(np.complex128 if use_complex else np.float64, copy=False)
         terms = self.sorted_terms()
@@ -303,6 +290,28 @@ class MultiPoly:
 
     def to_text(self) -> str:
         return format_poly(self)
+
+
+def as_points(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
+    """``x`` as a batch of shape (N, dim), and whether it was a single point.
+
+    A scalar or a sequence of length ``dim`` is one point.  When ``dim`` is
+    1, a 1-D array of any other length is a batch of N scalars.  The dtype
+    of ``x`` is kept.  ``what`` names the points in the dimension error.
+    """
+    arr = np.asarray(x)
+    single = arr.ndim <= 1
+    if arr.ndim == 0:
+        arr = arr.reshape(1, 1)
+    elif arr.ndim == 1:
+        if dim == 1 and arr.shape[0] != 1:
+            arr = arr.reshape(-1, 1)
+            single = False
+        else:
+            arr = arr.reshape(1, -1)
+    if arr.shape[1] != dim:
+        raise ValueError(f"{what} has dimension {arr.shape[1]}, expected {dim}")
+    return arr, single
 
 
 def _parent(exponents: tuple) -> tuple[tuple, int]:

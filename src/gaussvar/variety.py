@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyring import MultiPoly, parse_poly
+from .polyring import MultiPoly, as_points, parse_poly
 
 __all__ = [
     "ChartError",
@@ -114,22 +114,7 @@ class VarietyChart:
         return len(self.domains)
 
     def _params(self, u) -> tuple[np.ndarray, bool]:
-        arr = np.asarray(u, dtype=float)
-        single = arr.ndim <= 1
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            if self.intrinsic_dim == 1 and arr.shape[0] != 1:
-                arr = arr.reshape(-1, 1)
-                single = False
-            else:
-                arr = arr.reshape(1, -1)
-        if arr.shape[1] != self.intrinsic_dim:
-            raise ValueError(
-                f"parameter dimension {arr.shape[1]} does not match chart "
-                f"dimension {self.intrinsic_dim}"
-            )
-        return arr, single
+        return as_points(np.asarray(u, dtype=float), self.intrinsic_dim, "parameter")
 
     def embed(self, u) -> np.ndarray:
         """Ambient coordinates of the parameter point(s); shape (N, n)."""
@@ -180,6 +165,14 @@ def _require_univariate(p: MultiPoly, name: str) -> MultiPoly:
     return p
 
 
+def _base_domain(bounds) -> tuple[ParamDomain, str]:
+    """Domain of the base parameter, R or [lo, hi], and its text in chart ids."""
+    if bounds is None:
+        return ParamDomain("unbounded"), "R"
+    dom = ParamDomain("bounded", float(bounds[0]), float(bounds[1]))
+    return dom, f"[{dom.lo:g},{dom.hi:g}]"
+
+
 def chart_graph(components, domain=None) -> VarietyChart:
     """Graph of a polynomial map R -> R^{n-1}; n = 1 + len(components).
 
@@ -189,8 +182,7 @@ def chart_graph(components, domain=None) -> VarietyChart:
     comps = [_require_univariate(c, f"component {i}") for i, c in enumerate(components)]
     derivs = [c.partial(0) for c in comps]
     n = 1 + len(comps)
-    dom = (ParamDomain("unbounded") if domain is None
-           else ParamDomain("bounded", float(domain[0]), float(domain[1])))
+    dom, dom_id = _base_domain(domain)
 
     def embed(U):
         x = U[:, 0]
@@ -206,7 +198,6 @@ def chart_graph(components, domain=None) -> VarietyChart:
         return np.sqrt(acc)
 
     texts = ",".join(c.to_text() for c in comps)
-    dom_id = "R" if dom.kind == "unbounded" else f"[{dom.lo:g},{dom.hi:g}]"
     return VarietyChart(
         "graph", n, (dom,), embed, density,
         f"graph([{texts}],{dom_id})", {"components": comps, "domain": dom},
@@ -245,8 +236,7 @@ def chart_revolution(f: MultiPoly, h: MultiPoly, u1_domain=None) -> VarietyChart
     """
     f = _require_univariate(f, "f")
     h = _require_univariate(h, "h")
-    dom1 = (ParamDomain("unbounded") if u1_domain is None
-            else ParamDomain("bounded", float(u1_domain[0]), float(u1_domain[1])))
+    dom1, dom_id = _base_domain(u1_domain)
     _check_profile_positive(f, dom1)
     fp, hp = f.partial(0), h.partial(0)
 
@@ -263,7 +253,6 @@ def chart_revolution(f: MultiPoly, h: MultiPoly, u1_domain=None) -> VarietyChart
         hpv = np.real(hp.eval(u1))
         return fv * np.sqrt(fpv * fpv + hpv * hpv)
 
-    dom_id = "R" if dom1.kind == "unbounded" else f"[{dom1.lo:g},{dom1.hi:g}]"
     return VarietyChart(
         "revolution", 3, (dom1, ParamDomain("periodic")),
         embed, density,
@@ -484,11 +473,21 @@ _OPTIONAL = {
 }
 
 
+def _spec_poly(text, label: str) -> MultiPoly:
+    if not isinstance(text, str):
+        raise SpecFileError(f"{label} must be a polynomial text string")
+    try:
+        return parse_poly(text, ambient_dim=1)
+    except ValueError as exc:
+        raise SpecFileError(f"cannot parse polynomial {label}={text!r}: {exc}") from exc
+
+
 def _parse_domain(value):
     if value == "unbounded" or value is None:
         return None
     if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
+            # bool is an int subclass, but JSON true/false are not numbers
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
         lo, hi = float(value[0]), float(value[1])
         if not lo < hi:
             raise SpecFileError(f"u1_domain needs lo < hi, got {value}")
@@ -531,42 +530,23 @@ def load_chart(spec) -> VarietyChart:
     if extra:
         raise SpecFileError(f"keys {sorted(extra)} do not apply to kind {kind!r}")
 
-    def poly(key):
-        text = spec[key]
-        if not isinstance(text, str):
-            raise SpecFileError(f"{key} must be a polynomial text string")
-        try:
-            return parse_poly(text, ambient_dim=1)
-        except ValueError as exc:
-            raise SpecFileError(f"cannot parse polynomial {key}={text!r}: {exc}") from exc
-
     try:
         if kind == "euclidean":
             n = spec["n"]
-            if not isinstance(n, int) or n < 1:
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
                 raise SpecFileError(f"n must be a positive integer, got {n!r}")
             return chart_euclidean(n)
         if kind == "graph":
             comps = spec["components"]
             if not isinstance(comps, list):
                 raise SpecFileError("components must be a list of polynomial texts")
-            parsed = []
-            for i, text in enumerate(comps):
-                if not isinstance(text, str):
-                    raise SpecFileError(f"components[{i}] must be a string")
-                try:
-                    parsed.append(parse_poly(text, ambient_dim=1))
-                except ValueError as exc:
-                    raise SpecFileError(
-                        f"cannot parse components[{i}]={text!r}: {exc}"
-                    ) from exc
+            parsed = [_spec_poly(text, f"components[{i}]") for i, text in enumerate(comps)]
             return chart_graph(parsed, domain=_parse_domain(spec.get("u1_domain")))
         if kind == "revolution":
-            return chart_revolution(
-                poly("f"), poly("h"), u1_domain=_parse_domain(spec.get("u1_domain"))
-            )
+            f, h = _spec_poly(spec["f"], "f"), _spec_poly(spec["h"], "h")
+            return chart_revolution(f, h, u1_domain=_parse_domain(spec.get("u1_domain")))
         if kind == "modulus_graph":
-            return chart_modulus_graph(poly("F"))
+            return chart_modulus_graph(_spec_poly(spec["F"], "F"))
         return chart_circle()
     except ChartError as exc:
         raise SpecFileError(f"invalid chart: {exc}") from exc

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -28,6 +29,36 @@ def graph_spec(tmp_path):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps({"kind": "graph", "components": ["1*x1^2"]}))
     return path
+
+
+@pytest.fixture()
+def circle_spec(tmp_path):
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({"kind": "circle"}))
+    return path
+
+
+@pytest.fixture()
+def interval_graph_spec(tmp_path):
+    path = tmp_path / "interval_graph.json"
+    path.write_text(json.dumps({"kind": "graph", "components": ["1*x1^2"],
+                                "u1_domain": [-1, 1]}))
+    return path
+
+
+# the flags each command reads, besides --out, and a valid value for each flag
+READS = {
+    "moments": ("--spec", "--mmax", "--eps", "--nodes"),
+    "growth": ("--spec",),
+    "basis": ("--spec", "--degree", "--eps", "--nodes", "--weight"),
+    "project": ("--spec", "--degree", "--eps", "--nodes", "--weight", "--alpha"),
+    "lemma": ("--mmax", "--k"),
+    "equivalence": ("--spec", "--eps", "--nodes", "--alpha"),
+}
+VALUES = {"--spec": "spec.json", "--mmax": "2", "--degree": "2", "--eps": "1e-10",
+          "--nodes": "8", "--weight": "none", "--alpha": "0.25", "--k": "1"}
+UNREAD = [(command, flag) for command, flags in READS.items()
+          for flag in VALUES if flag not in flags]
 
 
 def read_rows(path):
@@ -93,6 +124,13 @@ class TestLemma:
         assert main(["lemma", "--k", "zero", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "--k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["nan", "inf", "1,inf"])
+    def test_non_finite_k_exits_2(self, k, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["lemma", "--k", k, "--out", str(out)]) == EXIT_CONFIG
+        assert "--k" in capsys.readouterr().err
+        assert not (out / "cm.csv").exists()
+
 
 class TestGrowth:
     def test_graph_slope_column(self, graph_spec, tmp_path):
@@ -143,6 +181,33 @@ class TestProject:
         assert main(["project", "--spec", str(cylinder_spec), "--degree", "8",
                      "--out", str(tmp_path / "out")]) == EXIT_OK
         assert calls == [8]
+
+
+class TestAlpha:
+    @pytest.mark.parametrize("command", ["project", "equivalence"])
+    @pytest.mark.parametrize("alpha", ["0.5", "0.6", "nan", "inf"])
+    def test_not_square_integrable_exits_2(self, command, alpha, cylinder_spec,
+                                           tmp_path, capsys):
+        code = main([command, "--spec", str(cylinder_spec), "--alpha", alpha,
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "--alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["project", "equivalence"])
+    def test_nan_exits_2_on_compact_chart(self, command, circle_spec, tmp_path, capsys):
+        code = main([command, "--spec", str(circle_spec), "--alpha", "nan",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "--alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["circle_spec", "interval_graph_spec"])
+    def test_compact_chart_takes_any_finite_alpha(self, spec, tmp_path, request):
+        out = tmp_path / "out"
+        assert main(["project", "--spec", str(request.getfixturevalue(spec)),
+                     "--degree", "4", "--alpha", "2", "--out", str(out)]) == EXIT_OK
+        _, rows = read_rows(out / "projection.csv")
+        assert [r[0] for r in rows] == ["2", "4"]
+        assert all(math.isfinite(float(r[3])) for r in rows)
 
 
 class TestEquivalence:
@@ -200,6 +265,33 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command,flag", UNREAD)
+    def test_unread_flag_exits_2(self, command, flag, euclid_spec, tmp_path):
+        # the rest of the command line is valid, so only the unread flag can fail
+        spec = ["--spec", str(euclid_spec)] if "--spec" in READS[command] else []
+        with pytest.raises(SystemExit) as err:
+            main([command, *spec, flag, VALUES[flag], "--out", str(tmp_path / "o")])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_help_lists_exactly_the_flags_read(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = set(re.findall(r"^  (--\w+)", capsys.readouterr().out, re.MULTILINE))
+        assert listed == set(READS[command]) | {"--out"}
+
+    @pytest.mark.parametrize("command,flag,default", [
+        ("moments", "--mmax", "6"), ("lemma", "--mmax", "60"),
+        ("basis", "--degree", "6"), ("project", "--degree", "8"),
+        ("project", "--alpha", "0.25"), ("lemma", "--k", "1.0"),
+    ])
+    def test_help_shows_own_default(self, command, flag, default, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split("options:")[1].split())
+        shown = re.search(rf"{flag} \S+ [^(]*\(default: ([^)]*)\)", text)
+        assert shown and shown.group(1) == default
 
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -11,6 +11,7 @@ from gaussvar.polyring import (
     Monomial,
     MultiPoly,
     Wavevector,
+    as_points,
     format_poly,
     monomial_values,
     monomials_up_to_degree,
@@ -86,6 +87,25 @@ class TestEvaluation:
         p = MultiPoly.variable(2, 0)
         with pytest.raises(ValueError):
             p.eval((1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("x,dim,shape,single", [
+        (2.0, 1, (1, 1), True),
+        ([2.0], 1, (1, 1), True),
+        ([1.0, 2.0, 3.0], 1, (3, 1), False),  # in one dimension: N scalars
+        ([1.0, 2.0], 2, (1, 2), True),
+        ([[1.0, 2.0], [3.0, 4.0]], 2, (2, 2), False),
+        ([1j, 2.0], 2, (1, 2), True),
+    ])
+    def test_point_or_batch(self, x, dim, shape, single):
+        arr, is_single = as_points(x, dim, "point")
+        assert arr.shape == shape and is_single == single
+        assert arr.dtype == np.asarray(x).dtype
+        p = MultiPoly.variable(dim, 0)
+        assert np.shape(p.eval(x)) == (() if single else (shape[0],))
+
+    def test_point_or_batch_names_the_points(self):
+        with pytest.raises(ValueError, match="parameter has dimension 3, expected 2"):
+            as_points([1.0, 2.0, 3.0], 2, "parameter")
 
 
 @st.composite

@@ -306,6 +306,37 @@ class TestSpecFiles:
         with pytest.raises(SpecFileError, match="u1_domain"):
             load_chart({"kind": "graph", "components": [], "u1_domain": [2, 1]})
 
+    @pytest.mark.parametrize("spec,field", [
+        ({"kind": "euclidean", "n": True}, "n must"),
+        ({"kind": "graph", "components": [], "u1_domain": [True, 2]}, "u1_domain"),
+        ({"kind": "revolution", "f": "1", "h": "1*x1^1", "u1_domain": [0, True]},
+         "u1_domain"),
+    ])
+    def test_json_booleans_are_not_numbers(self, spec, field):
+        with pytest.raises(SpecFileError, match=field):
+            load_chart(spec)
+
+    @pytest.mark.parametrize("spec,label", [
+        ({"kind": "graph", "components": ["1*x1^2", 3]}, r"components\[1\] must"),
+        ({"kind": "graph", "components": ["x0^^2"]}, r"parse .*components\[0\]="),
+        ({"kind": "revolution", "f": 1, "h": "1*x1^1"}, "f must"),
+        ({"kind": "revolution", "f": "1", "h": "x0^^2"}, "parse .*h="),
+    ])
+    def test_polynomial_errors_name_the_field(self, spec, label):
+        with pytest.raises(SpecFileError, match=label):
+            load_chart(spec)
+
+    @pytest.mark.parametrize("spec,chart_id", [
+        ({"kind": "graph", "components": ["1*x1^2"]}, "graph([1*x1^2],R)"),
+        ({"kind": "graph", "components": [], "u1_domain": [-1, 2.5]}, "graph([],[-1,2.5])"),
+        ({"kind": "revolution", "f": "1", "h": "1*x1^1"},
+         "revolution(f=1,h=1*x1^1,u1=R)"),
+        ({"kind": "revolution", "f": "2", "h": "1*x1^1", "u1_domain": [0, 1]},
+         "revolution(f=2,h=1*x1^1,u1=[0,1])"),
+    ])
+    def test_chart_ids(self, spec, chart_id):
+        assert load_chart(spec).chart_id == chart_id
+
     def test_circle_spec(self):
         chart = load_chart({"kind": "circle"})
         assert chart.radial_sq(1.0) == 1.0
