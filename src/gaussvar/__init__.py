@@ -32,10 +32,6 @@ from .polyring import (
     monomial_values,
     monomials_up_to_degree,
     parse_poly,
-    poly_add,
-    poly_eval,
-    poly_mul,
-    poly_scale,
     truncated_exponential,
     variables,
 )

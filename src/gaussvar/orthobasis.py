@@ -317,25 +317,35 @@ def classic_recovery(kind: str, degree_cap: int = 6) -> RecoveryReport:
 
 
 def basis_to_csv(gb: GramBasis, path) -> None:
-    """One row per nonzero basis coefficient: index, exponents, value."""
+    """One row per nonzero basis coefficient: index, exponents, value.
+
+    Each basis element is one ``%`` call over its nonzero coefficients, on
+    a row template joined from cells built once per monomial.
+    """
     if not gb.is_orthonormalized():
         raise ValueError("basis not extracted yet; call orthonormalize first")
+    cells = [f"@,{' '.join(map(str, m.exponents))},%.17g\n" for m in gb.monomials]
     with open(path, "w", newline="") as fh:
         fh.write("basis_index,monomial_exponents,coefficient\n")
         for k, row in enumerate(gb.ortho_coeffs):
-            for mono, coeff in zip(gb.monomials, row):
-                if coeff != 0:
-                    exps = " ".join(str(e) for e in mono.exponents)
-                    fh.write(f"{k},{exps},{coeff:.17g}\n")
+            nz = np.flatnonzero(row)
+            template = "".join([cells[j] for j in nz]).replace("@", str(k))
+            fh.write(template % tuple(row[nz].tolist()))
 
 
 def gram_to_csv(gb: GramBasis, path) -> None:
+    """One row per Gram entry, ``i,j,value`` in row-major order.
+
+    Values are ``%.17g`` text, which reads back to the same double.  The
+    row template is built once per call, with ``@`` for the row index, so
+    each matrix row is formatted by one ``%`` call and written at once.
+    """
+    N = len(gb.monomials)
+    template = "".join([f"@,{j},%.17g\n" for j in range(N)])
     with open(path, "w", newline="") as fh:
         fh.write("i,j,value\n")
-        N = len(gb.monomials)
         for i in range(N):
-            for j in range(N):
-                fh.write(f"{i},{j},{gb.gram[i, j]:.17g}\n")
+            fh.write(template.replace("@", str(i)) % tuple(gb.gram[i].tolist()))
 
 
 def projections_to_csv(reports, path) -> None:

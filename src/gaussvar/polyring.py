@@ -29,10 +29,6 @@ __all__ = [
     "monomials_up_to_degree",
     "monomial_values",
     "as_points",
-    "poly_eval",
-    "poly_add",
-    "poly_mul",
-    "poly_scale",
     "truncated_exponential",
     "parse_poly",
     "format_poly",
@@ -355,25 +351,6 @@ def monomial_values(monomials, points: np.ndarray) -> np.ndarray:
 def variables(n: int) -> tuple[MultiPoly, ...]:
     """Convenience: the coordinate polynomials (x1, ..., xn)."""
     return tuple(MultiPoly.variable(n, i) for i in range(n))
-
-
-# -------------------------------------------------------------------- spec-named ops
-
-
-def poly_eval(p: MultiPoly, x):
-    return p.eval(x)
-
-
-def poly_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return p + q
-
-
-def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return p * q
-
-
-def poly_scale(p: MultiPoly, c) -> MultiPoly:
-    return p * c
 
 
 # -------------------------------------------------------------------- wavevectors

@@ -489,6 +489,8 @@ def _parse_domain(value):
             # bool is an int subclass, but JSON true/false are not numbers
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
         lo, hi = float(value[0]), float(value[1])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise SpecFileError(f"u1_domain bounds must be finite, got {value}")
         if not lo < hi:
             raise SpecFileError(f"u1_domain needs lo < hi, got {value}")
         return (lo, hi)

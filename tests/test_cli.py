@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gaussvar import orthobasis
@@ -96,6 +97,16 @@ class TestMoments:
         assert main(["moments", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "--spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["moments", "growth"])
+    @pytest.mark.parametrize("domain", ["[-Infinity, 1]", "[0, Infinity]", "[NaN, 1]"])
+    def test_non_finite_domain_exits_2(self, command, domain, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"kind": "graph", "components": ["1*x1^2"], '
+                        f'"u1_domain": {domain}}}')
+        code = main([command, "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "u1_domain" in capsys.readouterr().err
+
 
 class TestRuleSettings:
     @pytest.mark.parametrize("command", ["moments", "basis"])
@@ -156,6 +167,29 @@ class TestBasis:
         assert header == ["basis_index", "monomial_exponents", "coefficient"]
         assert rows[0][0] == "0"
         assert float(rows[0][2]) == pytest.approx(math.pi ** -0.25, rel=1e-10)
+
+    def test_gram_csv_reads_back_exactly(self, cylinder_spec, tmp_path, monkeypatch):
+        built = []
+        original = orthobasis.gram_matrix
+
+        def capturing(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(orthobasis, "gram_matrix", capturing)
+        out = tmp_path / "out"
+        assert main(["basis", "--spec", str(cylinder_spec), "--degree", "12",
+                     "--out", str(out)]) == EXIT_OK
+        G = built[0].gram
+        N = G.shape[0]
+        assert N == 455
+        header, rows = read_rows(out / "gram.csv")
+        assert header == ["i", "j", "value"] and len(rows) == N * N
+        assert [int(r[0]) for r in rows] == np.repeat(np.arange(N), N).tolist()
+        assert [int(r[1]) for r in rows] == np.tile(np.arange(N), N).tolist()
+        values = np.array([float(r[2]) for r in rows])
+        # bit for bit, so -0.0 and 0.0 count as different
+        assert np.array_equal(values.view(np.int64), G.ravel().view(np.int64))
 
 
 class TestProject:

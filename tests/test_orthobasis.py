@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaussvar.orthobasis import (
+    GramBasis,
     basis_inner_products,
     basis_to_csv,
     classic_recovery,
@@ -14,7 +15,7 @@ from gaussvar.orthobasis import (
     projections_to_csv,
     weighted_equivalence_check,
 )
-from gaussvar.polyring import MultiPoly
+from gaussvar.polyring import MultiPoly, monomials_up_to_degree
 from gaussvar.quadrature import QuadratureError, build_rule, integrate
 
 # the five conftest charts with their rules
@@ -45,6 +46,35 @@ def reference_elimination(G, rank_tol=1e-9):
         rows.append(c)
         grams.append(G @ c)
     return tuple(kept), np.array(rows).reshape(len(kept), N)
+
+
+def reference_gram_csv(gb, path):
+    """Cell-by-cell Gram writer: one f-string and one write per entry."""
+    with open(path, "w", newline="") as fh:
+        fh.write("i,j,value\n")
+        N = len(gb.monomials)
+        for i in range(N):
+            for j in range(N):
+                fh.write(f"{i},{j},{gb.gram[i, j]:.17g}\n")
+
+
+def reference_basis_csv(gb, path):
+    """Cell-by-cell basis writer: one row per coefficient with coeff != 0."""
+    with open(path, "w", newline="") as fh:
+        fh.write("basis_index,monomial_exponents,coefficient\n")
+        for k, row in enumerate(gb.ortho_coeffs):
+            for mono, coeff in zip(gb.monomials, row):
+                if coeff != 0:
+                    exps = " ".join(str(e) for e in mono.exponents)
+                    fh.write(f"{k},{exps},{coeff:.17g}\n")
+
+
+def assert_writers_match_reference(gb, tmp_path):
+    for writer, reference in ((gram_to_csv, reference_gram_csv),
+                              (basis_to_csv, reference_basis_csv)):
+        writer(gb, tmp_path / "new.csv")
+        reference(gb, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestGramMatrix:
@@ -343,3 +373,36 @@ class TestExports:
         lines = path.read_text().splitlines()
         assert lines[0] == "D,residual_norm,f_norm,rel_residual"
         assert lines[1].startswith("2,")
+
+    @pytest.mark.parametrize("fixture,rule_fixture", CHARTS)
+    def test_writers_match_reference(self, fixture, rule_fixture, request, tmp_path):
+        chart = request.getfixturevalue(fixture)
+        rule = request.getfixturevalue(rule_fixture)
+        for D in range(7):
+            assert_writers_match_reference(
+                orthonormalize(gram_matrix(chart, D, rule)), tmp_path)
+
+    def test_writers_match_reference_on_edge_values(self, cylinder, tmp_path):
+        gram = np.array([
+            [-0.0, 5e-324, 1.0, -1e300],
+            [0.1, 1.0 / 3.0, -2.5e-8, 123456789.0],
+            [1e-300, -0.0, 0.1, 1e16],
+            [-1e300, 0.1, 5e-324, 1.0],
+        ])
+        coeffs = np.array([
+            [0.1, 0.0, -0.0, 1.0],        # interior zeros and a -0.0
+            [0.0, -1e300, 0.0, 5e-324],
+            [-0.0, 0.0, 0.0, 0.0],        # no nonzero coefficient: no row
+        ])
+        gb = GramBasis(
+            chart=cylinder, degree_cap=1,
+            monomials=tuple(monomials_up_to_degree(3, 1)), gram=gram,
+            weight="gauss", rank=3, kept_indices=(0, 1, 2),
+            ortho_coeffs=coeffs, rank_tol=1e-9,
+        )
+        assert_writers_match_reference(gb, tmp_path)
+        basis_to_csv(gb, tmp_path / "basis.csv")
+        assert (tmp_path / "basis.csv").read_text().splitlines()[1:] == [
+            "0,0 0 0,0.10000000000000001", "0,0 0 1,1",
+            "1,1 0 0,-1.0000000000000001e+300", "1,0 0 1,4.9406564584124654e-324",
+        ]
