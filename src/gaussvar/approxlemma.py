@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyring import Wavevector
+from .polyring import Wavevector, squared_norms
 
 __all__ = [
     "CmRecord",
@@ -192,7 +192,7 @@ def weighted_error(k, m: int, grid) -> np.ndarray:
             f"grid dimension {X.shape[1]} does not match wavevector dimension {k.dim}"
         )
     y = X @ np.asarray(k.components)
-    r2 = np.sum(X * X, axis=1)
+    r2 = squared_norms(X)
     out = np.zeros(y.size)
     ay = np.abs(y)
     with np.errstate(divide="ignore"):

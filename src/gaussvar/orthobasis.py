@@ -84,16 +84,30 @@ class GramBasis:
         return out
 
 
+_NODE_BLOCK = 2 ** 13  # quadrature nodes whose monomial values are held at once
+
+
+def _node_blocks(count: int):
+    """Consecutive slices of at most ``_NODE_BLOCK`` of ``count`` nodes."""
+    return (slice(a, a + _NODE_BLOCK) for a in range(0, count, _NODE_BLOCK))
+
+
 def gram_matrix(chart: VarietyChart, degree_cap: int, rule: QuadRule,
                 weight: str = "gauss") -> GramBasis:
-    """Pairwise inner products of all restricted monomials of degree <= D."""
+    """Pairwise inner products of all restricted monomials of degree <= D.
+
+    Summed over blocks of ``_NODE_BLOCK`` nodes, one block of values at a time.
+    """
     if degree_cap < 0:
         raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
     monomials = tuple(monomials_up_to_degree(chart.ambient_dim, degree_cap))
     disc = discretize(chart, rule)
-    E = monomial_values(monomials, disc.X)
-    E *= np.sqrt(disc.weights(weight))
-    G = E @ E.T  # numpy forms A @ A.T as a symmetric rank-k update
+    sqrt_w = np.sqrt(disc.weights(weight))
+    G = np.zeros((len(monomials), len(monomials)))
+    for s in _node_blocks(disc.X.shape[0]):
+        E = monomial_values(monomials, disc.X[s])
+        E *= sqrt_w[s]
+        G += E @ E.T  # a symmetric rank-k update: every block is exactly symmetric
     if not np.all(np.isfinite(G)):
         i, j = np.argwhere(~np.isfinite(G))[0]
         raise QuadratureError(
@@ -168,13 +182,15 @@ def project(gb: GramBasis, f, rule: QuadRule,
     gives.  Its residual norm is the quadrature norm of f - sum_k c_k b_k,
     updated one degree block at a time; unlike sqrt(<f, f> - sum c_k^2) it
     cannot go negative through cancellation.
+
+    The basis values b_k are formed for ``_NODE_BLOCK`` nodes at a time, in
+    two passes over the blocks: the first sums the coefficients c_k, the
+    second forms the residual on each block and adds its squares per degree.
     """
     if not gb.is_orthonormalized():
         raise ValueError("basis not extracted yet; call orthonormalize first")
     disc = discretize(gb.chart, rule)
     W, X = disc.weights(gb.weight), disc.X
-    del disc  # frees r^2 and dmu before the large products below
-    B = gb.ortho_coeffs @ monomial_values(gb.monomials, X)
     fvals = np.asarray(f(rule.points), dtype=float)
     if not np.all(np.isfinite(fvals)):
         i = int(np.nonzero(~np.isfinite(fvals))[0][0])
@@ -182,19 +198,22 @@ def project(gb: GramBasis, f, rule: QuadRule,
             f"non-finite target sample at node {i}, parameters "
             f"{rule.points[i].tolist()}"
         )
-    coeffs = B @ (W * fvals)
-    f_norm = math.sqrt(float(np.sum(W * fvals * fvals)))
+    C, Wf = gb.ortho_coeffs, W * fvals
+    coeffs = np.zeros(C.shape[0])
+    for s in _node_blocks(X.shape[0]):
+        coeffs += (C @ monomial_values(gb.monomials, X[s])) @ Wf[s]
+    f_norm = math.sqrt(float(np.sum(Wf * fvals)))
     kept_degrees = [gb.monomials[i].degree for i in gb.kept_indices]
     ends = np.searchsorted(kept_degrees, np.arange(gb.degree_cap + 1), side="right")
-    diff, reports = fvals, []
-    for D, (start, end) in enumerate(zip([0, *ends], ends)):
-        diff = diff - coeffs[start:end] @ B[start:end]
-        reports.append(ProjectionReport(
-            target=target, degree_cap=D, coefficients=coeffs[:end],
-            residual_norm=math.sqrt(max(float(np.sum(W * diff * diff)), 0.0)),
-            f_norm=f_norm,
-        ))
-    return reports
+    res2 = np.zeros(gb.degree_cap + 1)
+    for s in _node_blocks(X.shape[0]):
+        B, diff = C @ monomial_values(gb.monomials, X[s]), fvals[s]
+        for D, (start, end) in enumerate(zip([0, *ends], ends)):
+            diff = diff - coeffs[start:end] @ B[start:end]
+            res2[D] += np.sum(W[s] * diff * diff)
+    return [ProjectionReport(target=target, degree_cap=D, coefficients=coeffs[:end],
+                             residual_norm=math.sqrt(max(float(r2), 0.0)), f_norm=f_norm)
+            for D, (end, r2) in enumerate(zip(ends, res2))]
 
 
 def basis_inner_products(gb: GramBasis, rule: QuadRule) -> np.ndarray:
@@ -202,9 +221,13 @@ def basis_inner_products(gb: GramBasis, rule: QuadRule) -> np.ndarray:
     if not gb.is_orthonormalized():
         raise ValueError("basis not extracted yet; call orthonormalize first")
     disc = discretize(gb.chart, rule)
-    B = gb.ortho_coeffs @ monomial_values(gb.monomials, disc.X)
-    B *= np.sqrt(disc.weights(gb.weight))
-    return B @ B.T
+    sqrt_w = np.sqrt(disc.weights(gb.weight))
+    G = np.zeros((gb.rank, gb.rank))
+    for s in _node_blocks(disc.X.shape[0]):
+        B = gb.ortho_coeffs @ monomial_values(gb.monomials, disc.X[s])
+        B *= sqrt_w[s]
+        G += B @ B.T
+    return G
 
 
 # ------------------------------------------------------------------ equivalence

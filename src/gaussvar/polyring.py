@@ -310,6 +310,15 @@ def as_points(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
     return arr, single
 
 
+def squared_norms(X: np.ndarray) -> np.ndarray:
+    """|x|^2 of each row of X (N, n), n >= 1: the squared columns added in
+    order, equal bit for bit to np.sum(X * X, axis=1) and faster."""
+    out = X[:, 0] * X[:, 0]
+    for j in range(1, X.shape[1]):
+        out += X[:, j] * X[:, j]
+    return out
+
+
 def _parent(exponents: tuple) -> tuple[tuple, int]:
     """(exponents lowered by one in the last variable present, that variable)."""
     j = max(i for i, e in enumerate(exponents) if e)

@@ -15,8 +15,8 @@ discretize plain Lebesgue measure on a truncated box:
 :func:`discretize` samples a chart on a rule once -- the embedded points
 X, r^2 = |X|^2 and the measure weights dmu = rule weights x density -- and
 every integral, Gram matrix and projection works from that sample.
-Summation over the tensor grid uses numpy's pairwise reduction in a fixed
-node order, so every result is reproducible bit-for-bit for a fixed rule.
+Every sum runs in a fixed order, over the nodes or over node blocks of a
+fixed size, so every result is reproducible bit for bit for a fixed rule.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .polyring import squared_norms
 from .variety import GrowthEstimate, VarietyChart, solve_param_bound
 
 __all__ = [
@@ -205,7 +206,7 @@ def discretize(chart: VarietyChart, rule: QuadRule) -> Discretization:
     U = rule.points
     X = chart.embed(U)
     return Discretization(
-        rule=rule, X=X, r2=np.sum(X * X, axis=1),
+        rule=rule, X=X, r2=squared_norms(X),
         dmu=rule.weights * chart.volume_density(U),
     )
 

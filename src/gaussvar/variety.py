@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyring import MultiPoly, as_points, parse_poly
+from .polyring import MultiPoly, as_points, parse_poly, squared_norms
 
 __all__ = [
     "ChartError",
@@ -80,11 +80,7 @@ class ParamDomain:
 
 
 class VarietyChart:
-    """A parametrization U subset R^d -> R^n with its volume density.
-
-    ``embed`` must return a fresh array on every call: :meth:`radial_sq`
-    squares it in place.
-    """
+    """A parametrization U subset R^d -> R^n with its volume density."""
 
     __slots__ = (
         "kind", "ambient_dim", "domains", "_embed", "_density",
@@ -130,8 +126,7 @@ class VarietyChart:
     def radial_sq(self, u):
         """Squared distance |x|^2 of the embedded point(s) to the origin."""
         arr, single = self._params(u)
-        pts = self._embed(arr)
-        vals = np.square(pts, out=pts).sum(axis=1)
+        vals = squared_norms(self._embed(arr))
         return float(vals[0]) if single else vals
 
     def __repr__(self) -> str:
@@ -381,6 +376,7 @@ class GrowthEstimate:
 
 
 _GROWTH_GRID = {1: 20001, 2: 641, 3: 129}
+_GROWTH_BLOCK = 2 ** 15  # growth-grid nodes sampled at once
 
 
 def _growth_axis(chart: VarietyChart, dim: int, r_max: float, npts: int):
@@ -397,28 +393,39 @@ def _growth_axis(chart: VarietyChart, dim: int, r_max: float, npts: int):
 
 
 def _measure_volumes(chart: VarietyChart, radii: np.ndarray) -> np.ndarray:
-    """Riemannian volume of M cap B_r for each r, on one fixed grid."""
+    """Riemannian volume of M cap B_r for each r, on one fixed grid.
+
+    The grid is built and measured in slabs of about ``_GROWTH_BLOCK`` nodes
+    along its first axis.  Each node's weight goes into the shell of the
+    first radius whose ball holds it (r^2 <= radius^2), and the volumes are
+    the running sums of the shells, so they never decrease.
+    """
     r_max = float(radii[-1])
     if chart.kind in ("revolution", "circle"):
         # density and radius do not depend on the angular parameter, so the
-        # measurement is effectively one-dimensional
-        nodes, h = _growth_axis(chart, 0, r_max, _GROWTH_GRID[1])
-        U = np.zeros((nodes.size, chart.intrinsic_dim))
-        U[:, 0] = nodes
-        cell, angular = h, 2.0 * math.pi if chart.kind == "revolution" else 1.0
+        # measurement is one-dimensional, times one angular cell of 2 pi
+        axes = [_growth_axis(chart, 0, r_max, _GROWTH_GRID[1])]
+        axes += [(np.zeros(1), 2.0 * math.pi)] * (chart.intrinsic_dim - 1)
     else:
         npts = _GROWTH_GRID.get(chart.intrinsic_dim, 65)
         axes = [_growth_axis(chart, dim, r_max, npts)
                 for dim in range(chart.intrinsic_dim)]
-        mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-        U = np.stack([m.ravel() for m in mesh], axis=1)
-        cell, angular = math.prod(a[1] for a in axes), 1.0
-    dens = chart.volume_density(U)
-    r2 = chart.radial_sq(U)
-    if not np.all(np.isfinite(dens)):
-        raise GrowthError("non-finite volume density sample")
-    wd = dens * cell * angular
-    return np.array([np.sum(wd[r2 <= r * r]) for r in radii])
+    first = axes[0][0]
+    # the grid with the first parameter at 0; a slab repeats it per first node
+    mesh = np.meshgrid(np.zeros(1), *[a[0] for a in axes[1:]], indexing="ij")
+    base = np.stack([m.ravel() for m in mesh], axis=1)
+    step = max(1, _GROWTH_BLOCK // base.shape[0])
+    shells = np.zeros(radii.size + 1)  # the last shell lies outside every ball
+    for start in range(0, first.size, step):
+        lead = first[start:start + step]
+        U = np.tile(base, (lead.size, 1))
+        U[:, 0] = np.repeat(lead, base.shape[0])
+        dens = chart.volume_density(U)
+        if not np.all(np.isfinite(dens)):
+            raise GrowthError("non-finite volume density sample")
+        shell = np.searchsorted(radii * radii, chart.radial_sq(U), side="left")
+        shells += np.bincount(shell, weights=dens, minlength=radii.size + 1)
+    return np.cumsum(shells[:-1]) * math.prod(a[1] for a in axes)
 
 
 def estimate_growth(chart: VarietyChart, radii) -> GrowthEstimate:

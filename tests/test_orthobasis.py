@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gaussvar import orthobasis
 from gaussvar.orthobasis import (
     GramBasis,
     basis_inner_products,
@@ -15,8 +16,8 @@ from gaussvar.orthobasis import (
     projections_to_csv,
     weighted_equivalence_check,
 )
-from gaussvar.polyring import MultiPoly, monomials_up_to_degree
-from gaussvar.quadrature import QuadratureError, build_rule, integrate
+from gaussvar.polyring import MultiPoly, monomial_values, monomials_up_to_degree
+from gaussvar.quadrature import QuadratureError, build_rule, discretize, integrate
 
 # the five conftest charts with their rules
 CHARTS = [
@@ -46,6 +47,31 @@ def reference_elimination(G, rank_tol=1e-9):
         rows.append(c)
         grams.append(G @ c)
     return tuple(kept), np.array(rows).reshape(len(kept), N)
+
+
+def reference_gram(chart, degree_cap, rule, weight="gauss"):
+    """Whole-array Gram matrix: the monomial values at every node at once."""
+    monomials = monomials_up_to_degree(chart.ambient_dim, degree_cap)
+    disc = discretize(chart, rule)
+    E = monomial_values(monomials, disc.X)
+    E *= np.sqrt(disc.weights(weight))
+    return E @ E.T
+
+
+def reference_project(gb, f, rule):
+    """Whole-array projection: (coefficients, residual norm) per degree."""
+    disc = discretize(gb.chart, rule)
+    W = disc.weights(gb.weight)
+    B = gb.ortho_coeffs @ monomial_values(gb.monomials, disc.X)
+    fvals = np.asarray(f(rule.points), dtype=float)
+    coeffs = B @ (W * fvals)
+    kept_degrees = [gb.monomials[i].degree for i in gb.kept_indices]
+    ends = np.searchsorted(kept_degrees, np.arange(gb.degree_cap + 1), side="right")
+    diff, out = fvals, []
+    for start, end in zip([0, *ends], ends):
+        diff = diff - coeffs[start:end] @ B[start:end]
+        out.append((coeffs[:end], math.sqrt(float(np.sum(W * diff * diff)))))
+    return out
 
 
 def reference_gram_csv(gb, path):
@@ -291,6 +317,85 @@ class TestProjection:
         gb = gram_matrix(euclid1, 2, euclid1_rule)
         with pytest.raises(ValueError):
             project(gb, lambda U: U[:, 0], euclid1_rule)
+
+
+class TestNodeBlocks:
+    """Node-blocked sums against the whole-array references.
+
+    27 nodes split every conftest rule into several blocks and a partial
+    last one; 1000 leave the 64-node rules in one block and split the
+    4096-node ones into four full blocks and a partial one.
+    """
+
+    @pytest.fixture(params=[27, 1000], ids=lambda b: f"block{b}")
+    def small_blocks(self, request, monkeypatch):
+        monkeypatch.setattr(orthobasis, "_NODE_BLOCK", request.param)
+
+    @staticmethod
+    def target(chart):
+        return lambda U: np.exp(0.25 * chart.radial_sq(U) + 0.5 * np.sin(U[:, 0]))
+
+    @pytest.mark.parametrize("weight", ["gauss", "none"])
+    @pytest.mark.parametrize("fixture,rule_fixture", CHARTS)
+    def test_gram_matches_reference(self, fixture, rule_fixture, weight,
+                                    small_blocks, request):
+        chart = request.getfixturevalue(fixture)
+        rule = request.getfixturevalue(rule_fixture)
+        G = gram_matrix(chart, 6, rule, weight=weight).gram
+        ref = reference_gram(chart, 6, rule, weight=weight)
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert np.array_equal(G, G.T)
+        assert np.all(np.abs(G - ref) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("fixture,rule_fixture", CHARTS)
+    def test_project_matches_reference(self, fixture, rule_fixture, small_blocks,
+                                       request):
+        chart = request.getfixturevalue(fixture)
+        rule = request.getfixturevalue(rule_fixture)
+        gb = orthonormalize(gram_matrix(chart, 6, rule))
+        f = self.target(chart)
+        reports = project(gb, f, rule)
+        assert len(reports) == 7
+        for rep, (coeffs, residual) in zip(reports, reference_project(gb, f, rule)):
+            assert np.all(np.abs(rep.coefficients - coeffs) <= 1e-12)
+            assert abs(rep.residual_norm - residual) <= 1e-12 * rep.f_norm
+
+    @pytest.mark.parametrize("fixture,rule_fixture", CHARTS)
+    def test_inner_products_match_reference(self, fixture, rule_fixture,
+                                            small_blocks, request):
+        chart = request.getfixturevalue(fixture)
+        rule = request.getfixturevalue(rule_fixture)
+        gb = orthonormalize(gram_matrix(chart, 6, rule))
+        disc = discretize(chart, rule)
+        B = gb.ortho_coeffs @ monomial_values(gb.monomials, disc.X)
+        B *= np.sqrt(disc.weights())
+        M = basis_inner_products(gb, rule)
+        assert np.array_equal(M, M.T)
+        assert np.all(np.abs(M - B @ B.T) <= 1e-12)
+
+    def test_monomial_values_sees_one_block_at_a_time(self, cylinder, cylinder_rule,
+                                                      monkeypatch):
+        # 128 x 100 nodes: one full block of the default size and a partial one
+        rule = build_rule(cylinder, cylinder_rule.truncation_radius, (128, 100))
+        X = discretize(cylinder, rule).X
+        assert orthobasis._NODE_BLOCK < X.shape[0] < 2 * orthobasis._NODE_BLOCK
+        calls = []
+
+        def spy(monomials, points):
+            calls.append(points.copy())
+            return monomial_values(monomials, points)
+
+        monkeypatch.setattr(orthobasis, "monomial_values", spy)
+        gb = orthonormalize(gram_matrix(cylinder, 4, rule))
+        gram_calls, calls[:] = calls[:], []
+        project(gb, self.target(cylinder), rule)
+        project_calls, calls[:] = calls[:], []
+        basis_inner_products(gb, rule)
+        # each pass covers every node once, in node order
+        for seen, passes in ((gram_calls, 1), (project_calls, 2), (calls, 1)):
+            assert len(seen) == 2 * passes
+            assert max(p.shape[0] for p in seen) <= orthobasis._NODE_BLOCK
+            assert np.array_equal(np.concatenate(seen), np.concatenate([X] * passes))
 
 
 class TestWeightedEquivalence:

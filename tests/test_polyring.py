@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gaussvar.polyring import (
     Monomial,
@@ -16,6 +17,7 @@ from gaussvar.polyring import (
     monomial_values,
     monomials_up_to_degree,
     parse_poly,
+    squared_norms,
     truncated_exponential,
     variables,
 )
@@ -144,6 +146,25 @@ class TestMonomialKernel:
         X = data.draw(sample_points(n))
         x1 = MultiPoly.variable(n, 0)
         assert np.array_equal((x1 * x1).eval(X), x1.eval(X) ** 2)
+
+
+class TestSquaredNorms:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bit_equal_to_row_sum(self, data):
+        n = data.draw(st.integers(1, 4))
+        rows = data.draw(st.integers(0, 64))
+        X = data.draw(hnp.arrays(np.float64, (rows, n),
+                                 elements=st.floats(allow_nan=False)))
+        with np.errstate(over="ignore"):  # huge and infinite entries included
+            got, ref = squared_norms(X), np.sum(X * X, axis=1)
+        assert got.shape == ref.shape == (rows,) and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+
+    def test_strided_rows(self):
+        # a column slice of a wider array, as a row block of chart points is
+        X = np.random.default_rng(3).normal(size=(1000, 5))[::3, 1:4]
+        assert squared_norms(X).tobytes() == np.sum(X * X, axis=1).tobytes()
 
 
 class TestRingOps:

@@ -4,10 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from gaussvar import variety
 from gaussvar.polyring import MultiPoly, parse_poly, variables
 from gaussvar.variety import (
     ChartError,
+    GrowthError,
+    ParamDomain,
     SpecFileError,
+    VarietyChart,
     chart_euclidean,
     chart_graph,
     chart_modulus_graph,
@@ -30,6 +34,30 @@ def fd_density(chart, u, step=1e-5):
         cols.append((chart.embed(u + e) - chart.embed(u - e)) / (2.0 * step))
     J = np.stack(cols, axis=1)
     return math.sqrt(np.linalg.det(J.T @ J))
+
+
+def reference_measure_volumes(chart, radii):
+    """Whole-grid volumes: every grid node at once, one mask and sum per radius."""
+    r_max = float(radii[-1])
+    if chart.kind in ("revolution", "circle"):
+        nodes, h = variety._growth_axis(chart, 0, r_max, variety._GROWTH_GRID[1])
+        U = np.zeros((nodes.size, chart.intrinsic_dim))
+        U[:, 0] = nodes
+        cell, angular = h, 2.0 * math.pi if chart.kind == "revolution" else 1.0
+    else:
+        npts = variety._GROWTH_GRID.get(chart.intrinsic_dim, 65)
+        axes = [variety._growth_axis(chart, dim, r_max, npts)
+                for dim in range(chart.intrinsic_dim)]
+        mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+        U = np.stack([m.ravel() for m in mesh], axis=1)
+        cell, angular = math.prod(a[1] for a in axes), 1.0
+    dens = chart.volume_density(U)
+    r2 = chart.radial_sq(U)
+    wd = dens * cell * angular
+    return np.array([np.sum(wd[r2 <= r * r]) for r in radii])
+
+
+GROWTH_CHARTS = ["euclid1", "cylinder", "graph_x2", "modgraph_z2", "circle"]
 
 
 class TestEuclidean:
@@ -222,6 +250,47 @@ class TestGrowth:
         g = estimate_growth(chart, np.linspace(2.0, 10.0, 9))
         assert np.all(np.diff(g.volumes) >= 0)
         assert np.all(g.volumes <= g.C * g.radii ** g.l * (1.0 + 1e-12))
+
+    # 1000 nodes make one-row slabs of the 641 x 641 grid; 1500 make two-row
+    # slabs and a one-row last slab.  Either way the 20001-node line ends on
+    # a partial slab.
+    @pytest.mark.parametrize("block", [1000, 1500])
+    @pytest.mark.parametrize("fixture", GROWTH_CHARTS)
+    def test_slabs_match_whole_grid(self, fixture, block, request, monkeypatch):
+        chart = request.getfixturevalue(fixture)
+        radii = np.linspace(2.0, 10.0, 9)
+        ref = reference_measure_volumes(chart, radii)
+        monkeypatch.setattr(variety, "_GROWTH_BLOCK", block)
+        vols = estimate_growth(chart, radii).volumes
+        assert np.all(np.diff(vols) >= 0)
+        assert np.all(np.abs(vols - ref) <= 1e-12 * ref)
+
+    def test_ball_boundary_counts(self, circle, monkeypatch):
+        # on the circle r^2 rounds to 1 exactly at some nodes and to 1 +- eps
+        # at others; a node counts in B_r when r^2 <= r * r, as in the mask
+        radii = np.array([1.0, 1.5, 2.0, 3.0])
+        monkeypatch.setattr(variety, "_GROWTH_BLOCK", 1000)
+        vols = variety._measure_volumes(circle, radii)
+        assert np.all(np.abs(vols - reference_measure_volumes(circle, radii))
+                      <= 1e-12 * vols)
+
+    def test_non_finite_density_in_last_slab(self):
+        # only nodes with u1 > 0.99 have an infinite density, and they all
+        # lie in the last slab of the 641 x 641 grid
+        bad_slabs = []
+
+        def density(U):
+            bad = U[:, 0] > 0.99
+            bad_slabs.append(bool(np.any(bad)))
+            assert U.shape[0] <= variety._GROWTH_BLOCK
+            return np.where(bad, np.inf, 1.0)
+
+        square = ParamDomain("bounded", -1.0, 1.0)
+        chart = VarietyChart("plane", 2, (square, square), lambda U: U.copy(),
+                             density, "plane")
+        with pytest.raises(GrowthError, match="non-finite volume density"):
+            estimate_growth(chart, np.linspace(0.5, 2.0, 4))
+        assert len(bad_slabs) > 1 and bad_slabs[-1] and not any(bad_slabs[:-1])
 
     def test_input_validation(self, euclid1):
         with pytest.raises(ValueError):
