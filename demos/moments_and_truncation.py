@@ -28,8 +28,8 @@ print(f"volume growth on R: vol(B_r) <= {growth.C:.4f} * r^{growth.l}, "
       f"log-log slope {growth.slope:.4f}")
 
 for R in (3, 5, 7):
-    b = tail_budget(growth.C, growth.l, m=6, R=R)
-    print(f"  tail budget beyond R={R}: {b.bound:.3e}")
+    bound = tail_budget(growth.C, growth.l, m=6, R=R)
+    print(f"  tail budget beyond R={R}: {bound:.3e}")
 
 R = choose_truncation(growth, m_max=6, eps=1e-12)
 rule = build_rule(line, R)

@@ -7,7 +7,6 @@ bound is checked against the measured grid supremum.
 """
 
 from gaussvar import (
-    Wavevector,
     cm_closed_form,
     cm_table,
     cstar,
@@ -25,7 +24,7 @@ for rec in cm_table([0.5, 1.0, 2.0], [1, 5, 10, 20]):
     print(f"  k={rec.k:3.1f} m={rec.m:2d}: C_m={rec.cm_closed:.6e}  "
           f"cross-check gap {gap:.1e}")
 
-k = Wavevector((1.0, 0.0))
+k = (1.0, 0.0)
 grid = default_error_grid(k)
 print("\nmeasured grid sup of the weighted error against the bound (k=1):")
 for m in (1, 5, 10, 15, 20, 30, 40):

@@ -27,7 +27,6 @@ from .orthobasis import (
 from .polyring import (
     Monomial,
     MultiPoly,
-    Wavevector,
     format_poly,
     monomial_values,
     monomials_up_to_degree,
@@ -40,7 +39,6 @@ from .quadrature import (
     MomentTable,
     QuadRule,
     QuadratureError,
-    TailBudget,
     build_rule,
     choose_truncation,
     discretize,

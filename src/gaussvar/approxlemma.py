@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyring import Wavevector, squared_norms
+from .polyring import squared_norms
 
 __all__ = [
     "CmRecord",
@@ -149,23 +149,20 @@ def records_to_csv(records, path) -> None:
 # ------------------------------------------------------------------ grid error
 
 
-def default_error_grid(k, num: int = 100000, radius: float | None = None) -> np.ndarray:
+def default_error_grid(k, num: int = 100000) -> np.ndarray:
     """Points along the k-axis where the weighted error attains its sup.
 
     The error depends on x only through <k, x> and |x|, and the supremum is
     attained with x parallel to k, so log-spaced radii on that axis (plus
-    the origin) suffice; ``radius`` defaults to 20/|k| + 20, comfortably
-    past the maximizer.
+    the origin) out to 20/|k| + 20, comfortably past the maximizer, suffice.
     """
-    if not isinstance(k, Wavevector):
-        k = Wavevector(k)
-    if k.norm == 0:
+    k = np.asarray(k, dtype=float)
+    norm = math.sqrt(sum(c * c for c in k.tolist()))
+    if norm == 0:
         raise ValueError("the zero wavevector has no preferred axis")
-    if radius is None:
-        radius = 20.0 / k.norm + 20.0
+    radius = 20.0 / norm + 20.0
     radii = np.concatenate([[0.0], np.logspace(-3.0, math.log10(radius), num)])
-    khat = np.asarray(k.components) / k.norm
-    return radii[:, None] * khat[None, :]
+    return radii[:, None] * (k / norm)[None, :]
 
 
 def weighted_error(k, m: int, grid) -> np.ndarray:
@@ -178,8 +175,7 @@ def weighted_error(k, m: int, grid) -> np.ndarray:
     subtracted, which is benign there because the bound itself exceeds the
     e^{|y| - |x|^2} round-off scale.
     """
-    if not isinstance(k, Wavevector):
-        k = Wavevector(k)
+    k = np.asarray(k, dtype=float)
     if m < 1:
         raise ValueError(f"order m must be >= 1, got {m}")
     X = np.asarray(grid, dtype=float)
@@ -187,11 +183,11 @@ def weighted_error(k, m: int, grid) -> np.ndarray:
         X = X.reshape(-1, 1)
     if X.size == 0:
         raise ValueError("empty sample grid")
-    if X.shape[1] != k.dim:
+    if X.shape[1] != k.size:
         raise ValueError(
-            f"grid dimension {X.shape[1]} does not match wavevector dimension {k.dim}"
+            f"grid dimension {X.shape[1]} does not match wavevector dimension {k.size}"
         )
-    y = X @ np.asarray(k.components)
+    y = X @ k
     r2 = squared_norms(X)
     out = np.zeros(y.size)
     ay = np.abs(y)

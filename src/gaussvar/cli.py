@@ -86,10 +86,20 @@ def _rule_for(chart, m_max, args) -> tuple[GrowthEstimate, quadrature.QuadRule]:
     return growth, quadrature.build_rule(chart, R, args.nodes)
 
 
+def _compact(chart) -> bool:
+    """No unbounded parameter, so the chart has finite volume."""
+    return all(d.kind != "unbounded" for d in chart.domains)
+
+
+def _check_weight(chart, weight):
+    """--weight none integrates plain dmu, whose mass is finite only on a compact chart."""
+    if weight == "none" and not _compact(chart):
+        raise ConfigError(f"--weight none needs a compact chart, got {chart.chart_id}")
+
+
 def _exp_target(chart, alpha):
     """e^{alpha r^2}, checked: it is in L^2 iff alpha < 1/2 or the chart is compact."""
-    unbounded = any(d.kind == "unbounded" for d in chart.domains)
-    if not math.isfinite(alpha) or (unbounded and alpha >= 0.5):
+    if not math.isfinite(alpha) or (not _compact(chart) and alpha >= 0.5):
         raise ConfigError(f"--alpha must be finite, and < 1/2 unless the chart is compact, "
                           f"got {alpha:g} for {chart.chart_id}")
     return lambda U: np.exp(alpha * chart.radial_sq(U))
@@ -114,6 +124,7 @@ def cmd_growth(args, out: Path) -> None:
 
 def cmd_basis(args, out: Path) -> None:
     chart = load_chart(args.spec)
+    _check_weight(chart, args.weight)
     _, rule = _rule_for(chart, 2 * args.degree, args)
     gram = orthobasis.gram_matrix(chart, args.degree, rule, weight=args.weight)
     gb = orthobasis.orthonormalize(gram)
@@ -123,11 +134,12 @@ def cmd_basis(args, out: Path) -> None:
 
 def cmd_project(args, out: Path) -> None:
     chart = load_chart(args.spec)
+    _check_weight(chart, args.weight)
     target = _exp_target(chart, args.alpha)
     _, rule = _rule_for(chart, 2 * args.degree, args)
     gram = orthobasis.gram_matrix(chart, args.degree, rule, weight=args.weight)
     gb = orthobasis.orthonormalize(gram)
-    reports = orthobasis.project(gb, target, rule, target=f"exp({args.alpha:g}*r^2)")
+    reports = orthobasis.project(gb, target, rule)
     orthobasis.projections_to_csv(reports[2::2], out / "projection.csv")
 
 

@@ -63,7 +63,6 @@ class GramBasis:
     rank: int | None = None
     kept_indices: tuple | None = None
     ortho_coeffs: np.ndarray | None = None
-    rank_tol: float | None = None
 
     @property
     def chart_id(self) -> str:
@@ -154,7 +153,6 @@ def orthonormalize(gb: GramBasis, rank_tol: float = 1e-9) -> GramBasis:
         chart=gb.chart, degree_cap=gb.degree_cap, monomials=gb.monomials,
         gram=gb.gram, weight=gb.weight, rank=len(kept),
         kept_indices=tuple(kept), ortho_coeffs=C[:len(kept)].copy(),
-        rank_tol=rank_tol,
     )
 
 
@@ -162,7 +160,6 @@ def orthonormalize(gb: GramBasis, rank_tol: float = 1e-9) -> GramBasis:
 class ProjectionReport:
     """Best approximation of a target function in the degree-D slice."""
 
-    target: str
     degree_cap: int
     coefficients: np.ndarray
     residual_norm: float
@@ -173,8 +170,7 @@ class ProjectionReport:
         return self.residual_norm / self.f_norm
 
 
-def project(gb: GramBasis, f, rule: QuadRule,
-            target: str = "f") -> list[ProjectionReport]:
+def project(gb: GramBasis, f, rule: QuadRule) -> list[ProjectionReport]:
     """Project ``f`` (callable on parameters) onto every nested degree slice.
 
     Report D, for D = 0..gb.degree_cap, uses the leading basis elements
@@ -184,8 +180,9 @@ def project(gb: GramBasis, f, rule: QuadRule,
     cannot go negative through cancellation.
 
     The basis values b_k are formed for ``_NODE_BLOCK`` nodes at a time, in
-    two passes over the blocks: the first sums the coefficients c_k, the
-    second forms the residual on each block and adds its squares per degree.
+    two passes over the blocks: the first sums the coefficients c_k; the
+    second, run backwards from the last block, whose values the first still
+    holds, forms the residual on each block and sums its squares per degree.
     """
     if not gb.is_orthonormalized():
         raise ValueError("basis not extracted yet; call orthonormalize first")
@@ -199,19 +196,24 @@ def project(gb: GramBasis, f, rule: QuadRule,
             f"{rule.points[i].tolist()}"
         )
     C, Wf = gb.ortho_coeffs, W * fvals
+    blocks = list(_node_blocks(X.shape[0]))
     coeffs = np.zeros(C.shape[0])
-    for s in _node_blocks(X.shape[0]):
-        coeffs += (C @ monomial_values(gb.monomials, X[s])) @ Wf[s]
+    for s in blocks:
+        B = C @ monomial_values(gb.monomials, X[s])
+        coeffs += B @ Wf[s]
     f_norm = math.sqrt(float(np.sum(Wf * fvals)))
     kept_degrees = [gb.monomials[i].degree for i in gb.kept_indices]
     ends = np.searchsorted(kept_degrees, np.arange(gb.degree_cap + 1), side="right")
-    res2 = np.zeros(gb.degree_cap + 1)
-    for s in _node_blocks(X.shape[0]):
-        B, diff = C @ monomial_values(gb.monomials, X[s]), fvals[s]
+    parts = np.zeros((len(blocks), gb.degree_cap + 1))
+    for b, s in reversed(list(enumerate(blocks))):
+        if b < len(blocks) - 1:
+            B = C @ monomial_values(gb.monomials, X[s])
+        diff = fvals[s]
         for D, (start, end) in enumerate(zip([0, *ends], ends)):
             diff = diff - coeffs[start:end] @ B[start:end]
-            res2[D] += np.sum(W[s] * diff * diff)
-    return [ProjectionReport(target=target, degree_cap=D, coefficients=coeffs[:end],
+            parts[b, D] = np.sum(W[s] * diff * diff)
+    res2 = sum(parts)  # row by row in block order, as the first pass adds
+    return [ProjectionReport(degree_cap=D, coefficients=coeffs[:end],
                              residual_norm=math.sqrt(max(float(r2), 0.0)), f_norm=f_norm)
             for D, (end, r2) in enumerate(zip(ends, res2))]
 

@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "Monomial",
     "MultiPoly",
-    "Wavevector",
     "monomials_up_to_degree",
     "monomial_values",
     "as_points",
@@ -145,18 +144,6 @@ class MultiPoly:
         exps = [0] * n
         exps[index] = 1
         return cls(n, {Monomial(exps): 1.0})
-
-    @classmethod
-    def linear_form(cls, coeffs) -> "MultiPoly":
-        """The polynomial sum_i coeffs[i] * x_{i+1}."""
-        coeffs = list(coeffs)
-        n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            exps = [0] * n
-            exps[i] = 1
-            terms[Monomial(exps)] = c
-        return cls(n, terms)
 
     # ---------------------------------------------------------------- queries
 
@@ -362,54 +349,6 @@ def variables(n: int) -> tuple[MultiPoly, ...]:
     return tuple(MultiPoly.variable(n, i) for i in range(n))
 
 
-# -------------------------------------------------------------------- wavevectors
-
-
-class Wavevector:
-    """A fixed real vector k, used to form the linear phase <k, x>."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components) -> None:
-        object.__setattr__(
-            self, "components", tuple(float(c) for c in components)
-        )
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(sum(c * c for c in self.components))
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq)
-
-    def dot(self, x):
-        arr = np.asarray(x, dtype=float)
-        k = np.asarray(self.components)
-        if arr.ndim == 1:
-            return float(arr @ k)
-        return arr @ k
-
-    def linear_form(self) -> MultiPoly:
-        return MultiPoly.linear_form(self.components)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Wavevector) and self.components == other.components
-
-    def __hash__(self) -> int:
-        return hash(self.components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Wavevector is immutable")
-
-    def __repr__(self) -> str:
-        return f"Wavevector{self.components}"
-
-
 def truncated_exponential(k, m: int) -> MultiPoly:
     """Degree-(m-1) Taylor partial sum of exp(i <k, x>) as a complex polynomial.
 
@@ -417,18 +356,17 @@ def truncated_exponential(k, m: int) -> MultiPoly:
     i^a * prod_j k_j^{b_j} / b_j!, which is the multinomial expansion of
     i^a <k, x>^a / a! summed over a = 0 .. m-1.
     """
-    if not isinstance(k, Wavevector):
-        k = Wavevector(k)
+    k = tuple(float(c) for c in k)
     if m < 1:
         raise ValueError(f"order m must be >= 1, got {m}")
-    n = k.dim
+    n = len(k)
     terms: dict[Monomial, complex] = {}
     for mono in monomials_up_to_degree(n, m - 1):
         alpha = mono.degree
         mult = 1.0
         for i, e in enumerate(mono.exponents):
             if e:
-                mult = mult * k.components[i] ** e
+                mult = mult * k[i] ** e
                 try:
                     mult = mult / math.factorial(e)
                 except OverflowError:

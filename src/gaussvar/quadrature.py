@@ -34,7 +34,6 @@ __all__ = [
     "DimRule",
     "QuadRule",
     "Discretization",
-    "TailBudget",
     "MomentTable",
     "IntegrabilityScan",
     "build_rule",
@@ -70,10 +69,6 @@ class DimRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
 
 class QuadRule:
     """Tensor-product rule over a chart's parameter domain."""
@@ -97,11 +92,6 @@ class QuadRule:
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadRule is immutable")
-
-    @property
-    def box_volume(self) -> float:
-        """Volume of the truncated parameter box."""
-        return math.prod(d.length for d in self.dims)
 
     def __repr__(self) -> str:
         kinds = ",".join(d.kind for d in self.dims)
@@ -233,19 +223,8 @@ def gaussian_moment(chart: VarietyChart, m: int, rule: QuadRule) -> float:
 # ------------------------------------------------------------------ tail budget
 
 
-@dataclass(frozen=True)
-class TailBudget:
-    """Tail of the majorant series C * sum_{j >= floor(R)} (j+1)^{m+l} e^{-j^2}."""
-
-    m: int
-    l: int
-    C: float
-    R: float
-    bound: float
-
-
-def tail_budget(C: float, l: int, m: int, R: float) -> TailBudget:
-    """Evaluate the majorant tail from floor(R) onward.
+def tail_budget(C: float, l: int, m: int, R: float) -> float:
+    """Tail of the majorant series C * sum_{j >= floor(R)} (j+1)^{m+l} e^{-j^2}.
 
     Terms are summed until they drop below 1e-300; the term ratio
     ((j+1)/j)^{m+l} e^{-2j-1} vanishes, so this terminates quickly.
@@ -262,7 +241,7 @@ def tail_budget(C: float, l: int, m: int, R: float) -> TailBudget:
         j += 1
         if term < _TERM_FLOOR or j > 10 ** 6:
             break
-    return TailBudget(m=m, l=l, C=C, R=float(R), bound=total)
+    return total
 
 
 def choose_truncation(growth: GrowthEstimate, m_max: int, eps: float = 1e-12) -> int:
@@ -272,7 +251,7 @@ def choose_truncation(growth: GrowthEstimate, m_max: int, eps: float = 1e-12) ->
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     for R in range(2, 301):
-        if tail_budget(growth.C, growth.l, m_max, R).bound <= eps:
+        if tail_budget(growth.C, growth.l, m_max, R) <= eps:
             return R
     raise QuadratureError(
         f"no truncation radius up to 300 meets eps={eps:g} "
@@ -287,7 +266,6 @@ def choose_truncation(growth: GrowthEstimate, m_max: int, eps: float = 1e-12) ->
 class MomentTable:
     """Moments I_m with their tail budgets for one chart and rule."""
 
-    chart_id: str
     rows: tuple  # (m, I_m, tail_bound)
     R: float
     nodes: tuple
@@ -314,14 +292,11 @@ def moment_table(chart: VarietyChart, m_values, rule: QuadRule,
         vals = r2 ** (m // 2) if m % 2 == 0 else r2 ** (m / 2.0)
         value = float(disc.integrate(vals))
         if growth is not None:
-            bound = tail_budget(growth.C, growth.l, m, rule.truncation_radius).bound
+            bound = tail_budget(growth.C, growth.l, m, rule.truncation_radius)
         else:
             bound = float("nan")
         rows.append((int(m), value, bound))
-    return MomentTable(
-        chart_id=chart.chart_id, rows=tuple(rows),
-        R=rule.truncation_radius, nodes=rule.nodes_per_dim,
-    )
+    return MomentTable(rows=tuple(rows), R=rule.truncation_radius, nodes=rule.nodes_per_dim)
 
 
 # ------------------------------------------------------------------ integrability
@@ -331,7 +306,6 @@ def moment_table(chart: VarietyChart, m_values, rule: QuadRule,
 class IntegrabilityScan:
     """|| e^{alpha r^2} ||^2 under refinement of the truncation radius."""
 
-    alpha: float
     radii: tuple
     values: tuple
     divergent: bool
@@ -341,13 +315,9 @@ class IntegrabilityScan:
         a, b = self.values[-2], self.values[-1]
         return abs(b - a) / abs(b)
 
-    def converged(self, tol: float = 1e-6) -> bool:
-        return (not self.divergent) and self.final_rel_change < tol
-
 
 def integrability_scan(chart: VarietyChart, alpha: float,
-                       radii=tuple(range(3, 13)),
-                       nodes_per_dim=None) -> IntegrabilityScan:
+                       radii=tuple(range(3, 13))) -> IntegrabilityScan:
     """Track the squared norm of e^{alpha r^2} as the cutoff radius grows.
 
     The integrand e^{(2 alpha - 1) r^2} has finite mass exactly for
@@ -359,14 +329,12 @@ def integrability_scan(chart: VarietyChart, alpha: float,
         raise ValueError("need at least 4 radii to judge divergence")
     values = []
     for R in radii:
-        disc = discretize(chart, build_rule(chart, R, nodes_per_dim))
+        disc = discretize(chart, build_rule(chart, R))
         values.append(float(disc.integrate(np.exp(2.0 * alpha * disc.r2))))
     divergent = any(
         values[i + 3] > 10.0 * values[i] for i in range(len(values) - 3)
     )
-    return IntegrabilityScan(
-        alpha=float(alpha), radii=radii, values=tuple(values), divergent=divergent
-    )
+    return IntegrabilityScan(radii=radii, values=tuple(values), divergent=divergent)
 
 
 # ------------------------------------------------------------------ shell sums

@@ -369,7 +369,6 @@ class GrowthEstimate:
 
     C: float
     l: int
-    fit_range: tuple[float, float]
     slope: float
     radii: np.ndarray
     volumes: np.ndarray
@@ -454,10 +453,7 @@ def estimate_growth(chart: VarietyChart, radii) -> GrowthEstimate:
             f"measured growth slope {slope:.3f} exceeds declared exponent "
             f"{l} + 1/2"
         )
-    return GrowthEstimate(
-        C=C, l=l, fit_range=(float(radii[0]), float(radii[-1])),
-        slope=slope, radii=radii, volumes=vols,
-    )
+    return GrowthEstimate(C=C, l=l, slope=slope, radii=radii, volumes=vols)
 
 
 # ------------------------------------------------------------------ spec files

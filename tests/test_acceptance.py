@@ -17,7 +17,7 @@ from gaussvar.orthobasis import (
     project,
     weighted_equivalence_check,
 )
-from gaussvar.polyring import MultiPoly, Wavevector
+from gaussvar.polyring import MultiPoly
 from gaussvar.quadrature import build_rule, gaussian_moment, integrability_scan, integrate
 from gaussvar.variety import estimate_growth
 
@@ -72,7 +72,7 @@ def test_05_lemma_cross_check():
 
 
 def test_06_uniform_convergence():
-    k = Wavevector((1.0, 0.0))
+    k = (1.0, 0.0)
     grid = default_error_grid(k)
     sups = [uniform_error(k, m, grid) for m in range(1, 41)]
     ok = all(

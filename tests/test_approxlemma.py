@@ -16,7 +16,7 @@ from gaussvar.approxlemma import (
     uniform_error,
     weighted_error,
 )
-from gaussvar.polyring import Wavevector, truncated_exponential
+from gaussvar.polyring import truncated_exponential
 
 K_VALUES = (0.5, 1.0, 2.0, 4.0)
 
@@ -103,7 +103,7 @@ class TestAsymptotics:
 
 @pytest.fixture(scope="module")
 def grid_k10():
-    return default_error_grid(Wavevector((1.0, 0.0)), num=30000)
+    return default_error_grid((1.0, 0.0), num=30000)
 
 
 class TestUniformError:
@@ -131,7 +131,7 @@ class TestUniformError:
         assert err <= cm_closed_form(1.0, m) + 1e-12
 
     def test_axis_reduction_dominates_2d_sample(self):
-        k = Wavevector((0.8, 0.6))
+        k = (0.8, 0.6)
         grid_1d = default_error_grid(k, num=30000)
         rng = np.random.default_rng(3)
         grid_2d = rng.uniform(-8.0, 8.0, size=(2000, 2))
@@ -147,7 +147,7 @@ class TestUniformError:
     def test_stable_route_matches_direct_at_moderate_m(self):
         # where the direct subtraction still has headroom over round-off,
         # the remainder-series evaluation must agree with it
-        k = Wavevector((1.0, 0.0))
+        k = (1.0, 0.0)
         t = np.linspace(0.0, 6.0, 801)
         grid = np.stack([t, np.zeros_like(t)], axis=1)
         for m in (3, 6, 10):
@@ -163,7 +163,7 @@ class TestPolyringConsistency:
         # (i^a) * (1/a!), so the generic polynomial evaluation and the direct
         # partial sum perform identical float operations; x1^a is the
         # running product x1^(a-1) * x1, as in the evaluation kernel
-        k = Wavevector((1.0, 0.0))
+        k = (1.0, 0.0)
         t = np.concatenate([[0.0], np.logspace(-3.0, 1.3, 700)])
         X = np.stack([t, np.zeros_like(t)], axis=1)
         Xc = X.astype(complex)

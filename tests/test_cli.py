@@ -1,13 +1,15 @@
+import importlib.util
 import json
 import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gaussvar import orthobasis
+from gaussvar import cli, orthobasis, variety
 from gaussvar.cli import EXIT_CONFIG, EXIT_OK, main
 
 
@@ -244,6 +246,26 @@ class TestAlpha:
         assert all(math.isfinite(float(r[3])) for r in rows)
 
 
+class TestWeight:
+    @pytest.mark.parametrize("command", ["basis", "project"])
+    def test_none_on_non_compact_chart_exits_2(self, command, cylinder_spec, tmp_path,
+                                               capsys):
+        # plain dmu has infinite mass there; the truncated box's area is no answer
+        out = tmp_path / "o"
+        code = main([command, "--spec", str(cylinder_spec), "--degree", "2",
+                     "--weight", "none", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "--weight" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["basis", "project"])
+    @pytest.mark.parametrize("spec", ["circle_spec", "interval_graph_spec"])
+    def test_none_on_compact_chart(self, command, spec, tmp_path, request):
+        assert main([command, "--spec", str(request.getfixturevalue(spec)),
+                     "--degree", "2", "--weight", "none",
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
 class TestEquivalence:
     def test_pairs_agree(self, euclid_spec, tmp_path):
         out = tmp_path / "out"
@@ -333,3 +355,30 @@ class TestEntryPoint:
         assert err.value.code == 0
         text = capsys.readouterr().out
         assert "default" in text and "--eps" in text
+
+
+class TestBenchTracer:
+    def test_spans_bind_and_record(self, euclid_spec, circle_spec, tmp_path):
+        # the per-layer benchmark wraps public names by attribute and reads their
+        # arguments, so a renamed or removed name breaks only traced bench runs
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        tracer = spans.Tracer()
+        codes = []
+        try:
+            tracer.install()
+            for i, chart in enumerate((circle_spec, euclid_spec)):
+                for argv in (["basis", "--degree", "2"], ["project", "--degree", "2"],
+                             ["moments", "--mmax", "2"], ["growth"], ["equivalence"]):
+                    out = tmp_path / f"{argv[0]}{i}"
+                    codes.append(main([*argv, "--spec", str(chart), "--out", str(out)]))
+            codes.append(main(["lemma", "--mmax", "3", "--out", str(tmp_path / "lemma")]))
+        finally:
+            tracer.uninstall()
+        assert codes == [EXIT_OK] * 11
+        recorded = {s[0] for s in tracer.spans}
+        assert {"orthobasis.gram_matrix", "orthobasis.project", "cli.write",
+                "variety.load_chart"} <= recorded
+        assert cli.load_chart is variety.load_chart  # perfbench/setup_probe.py calls it

@@ -375,7 +375,8 @@ class TestNodeBlocks:
 
     def test_monomial_values_sees_one_block_at_a_time(self, cylinder, cylinder_rule,
                                                       monkeypatch):
-        # 128 x 100 nodes: one full block of the default size and a partial one
+        # 128 x 100 nodes: one full block of the default size and a partial one,
+        # then three blocks of at most 5000 nodes, then a single block
         rule = build_rule(cylinder, cylinder_rule.truncation_radius, (128, 100))
         X = discretize(cylinder, rule).X
         assert orthobasis._NODE_BLOCK < X.shape[0] < 2 * orthobasis._NODE_BLOCK
@@ -386,16 +387,23 @@ class TestNodeBlocks:
             return monomial_values(monomials, points)
 
         monkeypatch.setattr(orthobasis, "monomial_values", spy)
-        gb = orthonormalize(gram_matrix(cylinder, 4, rule))
-        gram_calls, calls[:] = calls[:], []
-        project(gb, self.target(cylinder), rule)
-        project_calls, calls[:] = calls[:], []
-        basis_inner_products(gb, rule)
-        # each pass covers every node once, in node order
-        for seen, passes in ((gram_calls, 1), (project_calls, 2), (calls, 1)):
-            assert len(seen) == 2 * passes
-            assert max(p.shape[0] for p in seen) <= orthobasis._NODE_BLOCK
-            assert np.array_equal(np.concatenate(seen), np.concatenate([X] * passes))
+        for size in (orthobasis._NODE_BLOCK, 5000, 2 * X.shape[0]):
+            monkeypatch.setattr(orthobasis, "_NODE_BLOCK", size)
+            blocks = [X[a:a + size] for a in range(0, X.shape[0], size)]
+            calls[:] = []
+            gb = orthonormalize(gram_matrix(cylinder, 4, rule))
+            gram_calls, calls[:] = calls[:], []
+            project(gb, self.target(cylinder), rule)
+            project_calls, calls[:] = calls[:], []
+            basis_inner_products(gb, rule)
+            # every node once, in node order; project's second pass then visits
+            # every block but the last, whose values it kept, in reverse
+            for seen, expected in ((gram_calls, blocks), (calls, blocks),
+                                   (project_calls, blocks + blocks[-2::-1])):
+                assert max(p.shape[0] for p in seen) <= size
+                assert len(seen) == len(expected)
+                assert all(np.array_equal(p, q) for p, q in zip(seen, expected))
+        assert len(project_calls) == 1  # a one-block rule evaluates once
 
 
 class TestWeightedEquivalence:
@@ -503,7 +511,7 @@ class TestExports:
             chart=cylinder, degree_cap=1,
             monomials=tuple(monomials_up_to_degree(3, 1)), gram=gram,
             weight="gauss", rank=3, kept_indices=(0, 1, 2),
-            ortho_coeffs=coeffs, rank_tol=1e-9,
+            ortho_coeffs=coeffs,
         )
         assert_writers_match_reference(gb, tmp_path)
         basis_to_csv(gb, tmp_path / "basis.csv")
