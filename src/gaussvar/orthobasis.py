@@ -1,7 +1,10 @@
 """Orthonormal polynomial bases of a chart's coordinate ring.
 
 The inner product is <p, q> = integral p * q * e^{-r^2} dmu (or plain dmu
-with the Gaussian weight switched off).  Restricted monomials can become
+with the Gaussian weight switched off).  The Gram matrix of the monomials is
+a moment matrix, <x^a, x^b> = integral x^(a+b), and is stored as one: every
+pair with the same exponent sum holds the same double, so ``gram.csv``
+formats each of its few distinct values once.  Restricted monomials can become
 linearly dependent through the relations of the variety -- on the unit
 circle x^2 + y^2 = 1 kills one of the six degree-2 monomials -- so the
 basis is extracted by a threshold Cholesky elimination on the Gram matrix
@@ -91,11 +94,37 @@ def _node_blocks(count: int):
     return (slice(a, a + _NODE_BLOCK) for a in range(0, count, _NODE_BLOCK))
 
 
+def _first_pair_of_sum(monomials, degree_cap: int) -> np.ndarray:
+    """Flat index of the first pair, in row-major order, with each pair's exponent sum.
+
+    Exponent sums have entries <= 2D, so the codes ``label * (2D+1) + a_c + b_c``
+    built one coordinate at a time number them exactly; when the code range
+    outgrows N^2 the codes are renumbered densely, so the table of first
+    indices is never larger than G.  One ``np.minimum.at`` fills that table.
+    """
+    A = np.array([m.exponents for m in monomials], dtype=np.int64)
+    N, base = A.shape[0], 2 * degree_cap + 1
+    label, size = np.zeros(N * N, dtype=np.int64), 1
+    for a in A.T:
+        label = label * base + (a[:, None] + a).ravel()
+        size *= base
+        if size > N * N:
+            _, label = np.unique(label, return_inverse=True)
+            size = int(label.max()) + 1
+    first = np.full(size, N * N)
+    np.minimum.at(first, label, np.arange(N * N))
+    return first[label]
+
+
 def gram_matrix(chart: VarietyChart, degree_cap: int, rule: QuadRule,
                 weight: str = "gauss") -> GramBasis:
     """Pairwise inner products of all restricted monomials of degree <= D.
 
     Summed over blocks of ``_NODE_BLOCK`` nodes, one block of values at a time.
+    G is a moment matrix, <x^a, x^b> = integral x^(a+b), so after the sums are
+    checked for non-finite values every entry is set to the sum of the first
+    pair, in row-major order, with its exponent sum a + b.  Equal moments are
+    then one double, and G stays exactly symmetric (that pair has i <= j).
     """
     if degree_cap < 0:
         raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
@@ -113,6 +142,7 @@ def gram_matrix(chart: VarietyChart, degree_cap: int, rule: QuadRule,
             f"non-finite Gram entry for monomial pair "
             f"({monomials[i]}, {monomials[j]})"
         )
+    G = G.ravel()[_first_pair_of_sum(monomials, degree_cap)].reshape(G.shape)
     return GramBasis(
         chart=chart, degree_cap=degree_cap, monomials=monomials,
         gram=G, weight=weight,
@@ -292,9 +322,7 @@ class RecoveryReport:
     kind: str
     degree_cap: int
     computed: np.ndarray
-    reference: np.ndarray
     max_rel_coeff_err: float
-    max_spurious_coeff: float
     matched: bool
 
 
@@ -331,11 +359,8 @@ def classic_recovery(kind: str, degree_cap: int = 6) -> RecoveryReport:
     max_spur = float(spurious.max()) if spurious.size else 0.0
     matched = (computed.shape == reference.shape and max_rel <= 1e-6
                and max_spur <= 1e-7 * float(np.abs(reference).max()))
-    return RecoveryReport(
-        kind=kind, degree_cap=degree_cap, computed=computed,
-        reference=reference, max_rel_coeff_err=max_rel,
-        max_spurious_coeff=max_spur, matched=matched,
-    )
+    return RecoveryReport(kind=kind, degree_cap=degree_cap, computed=computed,
+                          max_rel_coeff_err=max_rel, matched=matched)
 
 
 # ------------------------------------------------------------------ CSV export
@@ -361,16 +386,20 @@ def basis_to_csv(gb: GramBasis, path) -> None:
 def gram_to_csv(gb: GramBasis, path) -> None:
     """One row per Gram entry, ``i,j,value`` in row-major order.
 
-    Values are ``%.17g`` text, which reads back to the same double.  The
-    row template is built once per call, with ``@`` for the row index, so
-    each matrix row is formatted by one ``%`` call and written at once.
+    Values are ``%.17g`` text, which reads back to the same double.  Each
+    distinct bit pattern is formatted once (+0.0 and -0.0 stay apart): a
+    moment matrix holds one double per exponent sum, far fewer than its N^2
+    cells.  The row template is built once per call, with ``@`` for the row
+    index, so each matrix row is filled by one ``%`` call and written at once.
     """
     N = len(gb.monomials)
-    template = "".join([f"@,{j},%.17g\n" for j in range(N)])
+    bits, inverse = np.unique(gb.gram.view(np.int64), return_inverse=True)
+    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    template = "".join([f"@,{j},%s\n" for j in range(N)])
     with open(path, "w", newline="") as fh:
         fh.write("i,j,value\n")
-        for i in range(N):
-            fh.write(template.replace("@", str(i)) % tuple(gb.gram[i].tolist()))
+        for i, row in enumerate(text[inverse].reshape(N, N).tolist()):
+            fh.write(template.replace("@", str(i)) % tuple(row))
 
 
 def projections_to_csv(reports, path) -> None:

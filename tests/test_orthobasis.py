@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gaussvar import orthobasis
 from gaussvar.orthobasis import (
@@ -16,8 +18,11 @@ from gaussvar.orthobasis import (
     projections_to_csv,
     weighted_equivalence_check,
 )
-from gaussvar.polyring import MultiPoly, monomial_values, monomials_up_to_degree
+from gaussvar.polyring import (
+    MultiPoly, monomial_values, monomials_up_to_degree, parse_poly,
+)
 from gaussvar.quadrature import QuadratureError, build_rule, discretize, integrate
+from gaussvar.variety import chart_graph
 
 # the five conftest charts with their rules
 CHARTS = [
@@ -95,12 +100,49 @@ def reference_basis_csv(gb, path):
                     fh.write(f"{k},{exps},{coeff:.17g}\n")
 
 
+def assert_moment_matrix(gb, raw=None):
+    """Every exponent-sum class holds one bit pattern, and G == G.T bit for bit.
+
+    With ``raw``, the unmerged sums, each class must hold the sum of its
+    first pair in row-major order.
+    """
+    A = np.array([m.exponents for m in gb.monomials])
+    sums = (A[:, None, :] + A[None, :, :]).reshape(-1, A.shape[1])
+    _, first, cls = np.unique(sums, axis=0, return_index=True, return_inverse=True)
+    cls = cls.ravel()
+    bits = gb.gram.view(np.int64)
+    pairs = np.column_stack([cls, bits.ravel()])
+    assert len(np.unique(pairs, axis=0)) == len(first)
+    assert np.array_equal(bits, bits.T)
+    if raw is not None:
+        assert np.array_equal(gb.gram.ravel(), raw.ravel()[first[cls]])
+
+
 def assert_writers_match_reference(gb, tmp_path):
     for writer, reference in ((gram_to_csv, reference_gram_csv),
                               (basis_to_csv, reference_basis_csv)):
         writer(gb, tmp_path / "new.csv")
         reference(gb, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
+               1e308, -1e308, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
+
+
+def assert_gram_csv_exact(gram, tmp_path):
+    """gram.csv equals the cell-by-cell writer's bytes and reads back bit for bit."""
+    N = gram.shape[0]
+    gb = GramBasis(chart=None, degree_cap=N - 1,
+                   monomials=tuple(monomials_up_to_degree(1, N - 1)),
+                   gram=gram, weight="gauss")
+    gram_to_csv(gb, tmp_path / "new.csv")
+    reference_gram_csv(gb, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    back = np.loadtxt(tmp_path / "new.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(back[:, 0], np.repeat(np.arange(N), N))
+    assert np.array_equal(back[:, 1], np.tile(np.arange(N), N))
+    assert back[:, 2].view(np.int64).tolist() == gram.ravel().view(np.int64).tolist()
 
 
 class TestGramMatrix:
@@ -138,6 +180,60 @@ class TestGramMatrix:
     def test_euclidean_full_rank(self, euclid1, euclid1_rule):
         gb = orthonormalize(gram_matrix(euclid1, 5, euclid1_rule))
         assert gb.rank == len(gb.monomials)
+
+
+@pytest.fixture(scope="module")
+def chart_rules(request):
+    return {chart: (request.getfixturevalue(chart), request.getfixturevalue(rule))
+            for chart, rule in CHARTS}
+
+
+class TestMomentMatrix:
+    """G holds one double per exponent sum: the moment integral x^(a+b)."""
+
+    def test_non_finite_sums_checked_before_canonicalizing(self, circle, circle_rule,
+                                                           monkeypatch):
+        # x1 and x2 at 1e160 on one node: x1^2, x1 x2 and x2^2 overflow as
+        # products of those rows, while their class representatives (1, x1^2),
+        # (1, x1 x2) and (1, x2^2) stay finite
+        def spiked(monomials, points):
+            E = monomial_values(monomials, points)
+            E[1:3, 0] = 1e160
+            return E
+
+        monkeypatch.setattr(orthobasis, "monomial_values", spiked)
+        with np.errstate(over="ignore"), pytest.raises(QuadratureError,
+                                                       match="non-finite Gram entry"):
+            gram_matrix(circle, 2, circle_rule)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from([chart for chart, _ in CHARTS]),
+           D=st.integers(0, 8), weight=st.sampled_from(["gauss", "none"]),
+           block=st.sampled_from([27, 1000]))
+    def test_moment_matrix_matches_raw_sums(self, chart_rules, case, D, weight, block):
+        chart, rule = chart_rules[case]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orthobasis, "_NODE_BLOCK", block)
+            gb = gram_matrix(chart, D, rule, weight=weight)
+        ref = reference_gram(chart, D, rule, weight=weight)
+        # a rule of one block sums exactly as the whole-array reference does
+        assert_moment_matrix(gb, ref if rule.points.shape[0] <= block else None)
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert np.all(np.abs(gb.gram - ref) <= 1e-13 * scale)
+        assert orthonormalize(gb).kept_indices == reference_elimination(ref)[0]
+
+    @pytest.mark.parametrize("D", [0, 1, 2])
+    def test_many_coordinates(self, D):
+        # ambient dimension 13: for D >= 1 the sum codes outgrow N^2 and are
+        # renumbered densely on the way
+        comps = [parse_poly(f"{c}*x1^2", 1) for c in np.linspace(0.1, 1.2, 12)]
+        chart = chart_graph(comps, domain=(-1.0, 1.0))
+        rule = build_rule(chart, 2)
+        gb = gram_matrix(chart, D, rule)
+        ref = reference_gram(chart, D, rule)
+        assert_moment_matrix(gb, ref)
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert np.all(np.abs(gb.gram - ref) <= 1e-13 * scale)
 
 
 class TestRuleCheck:
@@ -514,8 +610,33 @@ class TestExports:
             ortho_coeffs=coeffs,
         )
         assert_writers_match_reference(gb, tmp_path)
+        assert_gram_csv_exact(gb.gram, tmp_path)
         basis_to_csv(gb, tmp_path / "basis.csv")
         assert (tmp_path / "basis.csv").read_text().splitlines()[1:] == [
             "0,0 0 0,0.10000000000000001", "0,0 0 1,1",
             "1,1 0 0,-1.0000000000000001e+300", "1,0 0 1,4.9406564584124654e-324",
         ]
+
+    @pytest.mark.parametrize("gram", [
+        np.array([[0.0]]),
+        np.array([[-0.0]]),
+        np.array([[1e308]]),
+        np.array([[0.0, -0.0], [-0.0, 0.0]]),
+        np.array([[5e-324, -1e308], [-1e308, 2.2250738585072009e-308]]),
+    ], ids=["one-zero", "one-negative-zero", "one-huge", "both-zeros", "extremes"])
+    def test_gram_csv_edge_matrices(self, gram, tmp_path):
+        assert_gram_csv_exact(gram, tmp_path)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_gram_csv_repeated_values(self, tmp_path, data):
+        # a few distinct values, each in many cells, as in a moment matrix
+        N = data.draw(st.integers(1, 12))
+        pool = data.draw(st.lists(
+            st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=6))
+        cells = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                   min_size=N * N, max_size=N * N))
+        assert_gram_csv_exact(np.array(pool)[cells].reshape(N, N), tmp_path)
+
