@@ -1,8 +1,9 @@
 """The chart families: embeddings, volume densities, radial fields, growth.
 
 Each chart exposes embed(u), volume_density(u) = sqrt(det(J^T J)) and
-radial_sq(u) = |x(u)|^2; those three fields are everything the quadrature
-and basis machinery consumes.
+radial_sq(u) = |x(u)|^2.  The quadrature samples the first two once per
+rule; functions on the variety, such as an ambient polynomial restricted to
+it, are functions of the embedded point x = embed(u).
 """
 
 import math
@@ -16,7 +17,6 @@ from gaussvar import (
     chart_revolution,
     estimate_growth,
     parse_poly,
-    restrict,
     variables,
 )
 
@@ -40,12 +40,12 @@ print("\nmodulus graph of z^2:")
 print(f"  density at z=1: {blow.volume_density((1.0, 0.0)):.6f} (sqrt 5)")
 print(f"  r^2 at z=1+i: {blow.radial_sq((1.0, 1.0)):.6f} (|z|^2 + |z^2|^2 = 6)")
 
-# restriction: ambient polynomials become functions on the parameters
+# restriction: an ambient polynomial evaluated on embedded points
 x, y, z = variables(3)
 cylinder = chart_revolution(parse_poly("1", 1), parse_poly("1*x1^1", 1))
-rel = restrict(x * x + y * y, cylinder)
 pts = np.array([[0.3, 1.0], [-2.0, 4.5]])
-print(f"\nx^2 + y^2 restricted to the cylinder: {rel(pts)}  (the relation == 1)")
+print(f"\nx^2 + y^2 restricted to the cylinder: {(x*x + y*y)(cylinder.embed(pts))}"
+      "  (the relation == 1)")
 
 # polynomial volume growth: vol(M cap B_r) against C * r^l
 print("\nvolume growth:")

@@ -62,7 +62,6 @@ from .variety import (
     chart_revolution,
     estimate_growth,
     load_chart,
-    restrict,
     solve_param_bound,
 )
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import approxlemma, orthobasis, quadrature
-from .polyring import MultiPoly
+from .polyring import MultiPoly, squared_norms
 from .variety import GrowthEstimate, GrowthError, SpecFileError, estimate_growth, load_chart
 
 EXIT_OK = 0
@@ -102,7 +102,7 @@ def _exp_target(chart, alpha):
     if not math.isfinite(alpha) or (not _compact(chart) and alpha >= 0.5):
         raise ConfigError(f"--alpha must be finite, and < 1/2 unless the chart is compact, "
                           f"got {alpha:g} for {chart.chart_id}")
-    return lambda U: np.exp(alpha * chart.radial_sq(U))
+    return lambda X: np.exp(alpha * squared_norms(X))
 
 
 def cmd_moments(args, out: Path) -> None:
@@ -157,14 +157,10 @@ def cmd_equivalence(args, out: Path) -> None:
 
     n = chart.ambient_dim
     x1 = MultiPoly.variable(n, 0)
-
-    def coord_sq(U):
-        return np.real(x1.eval(chart.embed(U))) ** 2
-
     pairs = [
-        ("coord1_sq_vs_zero", coord_sq, MultiPoly.zero(n)),
+        ("coord1_sq_vs_zero", x1 * x1, MultiPoly.zero(n)),
         ("exp_target_vs_one", target, MultiPoly.constant(n, 1.0)),
-        ("coord1_sq_vs_itself", coord_sq, x1 * x1),
+        ("coord1_sq_vs_itself", x1 * x1, x1 * x1),
     ]
     rows = []
     for label, f, p in pairs:

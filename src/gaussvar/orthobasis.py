@@ -132,10 +132,11 @@ def gram_matrix(chart: VarietyChart, degree_cap: int, rule: QuadRule,
     disc = discretize(chart, rule)
     sqrt_w = np.sqrt(disc.weights(weight))
     G = np.zeros((len(monomials), len(monomials)))
-    for s in _node_blocks(disc.X.shape[0]):
-        E = monomial_values(monomials, disc.X[s])
-        E *= sqrt_w[s]
-        G += E @ E.T  # a symmetric rank-k update: every block is exactly symmetric
+    with np.errstate(over="ignore", invalid="ignore"):  # G is checked below
+        for s in _node_blocks(disc.X.shape[0]):
+            E = monomial_values(monomials, disc.X[s])
+            E *= sqrt_w[s]
+            G += E @ E.T  # a symmetric rank-k update: every block is exactly symmetric
     if not np.all(np.isfinite(G)):
         i, j = np.argwhere(~np.isfinite(G))[0]
         raise QuadratureError(
@@ -201,13 +202,16 @@ class ProjectionReport:
 
 
 def project(gb: GramBasis, f, rule: QuadRule) -> list[ProjectionReport]:
-    """Project ``f`` (callable on parameters) onto every nested degree slice.
+    """Project ``f`` onto every nested degree slice.
 
-    Report D, for D = 0..gb.degree_cap, uses the leading basis elements
-    whose kept monomial has degree <= D: the basis a degree-D Gram matrix
-    gives.  Its residual norm is the quadrature norm of f - sum_k c_k b_k,
-    updated one degree block at a time; unlike sqrt(<f, f> - sum c_k^2) it
-    cannot go negative through cancellation.
+    ``f`` is a function of the ambient point, called on the embedded nodes
+    X of shape (N, n).  Report D, for D = 0..gb.degree_cap, uses the
+    leading basis elements whose kept monomial has degree <= D: the basis a
+    degree-D Gram matrix gives.  Its residual norm is the quadrature norm of
+    f - sum_k c_k b_k, updated one degree block at a time; unlike
+    sqrt(<f, f> - sum c_k^2) it cannot go negative through cancellation.
+    A non-finite target sample, squared norm of f or squared residual
+    raises :class:`QuadratureError`.
 
     The basis values b_k are formed for ``_NODE_BLOCK`` nodes at a time, in
     two passes over the blocks: the first sums the coefficients c_k; the
@@ -218,31 +222,39 @@ def project(gb: GramBasis, f, rule: QuadRule) -> list[ProjectionReport]:
         raise ValueError("basis not extracted yet; call orthonormalize first")
     disc = discretize(gb.chart, rule)
     W, X = disc.weights(gb.weight), disc.X
-    fvals = np.asarray(f(rule.points), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        fvals = np.asarray(f(X), dtype=float)
     if not np.all(np.isfinite(fvals)):
         i = int(np.nonzero(~np.isfinite(fvals))[0][0])
         raise QuadratureError(
             f"non-finite target sample at node {i}, parameters "
             f"{rule.points[i].tolist()}"
         )
-    C, Wf = gb.ortho_coeffs, W * fvals
-    blocks = list(_node_blocks(X.shape[0]))
-    coeffs = np.zeros(C.shape[0])
-    for s in blocks:
-        B = C @ monomial_values(gb.monomials, X[s])
-        coeffs += B @ Wf[s]
-    f_norm = math.sqrt(float(np.sum(Wf * fvals)))
-    kept_degrees = [gb.monomials[i].degree for i in gb.kept_indices]
-    ends = np.searchsorted(kept_degrees, np.arange(gb.degree_cap + 1), side="right")
-    parts = np.zeros((len(blocks), gb.degree_cap + 1))
-    for b, s in reversed(list(enumerate(blocks))):
-        if b < len(blocks) - 1:
+    with np.errstate(over="ignore", invalid="ignore"):  # both norms are checked below
+        C, Wf = gb.ortho_coeffs, W * fvals
+        blocks = list(_node_blocks(X.shape[0]))
+        coeffs = np.zeros(C.shape[0])
+        for s in blocks:
             B = C @ monomial_values(gb.monomials, X[s])
-        diff = fvals[s]
-        for D, (start, end) in enumerate(zip([0, *ends], ends)):
-            diff = diff - coeffs[start:end] @ B[start:end]
-            parts[b, D] = np.sum(W[s] * diff * diff)
-    res2 = sum(parts)  # row by row in block order, as the first pass adds
+            coeffs += B @ Wf[s]
+        f_norm2 = float(np.sum(Wf * fvals))
+        kept_degrees = [gb.monomials[i].degree for i in gb.kept_indices]
+        ends = np.searchsorted(kept_degrees, np.arange(gb.degree_cap + 1), side="right")
+        parts = np.zeros((len(blocks), gb.degree_cap + 1))
+        for b, s in reversed(list(enumerate(blocks))):
+            if b < len(blocks) - 1:
+                B = C @ monomial_values(gb.monomials, X[s])
+            diff = fvals[s]
+            for D, (start, end) in enumerate(zip([0, *ends], ends)):
+                diff = diff - coeffs[start:end] @ B[start:end]
+                parts[b, D] = np.sum(W[s] * diff * diff)
+        res2 = sum(parts)  # row by row in block order, as the first pass adds
+    if not math.isfinite(f_norm2):
+        raise QuadratureError(f"non-finite squared target norm {f_norm2}")
+    if not np.all(np.isfinite(res2)):
+        D = int(np.nonzero(~np.isfinite(res2))[0][0])
+        raise QuadratureError(f"non-finite squared residual {res2[D]} at degree {D}")
+    f_norm = math.sqrt(f_norm2)
     return [ProjectionReport(degree_cap=D, coefficients=coeffs[:end],
                              residual_norm=math.sqrt(max(float(r2), 0.0)), f_norm=f_norm)
             for D, (end, r2) in enumerate(zip(ends, res2))]
@@ -271,15 +283,20 @@ def weighted_equivalence_check(chart: VarietyChart, p: MultiPoly, f,
 
     Left side: integral |f e^{-r^2/4} - p e^{-r^2/4}|^2 e^{-r^2/2} dmu,
     right side: integral |f - p|^2 e^{-r^2} dmu, each with its own
-    quadrature pass (``rule_rhs`` defaults to ``rule``).
+    quadrature pass (``rule_rhs`` defaults to ``rule``).  ``f`` and ``p``
+    are both evaluated on the embedded nodes X (N, n).
     """
     disc = discretize(chart, rule)
     damp = np.exp(-0.25 * disc.r2)
-    diff = np.asarray(f(rule.points)) * damp - np.real(p.eval(disc.X)) * damp
-    lhs = float(disc.integrate(diff * diff, scale=0.5))
+    with np.errstate(over="ignore", invalid="ignore"):  # integrate checks them
+        diff = np.asarray(f(disc.X)) * damp - np.real(p.eval(disc.X)) * damp
+        lhs_vals = diff * diff
+    lhs = float(disc.integrate(lhs_vals, scale=0.5))
     disc = discretize(chart, rule_rhs or rule)
-    diff = np.asarray(f(disc.rule.points)) - np.real(p.eval(disc.X))
-    rhs = float(disc.integrate(diff * diff))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.asarray(f(disc.X)) - np.real(p.eval(disc.X))
+        rhs_vals = diff * diff
+    rhs = float(disc.integrate(rhs_vals))
     return lhs, rhs
 
 

@@ -15,6 +15,7 @@ discretize plain Lebesgue measure on a truncated box:
 :func:`discretize` samples a chart on a rule once -- the embedded points
 X, r^2 = |X|^2 and the measure weights dmu = rule weights x density -- and
 every integral, Gram matrix and projection works from that sample.
+Integrands are functions of the ambient point x, so they are called on X.
 Every sum runs in a fixed order, over the nodes or over node blocks of a
 fixed size, so every result is reproducible bit for bit for a fixed rule.
 """
@@ -170,7 +171,10 @@ class Discretization:
         return self.dmu
 
     def integrate(self, vals, weight: str = "gauss", scale: float = 1.0):
-        """Weighted sum of node values; names the first non-finite node."""
+        """Weighted sum of node values; names the first non-finite node.
+
+        A sum of finite samples that overflows raises as well.
+        """
         U = self.rule.points
         W = self.weights(weight, scale)
         vals = np.asarray(vals)
@@ -182,7 +186,11 @@ class Discretization:
             raise QuadratureError(
                 f"non-finite integrand sample at node {i}, parameters {U[i].tolist()}"
             )
-        return np.sum(W * vals)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+            total = np.sum(W * vals)
+        if not np.isfinite(total):
+            raise QuadratureError(f"non-finite integral {total} of finite samples")
+        return total
 
 
 def discretize(chart: VarietyChart, rule: QuadRule) -> Discretization:
@@ -201,18 +209,17 @@ def discretize(chart: VarietyChart, rule: QuadRule) -> Discretization:
     )
 
 
-def integrate(chart: VarietyChart, g, rule: QuadRule,
-              weight: str = "gauss", weight_scale: float = 1.0):
-    """Quadrature value of  integral g * e^{-weight_scale * r^2} dmu.
+def integrate(chart: VarietyChart, g, rule: QuadRule, weight: str = "gauss"):
+    """Quadrature value of  integral g(x) e^{-r^2} dmu,  or of g(x) dmu for "none".
 
-    ``g`` is a callable on parameter points of shape (N, d) (or a scalar
-    constant).  With ``weight="none"`` the Gaussian factor is dropped and
-    plain dmu is integrated.  Raises :class:`QuadratureError` naming the
-    offending node when a sample is non-finite.
+    ``g`` is a function of the ambient point: a callable on the embedded
+    nodes X of shape (N, n), such as a :class:`MultiPoly`, or a scalar
+    constant.  Raises :class:`QuadratureError` naming the parameters of the
+    first node whose sample is non-finite.
     """
     disc = discretize(chart, rule)
-    vals = g(rule.points) if callable(g) else float(g)
-    return disc.integrate(vals, weight, weight_scale)
+    vals = g(disc.X) if callable(g) else float(g)
+    return disc.integrate(vals, weight)
 
 
 def gaussian_moment(chart: VarietyChart, m: int, rule: QuadRule) -> float:

@@ -39,7 +39,6 @@ __all__ = [
     "chart_revolution",
     "chart_modulus_graph",
     "chart_circle",
-    "restrict",
     "estimate_growth",
     "solve_param_bound",
     "load_chart",
@@ -83,19 +82,16 @@ class VarietyChart:
     """A parametrization U subset R^d -> R^n with its volume density."""
 
     __slots__ = (
-        "kind", "ambient_dim", "domains", "_embed", "_density",
-        "chart_id", "source",
+        "kind", "ambient_dim", "domains", "_embed", "_density", "chart_id",
     )
 
-    def __init__(self, kind, ambient_dim, domains, embed, density,
-                 chart_id, source=None):
+    def __init__(self, kind, ambient_dim, domains, embed, density, chart_id):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "ambient_dim", int(ambient_dim))
         object.__setattr__(self, "domains", tuple(domains))
         object.__setattr__(self, "_embed", embed)
         object.__setattr__(self, "_density", density)
         object.__setattr__(self, "chart_id", chart_id)
-        object.__setattr__(self, "source", dict(source or {}))
         if self.intrinsic_dim > self.ambient_dim:
             raise ChartError(
                 f"intrinsic dimension {self.intrinsic_dim} exceeds ambient "
@@ -147,10 +143,8 @@ def chart_euclidean(n: int) -> VarietyChart:
     def density(U):
         return np.ones(U.shape[0])
 
-    return VarietyChart(
-        "euclidean", n, (ParamDomain("unbounded"),) * n,
-        embed, density, f"euclidean(n={n})", {"n": n},
-    )
+    return VarietyChart("euclidean", n, (ParamDomain("unbounded"),) * n,
+                        embed, density, f"euclidean(n={n})")
 
 
 def _require_univariate(p: MultiPoly, name: str) -> MultiPoly:
@@ -193,10 +187,8 @@ def chart_graph(components, domain=None) -> VarietyChart:
         return np.sqrt(acc)
 
     texts = ",".join(c.to_text() for c in comps)
-    return VarietyChart(
-        "graph", n, (dom,), embed, density,
-        f"graph([{texts}],{dom_id})", {"components": comps, "domain": dom},
-    )
+    return VarietyChart("graph", n, (dom,), embed, density,
+                        f"graph([{texts}],{dom_id})")
 
 
 def _check_profile_positive(f: MultiPoly, dom: ParamDomain) -> None:
@@ -248,12 +240,8 @@ def chart_revolution(f: MultiPoly, h: MultiPoly, u1_domain=None) -> VarietyChart
         hpv = np.real(hp.eval(u1))
         return fv * np.sqrt(fpv * fpv + hpv * hpv)
 
-    return VarietyChart(
-        "revolution", 3, (dom1, ParamDomain("periodic")),
-        embed, density,
-        f"revolution(f={f.to_text()},h={h.to_text()},u1={dom_id})",
-        {"f": f, "h": h},
-    )
+    return VarietyChart("revolution", 3, (dom1, ParamDomain("periodic")), embed, density,
+                        f"revolution(f={f.to_text()},h={h.to_text()},u1={dom_id})")
 
 
 def chart_modulus_graph(F: MultiPoly) -> VarietyChart:
@@ -276,12 +264,8 @@ def chart_modulus_graph(F: MultiPoly) -> VarietyChart:
         dw = np.abs(Fp.eval(_z(U)))
         return np.sqrt(1.0 + dw * dw)
 
-    return VarietyChart(
-        "modulus_graph", 3,
-        (ParamDomain("unbounded"), ParamDomain("unbounded")),
-        embed, density,
-        f"modulus_graph(F={F.to_text()})", {"F": F},
-    )
+    return VarietyChart("modulus_graph", 3, (ParamDomain("unbounded"),) * 2,
+                        embed, density, f"modulus_graph(F={F.to_text()})")
 
 
 def chart_circle() -> VarietyChart:
@@ -293,23 +277,7 @@ def chart_circle() -> VarietyChart:
     def density(U):
         return np.ones(U.shape[0])
 
-    return VarietyChart(
-        "circle", 2, (ParamDomain("periodic"),),
-        embed, density, "circle()", {},
-    )
-
-
-# ------------------------------------------------------------------ restriction
-
-
-def restrict(p: MultiPoly, chart: VarietyChart):
-    """Compose an ambient polynomial with the chart's embedding; callable on parameters."""
-    if p.ambient_dim != chart.ambient_dim:
-        raise ValueError(
-            f"polynomial ambient dimension {p.ambient_dim} does not "
-            f"match chart ambient dimension {chart.ambient_dim}"
-        )
-    return lambda u: p.eval(chart.embed(u))
+    return VarietyChart("circle", 2, (ParamDomain("periodic"),), embed, density, "circle()")
 
 
 # ------------------------------------------------------------------ truncation solve

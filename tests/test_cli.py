@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gaussvar import cli, orthobasis, variety
-from gaussvar.cli import EXIT_CONFIG, EXIT_OK, main
+from gaussvar.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 
 @pytest.fixture()
@@ -244,6 +244,34 @@ class TestAlpha:
         _, rows = read_rows(out / "projection.csv")
         assert [r[0] for r in rows] == ["2", "4"]
         assert all(math.isfinite(float(r[3])) for r in rows)
+
+
+    @pytest.mark.parametrize("weight", ["gauss", "none"])
+    def test_non_finite_projection_exits_1(self, weight, circle_spec, tmp_path, capsys):
+        # e^{400 r^2} = e^400 is finite on the unit circle; its squared norm is not
+        out = tmp_path / "o"
+        code = main(["project", "--spec", str(circle_spec), "--degree", "4",
+                     "--alpha", "400", "--weight", weight, "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert "non-finite squared target norm" in capsys.readouterr().err
+        assert not (out / "projection.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("project", "--degree", "4", "--alpha", "400"),
+        ("project", "--degree", "4", "--alpha", "800"),
+        ("equivalence", "--alpha", "400"),
+        ("equivalence", "--alpha", "354.5"),  # finite samples, overflowing sum
+    ], ids=["project-400", "project-800", "equivalence-400", "equivalence-354.5"])
+    def test_overflow_writes_one_stderr_line(self, argv, circle_spec, tmp_path, src_env):
+        # a child interpreter, so that numpy warnings reach stderr as they would
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaussvar.cli", *argv, "--spec", str(circle_spec),
+             "--out", str(tmp_path / "o")],
+            env=src_env, capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_NUMERICAL
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"gaussvar {argv[0]}: ")
 
 
 class TestWeight:

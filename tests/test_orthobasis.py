@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,9 +20,11 @@ from gaussvar.orthobasis import (
     weighted_equivalence_check,
 )
 from gaussvar.polyring import (
-    MultiPoly, monomial_values, monomials_up_to_degree, parse_poly,
+    MultiPoly, monomial_values, monomials_up_to_degree, parse_poly, squared_norms,
 )
-from gaussvar.quadrature import QuadratureError, build_rule, discretize, integrate
+from gaussvar.quadrature import (
+    QuadratureError, build_rule, discretize, integrate, moment_table,
+)
 from gaussvar.variety import chart_graph
 
 # the five conftest charts with their rules
@@ -68,7 +71,7 @@ def reference_project(gb, f, rule):
     disc = discretize(gb.chart, rule)
     W = disc.weights(gb.weight)
     B = gb.ortho_coeffs @ monomial_values(gb.monomials, disc.X)
-    fvals = np.asarray(f(rule.points), dtype=float)
+    fvals = np.asarray(f(disc.X), dtype=float)
     coeffs = B @ (W * fvals)
     kept_degrees = [gb.monomials[i].degree for i in gb.kept_indices]
     ends = np.searchsorted(kept_degrees, np.arange(gb.degree_cap + 1), side="right")
@@ -202,8 +205,8 @@ class TestMomentMatrix:
             return E
 
         monkeypatch.setattr(orthobasis, "monomial_values", spiked)
-        with np.errstate(over="ignore"), pytest.raises(QuadratureError,
-                                                       match="non-finite Gram entry"):
+        # no numpy overflow warning escapes before the error
+        with pytest.raises(QuadratureError, match="non-finite Gram entry"):
             gram_matrix(circle, 2, circle_rule)
 
     @settings(max_examples=40, deadline=None)
@@ -241,7 +244,7 @@ class TestRuleCheck:
     # (unbounded x unbounded); every caller must say so
     @pytest.mark.parametrize("call", [
         lambda gb, rule: gram_matrix(gb.chart, 2, rule),
-        lambda gb, rule: project(gb, lambda U: np.ones(U.shape[0]), rule),
+        lambda gb, rule: project(gb, lambda X: np.ones(X.shape[0]), rule),
         lambda gb, rule: basis_inner_products(gb, rule),
     ], ids=["gram_matrix", "project", "basis_inner_products"])
     def test_foreign_rule_rejected(self, call, modgraph_z2, modgraph_z2_rule,
@@ -341,8 +344,8 @@ class TestProjection:
         gb = orthonormalize(gram_matrix(cylinder, 2, cylinder_rule))
         b0_poly = gb.basis_polynomials()[0]
 
-        def b0(U):
-            return np.real(b0_poly.eval(cylinder.embed(U)))
+        def b0(X):
+            return np.real(b0_poly.eval(X))
 
         rep = project(gb, b0, cylinder_rule)[-1]
         expected = np.zeros(gb.rank)
@@ -352,24 +355,24 @@ class TestProjection:
 
     def test_polynomial_in_subspace_has_no_residual(self, euclid1, euclid1_rule):
         gb = orthonormalize(gram_matrix(euclid1, 4, euclid1_rule))
-        rep = project(gb, lambda U: U[:, 0] ** 4, euclid1_rule)[-1]
+        rep = project(gb, lambda X: X[:, 0] ** 4, euclid1_rule)[-1]
         assert rep.residual_norm <= 1e-8
 
     def test_cylinder_density_witness(self, cylinder, cylinder_rule):
-        f = lambda U: np.exp(0.25 * cylinder.radial_sq(U))
+        f = lambda X: np.exp(0.25 * squared_norms(X))
         gb = orthonormalize(gram_matrix(cylinder, 8, cylinder_rule))
         rels = [rep.rel_residual for rep in project(gb, f, cylinder_rule)[2::2]]
         assert all(b < a for a, b in zip(rels, rels[1:]))
         assert rels[-1] < 0.1
 
     def test_graph_density_witness(self, graph_x2, graph_x2_rule):
-        f = lambda U: np.exp(0.25 * graph_x2.radial_sq(U))
+        f = lambda X: np.exp(0.25 * squared_norms(X))
         gb = orthonormalize(gram_matrix(graph_x2, 8, graph_x2_rule))
         rels = [rep.rel_residual for rep in project(gb, f, graph_x2_rule)[2::2]]
         assert all(b < a for a, b in zip(rels, rels[1:]))
 
     def test_nested_residual_monotonicity(self, euclid1, euclid1_rule):
-        f = lambda U: np.exp(0.25 * euclid1.radial_sq(U))
+        f = lambda X: np.exp(0.25 * squared_norms(X))
         gb = orthonormalize(gram_matrix(euclid1, 6, euclid1_rule))
         res = [rep.residual_norm for rep in project(gb, f, euclid1_rule)[::2]]
         assert all(b <= a + 1e-9 for a, b in zip(res, res[1:]))
@@ -381,8 +384,8 @@ class TestProjection:
         chart = request.getfixturevalue(fixture)
         rule = request.getfixturevalue(rule_fixture)
 
-        def f(U):
-            return np.exp(0.25 * chart.radial_sq(U) + 0.5 * np.sin(U[:, 0]))
+        def f(X):
+            return np.exp(0.25 * squared_norms(X) + 0.5 * np.sin(X[:, 0]))
 
         gb = orthonormalize(gram_matrix(chart, 6, rule))
         sweep = project(gb, f, rule)
@@ -399,20 +402,74 @@ class TestProjection:
     def test_bessel_inequality(self, cylinder, cylinder_rule):
         gb = orthonormalize(gram_matrix(cylinder, 4, cylinder_rule))
         targets = [
-            lambda U: np.exp(0.25 * cylinder.radial_sq(U)),
-            lambda U: cylinder.embed(U)[:, 2] ** 3,
-            lambda U: np.cos(U[:, 1]) * U[:, 0],
+            lambda X: np.exp(0.25 * squared_norms(X)),
+            lambda X: X[:, 2] ** 3,
+            lambda X: X[:, 0] * X[:, 2],  # cos(u2) u1
         ]
         for f in targets:
             rep = project(gb, f, cylinder_rule)[-1]
-            fsq = float(integrate(cylinder, lambda U: np.asarray(f(U)) ** 2,
+            fsq = float(integrate(cylinder, lambda X: np.asarray(f(X)) ** 2,
                                   cylinder_rule))
             assert np.sum(rep.coefficients ** 2) <= fsq + 1e-9
 
     def test_projection_requires_basis(self, euclid1, euclid1_rule):
         gb = gram_matrix(euclid1, 2, euclid1_rule)
         with pytest.raises(ValueError):
-            project(gb, lambda U: U[:, 0], euclid1_rule)
+            project(gb, lambda X: X[:, 0], euclid1_rule)
+
+
+class TestAmbientIntegrands:
+    """Every integrand is a function of x, called on the rule's one embedded sample."""
+
+    class Recorder:
+        def __init__(self):
+            self.seen = []
+
+        def __call__(self, X):
+            self.seen.append(np.array(X, copy=True))
+            return np.ones(X.shape[0])
+
+    @staticmethod
+    def assert_bit_equal(seen, chart, rules):
+        expected = [discretize(chart, rule).X for rule in rules]
+        assert len(seen) == len(expected)
+        for got, X in zip(seen, expected):
+            assert got.shape == X.shape and got.dtype == X.dtype
+            assert got.tobytes() == X.tobytes()
+
+    @pytest.mark.parametrize("fixture,rule_fixture", CHARTS)
+    def test_called_on_embedded_nodes(self, fixture, rule_fixture, request):
+        chart = request.getfixturevalue(fixture)
+        rule = request.getfixturevalue(rule_fixture)
+        rule_rhs = build_rule(chart, rule.truncation_radius,
+                              [n + 16 for n in rule.nodes_per_dim])
+        gb = orthonormalize(gram_matrix(chart, 2, rule))
+        for call, rules in (
+            (lambda f: integrate(chart, f, rule), [rule]),
+            (lambda f: project(gb, f, rule), [rule]),
+            (lambda f: weighted_equivalence_check(
+                chart, MultiPoly.zero(chart.ambient_dim), f, rule, rule_rhs),
+             [rule, rule_rhs]),
+        ):
+            f = self.Recorder()
+            call(f)
+            self.assert_bit_equal(f.seen, chart, rules)
+
+    @pytest.mark.parametrize("fixture,rule_fixture", CHARTS)
+    def test_squared_norm_integral_is_second_moment(self, fixture, rule_fixture,
+                                                    request):
+        chart = request.getfixturevalue(fixture)
+        rule = request.getfixturevalue(rule_fixture)
+        I2 = moment_table(chart, [2], rule).rows[0][1]
+        assert float(integrate(chart, squared_norms, rule)) == I2
+
+    def test_non_finite_residual_raises(self, circle, circle_rule):
+        # f = 1 has a finite norm, but coefficients scaled by 1e200 make the
+        # residual overflow; no numpy warning escapes before the error
+        gb = orthonormalize(gram_matrix(circle, 2, circle_rule))
+        huge = dataclasses.replace(gb, ortho_coeffs=1e200 * gb.ortho_coeffs)
+        with pytest.raises(QuadratureError, match="non-finite squared residual"):
+            project(huge, lambda X: np.ones(X.shape[0]), circle_rule)
 
 
 class TestNodeBlocks:
@@ -429,7 +486,7 @@ class TestNodeBlocks:
 
     @staticmethod
     def target(chart):
-        return lambda U: np.exp(0.25 * chart.radial_sq(U) + 0.5 * np.sin(U[:, 0]))
+        return lambda X: np.exp(0.25 * squared_norms(X) + 0.5 * np.sin(X[:, 0]))
 
     @pytest.mark.parametrize("weight", ["gauss", "none"])
     @pytest.mark.parametrize("fixture,rule_fixture", CHARTS)
@@ -506,14 +563,14 @@ class TestWeightedEquivalence:
     def test_identical_integrands_vanish(self, euclid1, euclid1_rule):
         x1sq = MultiPoly.variable(1, 0) ** 2
         lhs, rhs = weighted_equivalence_check(
-            euclid1, x1sq, lambda U: U[:, 0] ** 2, euclid1_rule
+            euclid1, x1sq, lambda X: X[:, 0] ** 2, euclid1_rule
         )
         assert abs(lhs) <= 1e-12 and abs(rhs) <= 1e-12
 
     def test_analytic_value_on_line(self, euclid1, euclid1_rule):
         rule_rhs = build_rule(euclid1, euclid1_rule.truncation_radius, 80)
         lhs, rhs = weighted_equivalence_check(
-            euclid1, MultiPoly.zero(1), lambda U: U[:, 0] ** 2,
+            euclid1, MultiPoly.zero(1), lambda X: X[:, 0] ** 2,
             euclid1_rule, rule_rhs,
         )
         exact = 3.0 * math.sqrt(math.pi) / 4.0  # Gamma(5/2)
@@ -522,7 +579,7 @@ class TestWeightedEquivalence:
 
     def test_cylinder_pair_agrees(self, cylinder, cylinder_rule):
         rule_rhs = build_rule(cylinder, cylinder_rule.truncation_radius, 80)
-        f = lambda U: np.exp(0.25 * cylinder.radial_sq(U))
+        f = lambda X: np.exp(0.25 * squared_norms(X))
         lhs, rhs = weighted_equivalence_check(
             cylinder, MultiPoly.constant(3, 1.0), f, cylinder_rule, rule_rhs
         )
@@ -576,7 +633,7 @@ class TestExports:
 
     def test_projection_csv(self, euclid1, euclid1_rule, tmp_path):
         gb = orthonormalize(gram_matrix(euclid1, 2, euclid1_rule))
-        rep = project(gb, lambda U: U[:, 0] ** 2, euclid1_rule)[-1]
+        rep = project(gb, lambda X: X[:, 0] ** 2, euclid1_rule)[-1]
         path = tmp_path / "projection.csv"
         projections_to_csv([rep], path)
         lines = path.read_text().splitlines()
