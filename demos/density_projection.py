@@ -47,7 +47,7 @@ for name, chart in (("cylinder", cylinder), ("graph of x^2", parabola)):
     print(f"{name}: relative residual of the degree-D projection of e^(r^2/4)")
     for rep in project(gb, f, rule)[2::2]:
         D = rep.degree_cap
-        size = sum(m.degree <= D for m in gb.monomials)
+        size = sum(sum(m) <= D for m in gb.monomials)
         print(f"  D={D}: rank {len(rep.coefficients):3d} of {size:3d} monomials, "
               f"rel residual {rep.rel_residual:.6f}")
     print()

@@ -33,7 +33,7 @@ print(f"\nunit circle, monomials of degree <= 2: {len(gb.monomials)} monomials, 
       f"numerical rank {gb.rank}")
 dropped = [gb.monomials[i] for i in range(len(gb.monomials))
            if i not in gb.kept_indices]
-print(f"dropped monomial exponents: {[m.exponents for m in dropped]} "
+print(f"dropped monomial exponents: {dropped} "
       "(y^2 = 1 - x^2 on the circle)")
 
 # verify orthonormality with a finer, independent rule

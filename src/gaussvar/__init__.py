@@ -25,7 +25,6 @@ from .orthobasis import (
     weighted_equivalence_check,
 )
 from .polyring import (
-    Monomial,
     MultiPoly,
     format_poly,
     monomial_values,

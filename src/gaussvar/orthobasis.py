@@ -54,8 +54,8 @@ class GramBasis:
 
     Before :func:`orthonormalize` only the Gram data is present; afterwards
     ``ortho_coeffs`` holds one row per basis element, giving its expansion
-    in the ambient monomials (columns follow ``monomials``; entries outside
-    ``kept_indices`` are zero).
+    in the ambient monomials (columns follow ``monomials``, the exponent
+    tuples in graded-lex order; entries outside ``kept_indices`` are zero).
     """
 
     chart: VarietyChart
@@ -102,7 +102,7 @@ def _first_pair_of_sum(monomials, degree_cap: int) -> np.ndarray:
     outgrows N^2 the codes are renumbered densely, so the table of first
     indices is never larger than G.  One ``np.minimum.at`` fills that table.
     """
-    A = np.array([m.exponents for m in monomials], dtype=np.int64)
+    A = np.array(monomials, dtype=np.int64)
     N, base = A.shape[0], 2 * degree_cap + 1
     label, size = np.zeros(N * N, dtype=np.int64), 1
     for a in A.T:
@@ -238,7 +238,7 @@ def project(gb: GramBasis, f, rule: QuadRule) -> list[ProjectionReport]:
             B = C @ monomial_values(gb.monomials, X[s])
             coeffs += B @ Wf[s]
         f_norm2 = float(np.sum(Wf * fvals))
-        kept_degrees = [gb.monomials[i].degree for i in gb.kept_indices]
+        kept_degrees = [sum(gb.monomials[i]) for i in gb.kept_indices]
         ends = np.searchsorted(kept_degrees, np.arange(gb.degree_cap + 1), side="right")
         parts = np.zeros((len(blocks), gb.degree_cap + 1))
         for b, s in reversed(list(enumerate(blocks))):
@@ -277,27 +277,28 @@ def basis_inner_products(gb: GramBasis, rule: QuadRule) -> np.ndarray:
 # ------------------------------------------------------------------ equivalence
 
 
-def weighted_equivalence_check(chart: VarietyChart, p: MultiPoly, f,
-                               rule: QuadRule, rule_rhs: QuadRule | None = None):
-    """Evaluate both sides of the weighted approximation identity.
+def weighted_equivalence_check(chart: VarietyChart, pairs, rule: QuadRule,
+                               rule_rhs: QuadRule | None = None) -> list[tuple]:
+    """Both sides of the weighted approximation identity, one ``(lhs, rhs)`` per pair.
 
-    Left side: integral |f e^{-r^2/4} - p e^{-r^2/4}|^2 e^{-r^2/2} dmu,
-    right side: integral |f - p|^2 e^{-r^2} dmu, each with its own
-    quadrature pass (``rule_rhs`` defaults to ``rule``).  ``f`` and ``p``
-    are both evaluated on the embedded nodes X (N, n).
+    For each ``(f, p)`` in ``pairs``, both evaluated on the embedded nodes
+    X (N, n), the left side is integral |f e^{-r^2/4} - p e^{-r^2/4}|^2
+    e^{-r^2/2} dmu on ``rule`` and the right side integral |f - p|^2 e^{-r^2}
+    dmu on ``rule_rhs`` (default ``rule``).  Each side samples the chart once
+    for all pairs and drops that sample before the other side takes its own.
     """
-    disc = discretize(chart, rule)
-    damp = np.exp(-0.25 * disc.r2)
-    with np.errstate(over="ignore", invalid="ignore"):  # integrate checks them
-        diff = np.asarray(f(disc.X)) * damp - np.real(p.eval(disc.X)) * damp
-        lhs_vals = diff * diff
-    lhs = float(disc.integrate(lhs_vals, scale=0.5))
-    disc = discretize(chart, rule_rhs or rule)
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = np.asarray(f(disc.X)) - np.real(p.eval(disc.X))
-        rhs_vals = diff * diff
-    rhs = float(disc.integrate(rhs_vals))
-    return lhs, rhs
+    def side(rule, damped):
+        disc = discretize(chart, rule)
+        damp = np.exp(-0.25 * disc.r2) if damped else 1.0  # x * 1.0 is exact
+        out = []
+        for f, p in pairs:
+            with np.errstate(over="ignore", invalid="ignore"):  # integrate checks them
+                diff = np.asarray(f(disc.X)) * damp - np.real(p.eval(disc.X)) * damp
+                vals = diff * diff
+            out.append(float(disc.integrate(vals, scale=0.5 if damped else 1.0)))
+        return out
+
+    return list(zip(side(rule, True), side(rule_rhs or rule, False)))
 
 
 # ------------------------------------------------------------------ classics
@@ -391,7 +392,7 @@ def basis_to_csv(gb: GramBasis, path) -> None:
     """
     if not gb.is_orthonormalized():
         raise ValueError("basis not extracted yet; call orthonormalize first")
-    cells = [f"@,{' '.join(map(str, m.exponents))},%.17g\n" for m in gb.monomials]
+    cells = [f"@,{' '.join(map(str, m))},%.17g\n" for m in gb.monomials]
     with open(path, "w", newline="") as fh:
         fh.write("basis_index,monomial_exponents,coefficient\n")
         for k, row in enumerate(gb.ortho_coeffs):

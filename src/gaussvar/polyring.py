@@ -1,10 +1,11 @@
 """Sparse multivariate polynomial arithmetic over real and complex scalars.
 
-A polynomial is a map from monomials (exponent tuples) to coefficients,
-kept in canonical sparse form: exactly-zero coefficients are never stored.
-Monomials are ordered graded-lexicographically, i.e. by total degree first
-and, within a degree, by descending exponent tuple, so that for two
-variables the order reads
+A polynomial is a map from monomials to coefficients, kept in canonical
+sparse form: exactly-zero coefficients are never stored.  A monomial
+x1^e1 * ... * xn^en is its exponent tuple (e1, ..., en) of non-negative
+ints.  Monomials are ordered graded-lexicographically, i.e. by total
+degree first and, within a degree, by descending exponent tuple, so that
+for two variables the order reads
 
     1 < x1 < x2 < x1^2 < x1*x2 < x2^2 < ...
 
@@ -18,12 +19,10 @@ done inside the ring, only exact zeros are dropped.
 from __future__ import annotations
 
 import math
-from functools import total_ordering
 
 import numpy as np
 
 __all__ = [
-    "Monomial",
     "MultiPoly",
     "monomials_up_to_degree",
     "monomial_values",
@@ -35,49 +34,13 @@ __all__ = [
 ]
 
 
-@total_ordering
-class Monomial:
-    """A power product x1^e1 * ... * xn^en, identified by its exponent tuple."""
-
-    __slots__ = ("exponents",)
-
-    def __init__(self, exponents) -> None:
-        exps = tuple(int(e) for e in exponents)
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in monomial: {exps}")
-        object.__setattr__(self, "exponents", exps)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def _key(self):
-        # graded lex: degree first, then descending exponent tuple
-        return (self.degree, tuple(-e for e in self.exponents))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.exponents == other.exponents
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return self._key() < other._key()
-
-    def __hash__(self) -> int:
-        return hash(self.exponents)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if len(self.exponents) != len(other.exponents):
-            raise ValueError("ambient dimension mismatch between monomials")
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
-
-    def __repr__(self) -> str:
-        return f"Monomial{self.exponents}"
+def _graded_lex(exponents: tuple) -> tuple:
+    """Sort key of the graded-lex order: degree first, then descending exponents."""
+    return (sum(exponents), tuple(-e for e in exponents))
 
 
-def monomials_up_to_degree(n: int, degree_cap: int) -> list[Monomial]:
-    """All monomials in ``n`` variables of total degree <= ``degree_cap``.
+def monomials_up_to_degree(n: int, degree_cap: int) -> list[tuple]:
+    """All exponent tuples in ``n`` variables of total degree <= ``degree_cap``.
 
     Returned in graded lexicographic order; the count is C(n + D, D).
     """
@@ -85,11 +48,11 @@ def monomials_up_to_degree(n: int, degree_cap: int) -> list[Monomial]:
         raise ValueError(f"need at least one variable, got n={n}")
     if degree_cap < 0:
         raise ValueError(f"degree cap must be non-negative, got {degree_cap}")
-    out: list[Monomial] = []
+    out: list[tuple] = []
 
     def compositions(total: int, slots: int, prefix: list[int]) -> None:
         if slots == 1:
-            out.append(Monomial(prefix + [total]))
+            out.append(tuple(prefix + [total]))
             return
         for e in range(total, -1, -1):
             compositions(total - e, slots - 1, prefix + [e])
@@ -102,8 +65,8 @@ def monomials_up_to_degree(n: int, degree_cap: int) -> list[Monomial]:
 class MultiPoly:
     """Sparse polynomial in ``ambient_dim`` variables.
 
-    ``terms`` maps :class:`Monomial` to a nonzero float or complex
-    coefficient.  Instances are immutable; arithmetic returns new objects
+    ``terms`` maps exponent tuples to nonzero float or complex
+    coefficients.  Instances are immutable; arithmetic returns new objects
     in canonical form.
     """
 
@@ -115,9 +78,10 @@ class MultiPoly:
             raise ValueError(f"ambient dimension must be >= 1, got {ambient_dim}")
         canon = {}
         for mono, coeff in (terms or {}).items():
-            if not isinstance(mono, Monomial):
-                mono = Monomial(mono)
-            if len(mono.exponents) != ambient_dim:
+            mono = tuple(int(e) for e in mono)
+            if any(e < 0 for e in mono):
+                raise ValueError(f"negative exponent in monomial: {mono}")
+            if len(mono) != ambient_dim:
                 raise ValueError(
                     f"monomial {mono} does not match ambient dimension {ambient_dim}"
                 )
@@ -135,7 +99,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, n: int, value) -> "MultiPoly":
-        return cls(n, {Monomial((0,) * n): value})
+        return cls(n, {(0,) * n: value})
 
     @classmethod
     def variable(cls, n: int, index: int) -> "MultiPoly":
@@ -143,7 +107,7 @@ class MultiPoly:
             raise ValueError(f"variable index {index} out of range for n={n}")
         exps = [0] * n
         exps[index] = 1
-        return cls(n, {Monomial(exps): 1.0})
+        return cls(n, {tuple(exps): 1.0})
 
     # ---------------------------------------------------------------- queries
 
@@ -152,7 +116,7 @@ class MultiPoly:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(m.degree for m in self.terms)
+        return max(sum(m) for m in self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -160,8 +124,8 @@ class MultiPoly:
     def is_real(self) -> bool:
         return all(complex(c).imag == 0 for c in self.terms.values())
 
-    def sorted_terms(self) -> list[tuple[Monomial, complex]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0]._key())
+    def sorted_terms(self) -> list[tuple[tuple, complex]]:
+        return sorted(self.terms.items(), key=lambda kv: _graded_lex(kv[0]))
 
     def __eq__(self, other) -> bool:
         return (
@@ -212,10 +176,10 @@ class MultiPoly:
                 self.ambient_dim, {m: c * other for m, c in self.terms.items()}
             )
         self._check_dim(other)
-        terms: dict[Monomial, complex] = {}
+        terms: dict[tuple, complex] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                mono = ma * mb
+                mono = tuple(a + b for a, b in zip(ma, mb))
                 terms[mono] = terms.get(mono, 0) + ca * cb
         return MultiPoly(self.ambient_dim, terms)
 
@@ -240,12 +204,10 @@ class MultiPoly:
             raise ValueError(f"variable index {index} out of range")
         terms = {}
         for mono, coeff in self.terms.items():
-            e = mono.exponents[index]
+            e = mono[index]
             if e == 0:
                 continue
-            exps = list(mono.exponents)
-            exps[index] = e - 1
-            new = Monomial(exps)
+            new = mono[:index] + (e - 1,) + mono[index + 1:]
             terms[new] = terms.get(new, 0) + coeff * e
         return MultiPoly(self.ambient_dim, terms)
 
@@ -313,7 +275,8 @@ def _parent(exponents: tuple) -> tuple[tuple, int]:
 
 
 def monomial_values(monomials, points: np.ndarray) -> np.ndarray:
-    """Values of ``monomials`` at ``points`` (shape (N, n)), one row per monomial.
+    """Values of the exponent tuples ``monomials`` at ``points`` (shape (N, n)),
+    one row per monomial.
 
     Every row is written into one preallocated matrix as its parent row
     x^(e - u_j) times the coordinate x_j, where j is the last variable with
@@ -323,7 +286,7 @@ def monomial_values(monomials, points: np.ndarray) -> np.ndarray:
     returned ones.  The monomials may come in any order; the result has the
     dtype of ``points``.
     """
-    exps = [m.exponents for m in monomials]
+    exps = list(monomials)
     count = len(exps)
     index = {e: i for i, e in enumerate(exps)}
     for e in exps:  # also visits the parents appended below
@@ -360,11 +323,11 @@ def truncated_exponential(k, m: int) -> MultiPoly:
     if m < 1:
         raise ValueError(f"order m must be >= 1, got {m}")
     n = len(k)
-    terms: dict[Monomial, complex] = {}
+    terms: dict[tuple, complex] = {}
     for mono in monomials_up_to_degree(n, m - 1):
-        alpha = mono.degree
+        alpha = sum(mono)
         mult = 1.0
-        for i, e in enumerate(mono.exponents):
+        for i, e in enumerate(mono):
             if e:
                 mult = mult * k[i] ** e
                 try:
@@ -408,7 +371,7 @@ def format_poly(p: MultiPoly) -> str:
     for idx, (mono, coeff) in enumerate(p.sorted_terms()):
         cstr, neg = _format_coeff(coeff)
         factors = [cstr] + [
-            f"x{i + 1}^{e}" for i, e in enumerate(mono.exponents) if e > 0
+            f"x{i + 1}^{e}" for i, e in enumerate(mono) if e > 0
         ]
         term = "*".join(factors)
         if idx == 0:
@@ -496,15 +459,12 @@ def parse_poly(text: str, ambient_dim: int | None = None) -> MultiPoly:
             coeff = coeff.real
         raw_terms.append((sign, exps, coeff))
     n = ambient_dim if ambient_dim is not None else max(max_idx, 1)
-    terms: dict[Monomial, complex] = {}
+    terms: dict[tuple, complex] = {}
     for sign, exps, coeff in raw_terms:
         if exps and max(exps) >= n:
             raise ValueError(
                 f"variable x{max(exps) + 1} exceeds ambient dimension {n}"
             )
-        ev = [0] * n
-        for idx, e in exps.items():
-            ev[idx] = e
-        mono = Monomial(ev)
+        mono = tuple(exps.get(i, 0) for i in range(n))
         terms[mono] = terms.get(mono, 0) + (coeff if sign > 0 else -coeff)
     return MultiPoly(n, terms)

@@ -234,7 +234,8 @@ def tail_budget(C: float, l: int, m: int, R: float) -> float:
     """Tail of the majorant series C * sum_{j >= floor(R)} (j+1)^{m+l} e^{-j^2}.
 
     Terms are summed until they drop below 1e-300; the term ratio
-    ((j+1)/j)^{m+l} e^{-2j-1} vanishes, so this terminates quickly.
+    ((j+1)/j)^{m+l} e^{-2j-1} vanishes, so this terminates quickly.  A term
+    beyond the float range makes the tail inf, which exceeds every budget.
     """
     if C <= 0:
         raise ValueError(f"growth constant must be positive, got {C}")
@@ -243,7 +244,10 @@ def tail_budget(C: float, l: int, m: int, R: float) -> float:
     j = int(math.floor(R))
     total = 0.0
     while True:
-        term = C * math.exp((m + l) * math.log(j + 1.0) - float(j) * j)
+        try:
+            term = C * math.exp((m + l) * math.log(j + 1.0) - float(j) * j)
+        except OverflowError:
+            return math.inf
         total += term
         j += 1
         if term < _TERM_FLOOR or j > 10 ** 6:
@@ -296,7 +300,8 @@ def moment_table(chart: VarietyChart, m_values, rule: QuadRule,
     for m in m_values:
         if m < 0:
             raise ValueError(f"moment order must be >= 0, got {m}")
-        vals = r2 ** (m // 2) if m % 2 == 0 else r2 ** (m / 2.0)
+        with np.errstate(over="ignore"):  # integrate names an overflowed sample
+            vals = r2 ** (m // 2) if m % 2 == 0 else r2 ** (m / 2.0)
         value = float(disc.integrate(vals))
         if growth is not None:
             bound = tail_budget(growth.C, growth.l, m, rule.truncation_radius)

@@ -201,7 +201,7 @@ def _check_profile_positive(f: MultiPoly, dom: ParamDomain) -> None:
     """
     c = np.zeros(max(f.degree, 0) + 1)
     for mono, coeff in f.terms.items():
-        c[mono.exponents[0]] = np.real(coeff)
+        c[mono[0]] = np.real(coeff)
     p = np.poly1d(c[::-1])  # drops zero leading coefficients
     pts = np.real(p.deriv().roots)
     if dom.kind == "bounded":

@@ -115,24 +115,24 @@ def test_09_weighted_equivalence(euclid1, euclid1_rule, cylinder, cylinder_rule,
 
     ok = True
     rhs_rule = build_rule(euclid1, euclid1_rule.truncation_radius, 80)
-    lhs, rhs = weighted_equivalence_check(
-        euclid1, MultiPoly.zero(1), lambda X: X[:, 0] ** 2, euclid1_rule, rhs_rule
+    [(lhs, rhs)] = weighted_equivalence_check(
+        euclid1, [(lambda X: X[:, 0] ** 2, MultiPoly.zero(1))], euclid1_rule, rhs_rule
     )
     exact = 3.0 * math.sqrt(math.pi) / 4.0
     ok &= rel_gap(lhs, rhs) <= 1e-8
     ok &= abs(lhs - exact) <= 1e-8 * exact and abs(rhs - exact) <= 1e-8 * exact
 
     rhs_rule = build_rule(cylinder, cylinder_rule.truncation_radius, 80)
-    lhs, rhs = weighted_equivalence_check(
-        cylinder, MultiPoly.constant(3, 1.0),
-        lambda X: np.exp(0.25 * squared_norms(X)), cylinder_rule, rhs_rule,
+    [(lhs, rhs)] = weighted_equivalence_check(
+        cylinder, [(lambda X: np.exp(0.25 * squared_norms(X)), MultiPoly.constant(3, 1.0))],
+        cylinder_rule, rhs_rule,
     )
     ok &= rel_gap(lhs, rhs) <= 1e-8
 
     rhs_rule = build_rule(graph_x2, graph_x2_rule.truncation_radius, 80)
-    lhs, rhs = weighted_equivalence_check(
-        graph_x2, MultiPoly.zero(2),
-        lambda X: np.exp(0.25 * squared_norms(X)), graph_x2_rule, rhs_rule,
+    [(lhs, rhs)] = weighted_equivalence_check(
+        graph_x2, [(lambda X: np.exp(0.25 * squared_norms(X)), MultiPoly.zero(2))],
+        graph_x2_rule, rhs_rule,
     )
     ok &= rel_gap(lhs, rhs) <= 1e-8
     _report(9, "both sides of the weighted identity agree", ok)

@@ -89,6 +89,32 @@ class TestMoments:
         _, rows = read_rows(out / "moments.csv")
         assert len(rows) == 1
 
+    def test_high_order_on_circle(self, circle_spec, tmp_path):
+        # r = 1 on the circle, so every I_m is I_0; radii whose tail budget
+        # overflows are passed over
+        out = tmp_path / "out"
+        assert main(["moments", "--spec", str(circle_spec), "--mmax", "400",
+                     "--out", str(out)]) == EXIT_OK
+        _, rows = read_rows(out / "moments.csv")
+        assert len(rows) == 401
+        I0 = float(rows[0][1])
+        assert all(abs(float(r[1]) - I0) <= 1e-15 * I0 for r in rows)
+        assert all(float(r[2]) <= 1e-12 for r in rows)
+
+    @pytest.mark.parametrize("mmax", ["250", "400"])
+    def test_overflowing_moment_writes_one_stderr_line(self, mmax, cylinder_spec,
+                                                       tmp_path, src_env):
+        # r^m overflows at the edge of the box; a child interpreter, so that
+        # numpy warnings reach stderr as they would
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaussvar.cli", "moments", "--mmax", mmax,
+             "--spec", str(cylinder_spec), "--out", str(tmp_path / "o")],
+            env=src_env, capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_NUMERICAL
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("gaussvar moments: ")
+
     def test_missing_spec_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
         code = main(["moments", "--spec", str(missing), "--out", str(tmp_path / "o")])
@@ -310,6 +336,20 @@ class TestEquivalence:
         for r in rows:
             if r[0] != "coord1_sq_vs_itself":
                 assert float(r[3]) <= 1e-8
+
+    def test_one_sample_per_rule(self, cylinder_spec, tmp_path, monkeypatch):
+        # three pairs, two rules: the chart is sampled once per rule
+        calls = []
+        original = orthobasis.discretize
+
+        def counting(chart, rule):
+            calls.append(rule)
+            return original(chart, rule)
+
+        monkeypatch.setattr(orthobasis, "discretize", counting)
+        assert main(["equivalence", "--spec", str(cylinder_spec),
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert len(calls) == 2 and calls[0] is not calls[1]
 
 
 class TestDeterminism:

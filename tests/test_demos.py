@@ -1,4 +1,8 @@
-"""Every narrative script in demos/ runs to completion."""
+"""Every narrative script in demos/ runs to completion, with nothing on stderr.
+
+Each demo runs with ``-W error::RuntimeWarning``, so a numpy warning fails
+the demo instead of passing unseen in the child interpreter.
+"""
 
 import subprocess
 import sys
@@ -13,7 +17,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_zero(demo, tmp_path, src_env):
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=src_env,
-        capture_output=True, text=True, timeout=300,
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path,
+        env=src_env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

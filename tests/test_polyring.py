@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gaussvar.polyring import (
-    Monomial,
     MultiPoly,
+    _graded_lex,
     as_points,
     format_poly,
     monomial_values,
@@ -31,22 +31,22 @@ def brute_monomials(n, D):
 class TestMonomialEnumeration:
     def test_univariate_degree_two(self):
         mons = monomials_up_to_degree(1, 2)
-        assert [m.exponents for m in mons] == [(0,), (1,), (2,)]
+        assert mons == [(0,), (1,), (2,)]
 
     def test_degree_zero(self):
         mons = monomials_up_to_degree(2, 0)
-        assert [m.exponents for m in mons] == [(0, 0)]
+        assert mons == [(0, 0)]
 
     @pytest.mark.parametrize("n,D", [(2, 3), (3, 4), (1, 6), (4, 2)])
     def test_count_and_order_match_brute_force(self, n, D):
         mons = monomials_up_to_degree(n, D)
         assert len(mons) == math.comb(n + D, D)
-        assert [m.exponents for m in mons] == brute_monomials(n, D)
+        assert mons == brute_monomials(n, D)
 
     @pytest.mark.parametrize("n,D", [(2, 4), (3, 3)])
     def test_strictly_increasing_graded_lex(self, n, D):
         mons = monomials_up_to_degree(n, D)
-        assert all(a < b for a, b in zip(mons, mons[1:]))
+        assert all(_graded_lex(a) < _graded_lex(b) for a, b in zip(mons, mons[1:]))
         assert len(set(mons)) == len(mons)
 
     def test_invalid_inputs(self):
@@ -55,7 +55,7 @@ class TestMonomialEnumeration:
         with pytest.raises(ValueError):
             monomials_up_to_degree(2, -1)
         with pytest.raises(ValueError):
-            Monomial((1, -2))
+            MultiPoly(2, {(1, -2): 1.0})
 
 
 class TestEvaluation:
@@ -125,7 +125,7 @@ class TestMonomialKernel:
     def test_matches_power_products(self, data):
         n, exps = data.draw(exponent_lists())
         pts = data.draw(sample_points(n))
-        E = monomial_values([Monomial(e) for e in exps], pts)
+        E = monomial_values(exps, pts)
         assert E.shape == (len(exps), pts.shape[0]) and E.dtype == pts.dtype
         eps = np.finfo(float).eps
         for row, e in zip(E, exps):
@@ -227,14 +227,14 @@ class TestRingAxioms:
 class TestTruncatedExponential:
     def test_order_one_is_constant(self):
         p = truncated_exponential((3.0, -1.0), 1)
-        assert [m.exponents for m in p.terms] == [(0, 0)]
-        assert p.terms[Monomial((0, 0))] == 1.0 + 0.0j
+        assert list(p.terms) == [(0, 0)]
+        assert p.terms[(0, 0)] == 1.0 + 0.0j
 
     def test_order_two_axis_aligned(self):
         p = truncated_exponential((1.0, 0.0), 2)
         assert p.terms == {
-            Monomial((0, 0)): 1.0 + 0.0j,
-            Monomial((1, 0)): 1j,
+            (0, 0): 1.0 + 0.0j,
+            (1, 0): 1j,
         }
 
     def test_high_order_approximates_exponential(self):
@@ -269,7 +269,7 @@ class TestTextFormat:
             MultiPoly.constant(2, 1.0),
             -3.0 * x * y + 0.125 * y ** 3 - 2.0,
             MultiPoly.zero(2),
-            MultiPoly(2, {Monomial((1, 0)): 1e-17, Monomial((0, 2)): -7.25}),
+            MultiPoly(2, {(1, 0): 1e-17, (0, 2): -7.25}),
         ]
         for p in polys:
             text = format_poly(p)
@@ -290,14 +290,14 @@ class TestTextFormat:
         assert q == p
 
     def test_complex_coefficients_round_trip(self):
-        p = MultiPoly(1, {Monomial((2,)): 1.5 - 0.25j, Monomial((0,)): 1j})
+        p = MultiPoly(1, {(2,): 1.5 - 0.25j, (0,): 1j})
         q = parse_poly(format_poly(p), ambient_dim=1)
         assert q == p
 
     def test_scientific_notation_minus(self):
         p = parse_poly("1e-05*x1^2-3", ambient_dim=1)
-        assert p.terms[Monomial((2,))] == 1e-05
-        assert p.terms[Monomial((0,))] == -3.0
+        assert p.terms[(2,)] == 1e-05
+        assert p.terms[(0,)] == -3.0
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):

@@ -218,6 +218,10 @@ class TestTailBudget:
         assert math.isfinite(bound)
         assert bound == pytest.approx(brute, rel=1e-15)
 
+    def test_overflowing_term_gives_inf(self):
+        # at j = 6 the term 7^401 e^{-36} is beyond the float range
+        assert tail_budget(math.pi, 1, 400, 2) == math.inf
+
     def test_validation(self):
         with pytest.raises(ValueError):
             tail_budget(-1.0, 1, 0, 5.0)
