@@ -61,6 +61,7 @@ from .variety import (
     chart_revolution,
     estimate_growth,
     load_chart,
+    param_interval,
     solve_param_bound,
 )
 

@@ -70,7 +70,8 @@ _FLAGS = {  # flag -> argparse settings; each command in _COMMANDS sets the defa
     "mmax": dict(type=int, help="largest moment/expansion order"),
     "degree": dict(type=int, help="degree cap D"),
     "eps": dict(type=float, help="tail budget for the truncation radius"),
-    "nodes": dict(type=int, help="nodes per dimension; None: 48 bounded, 64 otherwise"),
+    "nodes": dict(type=int,
+                  help="nodes per dimension; None: quadrature.DEFAULT_NODES by domain kind"),
     "weight": dict(choices=("gauss", "none"), help="inner-product weight"),
     "alpha": dict(type=float, help="exponent of the target e^{alpha r^2}"),
     "k": dict(help="comma-separated wavevector lengths"),

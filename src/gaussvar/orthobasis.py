@@ -94,6 +94,21 @@ def _node_blocks(count: int):
     return (slice(a, a + _NODE_BLOCK) for a in range(0, count, _NODE_BLOCK))
 
 
+def _weighted_gram(disc, weight: str, rows, size: int) -> np.ndarray:
+    """Sum over node blocks s of R R^T, R = rows(X_s) * sqrt(w_s), from zeros.
+
+    ``rows`` maps a block of embedded nodes to one row of values per
+    function; every block's update R R^T is exactly symmetric.
+    """
+    sqrt_w = np.sqrt(disc.weights(weight))
+    G = np.zeros((size, size))
+    for s in _node_blocks(disc.X.shape[0]):
+        R = rows(disc.X[s])
+        R *= sqrt_w[s]
+        G += R @ R.T
+    return G
+
+
 def _first_pair_of_sum(monomials, degree_cap: int) -> np.ndarray:
     """Flat index of the first pair, in row-major order, with each pair's exponent sum.
 
@@ -130,13 +145,9 @@ def gram_matrix(chart: VarietyChart, degree_cap: int, rule: QuadRule,
         raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
     monomials = tuple(monomials_up_to_degree(chart.ambient_dim, degree_cap))
     disc = discretize(chart, rule)
-    sqrt_w = np.sqrt(disc.weights(weight))
-    G = np.zeros((len(monomials), len(monomials)))
     with np.errstate(over="ignore", invalid="ignore"):  # G is checked below
-        for s in _node_blocks(disc.X.shape[0]):
-            E = monomial_values(monomials, disc.X[s])
-            E *= sqrt_w[s]
-            G += E @ E.T  # a symmetric rank-k update: every block is exactly symmetric
+        G = _weighted_gram(disc, weight, lambda X: monomial_values(monomials, X),
+                           len(monomials))
     if not np.all(np.isfinite(G)):
         i, j = np.argwhere(~np.isfinite(G))[0]
         raise QuadratureError(
@@ -264,14 +275,9 @@ def basis_inner_products(gb: GramBasis, rule: QuadRule) -> np.ndarray:
     """Re-integrate <b_i, b_j> with an independent rule (verification aid)."""
     if not gb.is_orthonormalized():
         raise ValueError("basis not extracted yet; call orthonormalize first")
-    disc = discretize(gb.chart, rule)
-    sqrt_w = np.sqrt(disc.weights(gb.weight))
-    G = np.zeros((gb.rank, gb.rank))
-    for s in _node_blocks(disc.X.shape[0]):
-        B = gb.ortho_coeffs @ monomial_values(gb.monomials, disc.X[s])
-        B *= sqrt_w[s]
-        G += B @ B.T
-    return G
+    return _weighted_gram(discretize(gb.chart, rule), gb.weight,
+                          lambda X: gb.ortho_coeffs @ monomial_values(gb.monomials, X),
+                          gb.rank)
 
 
 # ------------------------------------------------------------------ equivalence
@@ -304,35 +310,6 @@ def weighted_equivalence_check(chart: VarietyChart, pairs, rule: QuadRule,
 # ------------------------------------------------------------------ classics
 
 
-def _hermite_coeffs(degree_cap: int) -> np.ndarray:
-    """Normalized Hermite coefficients (weight e^{-x^2}), row k = degree k."""
-    rows = [np.array([1.0]), np.array([0.0, 2.0])]
-    for k in range(1, degree_cap):
-        nxt = np.zeros(k + 2)
-        nxt[1:] = 2.0 * rows[k]
-        nxt[: len(rows[k - 1])] -= 2.0 * k * rows[k - 1]
-        rows.append(nxt)
-    out = np.zeros((degree_cap + 1, degree_cap + 1))
-    for k in range(degree_cap + 1):
-        norm = math.sqrt(2.0 ** k * math.factorial(k) * math.sqrt(math.pi))
-        out[k, : k + 1] = rows[k] / norm
-    return out
-
-
-def _legendre_coeffs(degree_cap: int) -> np.ndarray:
-    """Normalized Legendre coefficients (weight 1 on [-1, 1])."""
-    rows = [np.array([1.0]), np.array([0.0, 1.0])]
-    for k in range(1, degree_cap):
-        nxt = np.zeros(k + 2)
-        nxt[1:] = (2.0 * k + 1.0) * rows[k]
-        nxt[: len(rows[k - 1])] -= k * rows[k - 1]
-        rows.append(nxt / (k + 1.0))
-    out = np.zeros((degree_cap + 1, degree_cap + 1))
-    for k in range(degree_cap + 1):
-        out[k, : k + 1] = rows[k] * math.sqrt((2.0 * k + 1.0) / 2.0)
-    return out
-
-
 @dataclass(frozen=True)
 class RecoveryReport:
     """Comparison of the computed basis against a classical family."""
@@ -358,14 +335,18 @@ def classic_recovery(kind: str, degree_cap: int = 6) -> RecoveryReport:
         R = choose_truncation(growth, 2 * degree_cap, 1e-12)
         rule = build_rule(chart, R)
         gb = orthonormalize(gram_matrix(chart, degree_cap, rule, weight="gauss"))
-        reference = _hermite_coeffs(degree_cap)
+        to_power, sq_norm = np.polynomial.hermite.herm2poly, lambda k: (
+            2.0 ** k * math.factorial(k) * math.sqrt(math.pi))
     elif kind == "legendre":
         chart = chart_graph([], domain=(-1.0, 1.0))
         rule = build_rule(chart, 2)
         gb = orthonormalize(gram_matrix(chart, degree_cap, rule, weight="none"))
-        reference = _legendre_coeffs(degree_cap)
+        to_power, sq_norm = np.polynomial.legendre.leg2poly, lambda k: 2.0 / (2.0 * k + 1.0)
     else:
         raise ValueError(f"kind must be 'hermite' or 'legendre', got {kind!r}")
+    reference = np.zeros((degree_cap + 1, degree_cap + 1))
+    for k in range(degree_cap + 1):  # the degree-k member divided by its norm
+        reference[k, :k + 1] = to_power(np.eye(k + 1)[k]) / math.sqrt(sq_norm(k))
     computed = gb.ortho_coeffs.copy()
     for k in range(computed.shape[0]):
         if computed[k, gb.kept_indices[k]] < 0:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polyring import squared_norms
-from .variety import GrowthEstimate, VarietyChart, solve_param_bound
+from .variety import GrowthEstimate, VarietyChart, param_interval
 
 __all__ = [
     "QuadratureError",
@@ -49,11 +49,9 @@ __all__ = [
     "DEFAULT_NODES",
 ]
 
-DEFAULT_NODES = {"gauss": 64, "periodic": 64, "bounded": 48}
+DEFAULT_NODES = {"unbounded": 64, "periodic": 64, "bounded": 48}  # by domain kind
 
 _TERM_FLOOR = 1e-300
-
-_RULE_KIND = {"unbounded": "gauss", "bounded": "bounded", "periodic": "periodic"}
 
 
 class QuadratureError(RuntimeError):
@@ -64,7 +62,7 @@ class QuadratureError(RuntimeError):
 class DimRule:
     """Nodes and plain (Lebesgue) weights on one parameter dimension."""
 
-    kind: str  # "gauss" (truncated unbounded), "bounded", "periodic"
+    kind: str  # the domain kind: "unbounded" (truncated), "bounded", "periodic"
     lo: float
     hi: float
     nodes: np.ndarray
@@ -109,8 +107,8 @@ def build_rule(chart: VarietyChart, radius: float, nodes_per_dim=None) -> QuadRu
     """Construct the tensor rule for a chart truncated at radius ``radius``.
 
     ``nodes_per_dim`` may be a single int for every dimension, a sequence
-    with one entry per dimension, or None for the per-kind defaults
-    {gauss: 64, periodic: 64, bounded: 48}.
+    with one entry per dimension, or None for :data:`DEFAULT_NODES` of each
+    dimension's domain kind.
     """
     d = chart.intrinsic_dim
     if nodes_per_dim is None:
@@ -125,27 +123,21 @@ def build_rule(chart: VarietyChart, radius: float, nodes_per_dim=None) -> QuadRu
             )
     dims = []
     for dim, dom in enumerate(chart.domains):
-        kind = _RULE_KIND[dom.kind]
-        n = counts[dim] if counts[dim] is not None else DEFAULT_NODES[kind]
+        n = counts[dim] if counts[dim] is not None else DEFAULT_NODES[dom.kind]
         if not isinstance(n, int) or n < 4:
             raise QuadratureError(f"nodes_per_dim must be integers >= 4, got {n!r}")
-        if kind == "gauss":
-            lo, hi = solve_param_bound(chart, dim, radius)
-            if lo < 0.0 < hi:
-                x1, w1 = _gauss_legendre(n // 2, lo, 0.0)
-                x2, w2 = _gauss_legendre(n - n // 2, 0.0, hi)
-                nodes = np.concatenate([x1, x2])
-                weights = np.concatenate([w1, w2])
-            else:
-                nodes, weights = _gauss_legendre(n, lo, hi)
-        elif kind == "bounded":
-            lo, hi = dom.lo, dom.hi
-            nodes, weights = _gauss_legendre(n, lo, hi)
-        else:
-            lo, hi = 0.0, 2.0 * math.pi
+        lo, hi = param_interval(chart, dim, radius)
+        if dom.kind == "periodic":
             nodes = 2.0 * math.pi * np.arange(n) / n
             weights = np.full(n, 2.0 * math.pi / n)
-        dims.append(DimRule(kind, lo, hi, nodes, weights))
+        elif dom.kind == "unbounded" and lo < 0.0 < hi:
+            x1, w1 = _gauss_legendre(n // 2, lo, 0.0)
+            x2, w2 = _gauss_legendre(n - n // 2, 0.0, hi)
+            nodes = np.concatenate([x1, x2])
+            weights = np.concatenate([w1, w2])
+        else:
+            nodes, weights = _gauss_legendre(n, lo, hi)
+        dims.append(DimRule(dom.kind, lo, hi, nodes, weights))
     return QuadRule(dims, radius)
 
 
@@ -195,12 +187,9 @@ class Discretization:
 
 def discretize(chart: VarietyChart, rule: QuadRule) -> Discretization:
     """Sample ``chart`` on the nodes of ``rule``, which must match its domains."""
-    kinds = [d.kind for d in rule.dims]
-    if kinds != [_RULE_KIND[d.kind] for d in chart.domains]:
-        raise QuadratureError(
-            f"rule kinds {kinds} do not fit chart domains "
-            f"{[d.kind for d in chart.domains]}"
-        )
+    kinds, domains = [d.kind for d in rule.dims], [d.kind for d in chart.domains]
+    if kinds != domains:
+        raise QuadratureError(f"rule kinds {kinds} do not fit chart domains {domains}")
     U = rule.points
     X = chart.embed(U)
     return Discretization(

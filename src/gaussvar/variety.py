@@ -19,6 +19,7 @@ parameter points of shape (N, d).
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -40,6 +41,7 @@ __all__ = [
     "chart_modulus_graph",
     "chart_circle",
     "estimate_growth",
+    "param_interval",
     "solve_param_bound",
     "load_chart",
 ]
@@ -147,11 +149,18 @@ def chart_euclidean(n: int) -> VarietyChart:
                         embed, density, f"euclidean(n={n})")
 
 
-def _require_univariate(p: MultiPoly, name: str) -> MultiPoly:
+def _univariate(p: MultiPoly, name: str, real: bool = True) -> MultiPoly:
+    """``p`` checked to be univariate with finite (and, if ``real``, real)
+    coefficients.  A real polynomial is returned with float coefficients, so
+    it evaluates to float64 also when it was built with complex arithmetic."""
     if p.ambient_dim != 1:
         raise ChartError(f"{name} must be a univariate polynomial, "
                          f"got ambient dimension {p.ambient_dim}")
-    return p
+    coeffs = [complex(c) for c in p.terms.values()]
+    if not all(cmath.isfinite(c) and (c.imag == 0 or not real) for c in coeffs):
+        raise ChartError(f"{name} must have finite {'real ' if real else ''}"
+                         f"coefficients, got {p.to_text()}")
+    return MultiPoly(1, {m: c.real for m, c in zip(p.terms, coeffs)}) if real else p
 
 
 def _base_domain(bounds) -> tuple[ParamDomain, str]:
@@ -167,22 +176,23 @@ def chart_graph(components, domain=None) -> VarietyChart:
 
     ``domain`` restricts the base variable to a bounded interval [lo, hi];
     by default the base is all of R.  The density is sqrt(1 + |f'(x)|^2).
+    The components must have finite real coefficients.
     """
-    comps = [_require_univariate(c, f"component {i}") for i, c in enumerate(components)]
+    comps = [_univariate(c, f"components[{i}]") for i, c in enumerate(components)]
     derivs = [c.partial(0) for c in comps]
     n = 1 + len(comps)
     dom, dom_id = _base_domain(domain)
 
     def embed(U):
         x = U[:, 0]
-        cols = [x] + [np.real(c.eval(x.reshape(-1, 1))) for c in comps]
+        cols = [x] + [c.eval(x.reshape(-1, 1)) for c in comps]
         return np.stack(cols, axis=1)
 
     def density(U):
         x = U[:, 0].reshape(-1, 1)
         acc = np.ones(U.shape[0])
         for d in derivs:
-            val = np.real(d.eval(x))
+            val = d.eval(x)
             acc = acc + val * val
         return np.sqrt(acc)
 
@@ -201,7 +211,7 @@ def _check_profile_positive(f: MultiPoly, dom: ParamDomain) -> None:
     """
     c = np.zeros(max(f.degree, 0) + 1)
     for mono, coeff in f.terms.items():
-        c[mono[0]] = np.real(coeff)
+        c[mono[0]] = coeff
     p = np.poly1d(c[::-1])  # drops zero leading coefficients
     pts = np.real(p.deriv().roots)
     if dom.kind == "bounded":
@@ -218,26 +228,23 @@ def _check_profile_positive(f: MultiPoly, dom: ParamDomain) -> None:
 def chart_revolution(f: MultiPoly, h: MultiPoly, u1_domain=None) -> VarietyChart:
     """Revolution surface (f(u1) cos u2, f(u1) sin u2, h(u1)) in R^3.
 
-    Density f * sqrt(f'^2 + h'^2).  The profile f must be positive; this is
-    checked exactly, at the roots of f' and at the domain ends.
+    Density f * sqrt(f'^2 + h'^2).  f and h must have finite real
+    coefficients, and the profile f must be positive; this is checked
+    exactly, at the roots of f' and at the domain ends.
     """
-    f = _require_univariate(f, "f")
-    h = _require_univariate(h, "h")
+    f, h = _univariate(f, "f"), _univariate(h, "h")
     dom1, dom_id = _base_domain(u1_domain)
     _check_profile_positive(f, dom1)
     fp, hp = f.partial(0), h.partial(0)
 
     def embed(U):
         u1 = U[:, 0].reshape(-1, 1)
-        fv = np.real(f.eval(u1))
-        hv = np.real(h.eval(u1))
+        fv, hv = f.eval(u1), h.eval(u1)
         return np.stack([fv * np.cos(U[:, 1]), fv * np.sin(U[:, 1]), hv], axis=1)
 
     def density(U):
         u1 = U[:, 0].reshape(-1, 1)
-        fv = np.real(f.eval(u1))
-        fpv = np.real(fp.eval(u1))
-        hpv = np.real(hp.eval(u1))
+        fv, fpv, hpv = f.eval(u1), fp.eval(u1), hp.eval(u1)
         return fv * np.sqrt(fpv * fpv + hpv * hpv)
 
     return VarietyChart("revolution", 3, (dom1, ParamDomain("periodic")), embed, density,
@@ -247,10 +254,11 @@ def chart_revolution(f: MultiPoly, h: MultiPoly, u1_domain=None) -> VarietyChart
 def chart_modulus_graph(F: MultiPoly) -> VarietyChart:
     """The surface (x, y, |F(z)|) over z = x + iy for a complex polynomial F.
 
-    Density sqrt(1 + |F'(z)|^2).  |F| is not smooth at zeros of F, but those
-    form a null set and the direct formulas below stay finite there.
+    Density sqrt(1 + |F'(z)|^2).  F may have complex coefficients, which
+    must be finite.  |F| is not smooth at zeros of F, but those form a null
+    set and the direct formulas below stay finite there.
     """
-    F = _require_univariate(F, "F")
+    F = _univariate(F, "F", real=False)
     Fp = F.partial(0)
 
     def _z(U):
@@ -328,6 +336,20 @@ def solve_param_bound(chart: VarietyChart, dim: int, radius: float):
     return lo, hi
 
 
+def param_interval(chart: VarietyChart, dim: int, radius: float) -> tuple[float, float]:
+    """Interval of parameter ``dim`` in the box of the chart truncated at ``radius``.
+
+    [0, 2 pi] for a periodic parameter, the domain [lo, hi] for a bounded
+    one, and :func:`solve_param_bound` for an unbounded one.
+    """
+    dom = chart.domains[dim]
+    if dom.kind == "periodic":
+        return 0.0, 2.0 * math.pi
+    if dom.kind == "bounded":
+        return dom.lo, dom.hi
+    return solve_param_bound(chart, dim, radius)
+
+
 # ------------------------------------------------------------------ volume growth
 
 
@@ -348,13 +370,7 @@ _GROWTH_BLOCK = 2 ** 15  # growth-grid nodes sampled at once
 
 def _growth_axis(chart: VarietyChart, dim: int, r_max: float, npts: int):
     """Midpoint grid (nodes, cell size) covering B_{r_max} on one dimension."""
-    dom = chart.domains[dim]
-    if dom.kind == "periodic":
-        lo, hi = 0.0, 2.0 * math.pi
-    elif dom.kind == "bounded":
-        lo, hi = dom.lo, dom.hi
-    else:
-        lo, hi = solve_param_bound(chart, dim, r_max)
+    lo, hi = param_interval(chart, dim, r_max)
     h = (hi - lo) / npts
     return lo + h * (np.arange(npts) + 0.5), h
 
@@ -427,23 +443,6 @@ def estimate_growth(chart: VarietyChart, radii) -> GrowthEstimate:
 # ------------------------------------------------------------------ spec files
 
 
-_SPEC_KEYS = {"kind", "f", "h", "F", "components", "n", "u1_domain"}
-_REQUIRED = {
-    "euclidean": {"n"},
-    "graph": {"components"},
-    "revolution": {"f", "h"},
-    "modulus_graph": {"F"},
-    "circle": set(),
-}
-_OPTIONAL = {
-    "euclidean": set(),
-    "graph": {"u1_domain"},
-    "revolution": {"u1_domain"},
-    "modulus_graph": set(),
-    "circle": set(),
-}
-
-
 def _spec_poly(text, label: str) -> MultiPoly:
     if not isinstance(text, str):
         raise SpecFileError(f"{label} must be a polynomial text string")
@@ -468,13 +467,40 @@ def _parse_domain(value):
     raise SpecFileError(f"u1_domain must be 'unbounded' or [lo, hi], got {value!r}")
 
 
+def _euclidean_spec(spec) -> VarietyChart:
+    n = spec["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise SpecFileError(f"n must be a positive integer, got {n!r}")
+    return chart_euclidean(n)
+
+
+def _graph_spec(spec) -> VarietyChart:
+    comps = spec["components"]
+    if not isinstance(comps, list):
+        raise SpecFileError("components must be a list of polynomial texts")
+    parsed = [_spec_poly(text, f"components[{i}]") for i, text in enumerate(comps)]
+    return chart_graph(parsed, domain=_parse_domain(spec.get("u1_domain")))
+
+
+# kind -> (required keys, optional keys, builder of the chart from the spec)
+_SPECS = {
+    "euclidean": ({"n"}, set(), _euclidean_spec),
+    "graph": ({"components"}, {"u1_domain"}, _graph_spec),
+    "revolution": ({"f", "h"}, {"u1_domain"}, lambda spec: chart_revolution(
+        _spec_poly(spec["f"], "f"), _spec_poly(spec["h"], "h"),
+        u1_domain=_parse_domain(spec.get("u1_domain")))),
+    "modulus_graph": ({"F"}, set(), lambda spec: chart_modulus_graph(
+        _spec_poly(spec["F"], "F"))),
+    "circle": (set(), set(), lambda spec: chart_circle()),
+}
+
+
 def load_chart(spec) -> VarietyChart:
     """Build a chart from a spec dict or a JSON file path.
 
-    The schema is fixed: {"kind": ..., "f": ..., "h": ..., "F": ...,
-    "components": [...], "n": ..., "u1_domain": ...} with polynomials in
-    the text format of :mod:`gaussvar.polyring`.  Which keys are required
-    depends on the kind; unknown keys are rejected.
+    ``_SPECS`` fixes the keys each kind requires and allows; any other key
+    is rejected.  Polynomials are in the text format of
+    :mod:`gaussvar.polyring`.
     """
     if not isinstance(spec, dict):
         path = spec
@@ -487,39 +513,23 @@ def load_chart(spec) -> VarietyChart:
             raise SpecFileError(f"invalid JSON in variety spec {path}: {exc}") from exc
         if not isinstance(spec, dict):
             raise SpecFileError(f"variety spec {path} must contain a JSON object")
-    unknown = set(spec) - _SPEC_KEYS
+    unknown = set(spec) - {"kind"}.union(*(req | opt for req, opt, _ in _SPECS.values()))
     if unknown:
         raise SpecFileError(f"unknown keys in variety spec: {sorted(unknown)}")
     kind = spec.get("kind")
-    if kind not in _REQUIRED:
+    if not isinstance(kind, str) or kind not in _SPECS:
         raise SpecFileError(
-            f"kind must be one of {sorted(_REQUIRED)}, got {kind!r}"
+            f"kind must be one of {sorted(_SPECS)}, got {kind!r}"
         )
+    required, optional, build = _SPECS[kind]
     given = set(spec) - {"kind"}
-    missing = _REQUIRED[kind] - given
+    missing = required - given
     if missing:
         raise SpecFileError(f"kind {kind!r} requires keys {sorted(missing)}")
-    extra = given - _REQUIRED[kind] - _OPTIONAL[kind]
+    extra = given - required - optional
     if extra:
         raise SpecFileError(f"keys {sorted(extra)} do not apply to kind {kind!r}")
-
     try:
-        if kind == "euclidean":
-            n = spec["n"]
-            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                raise SpecFileError(f"n must be a positive integer, got {n!r}")
-            return chart_euclidean(n)
-        if kind == "graph":
-            comps = spec["components"]
-            if not isinstance(comps, list):
-                raise SpecFileError("components must be a list of polynomial texts")
-            parsed = [_spec_poly(text, f"components[{i}]") for i, text in enumerate(comps)]
-            return chart_graph(parsed, domain=_parse_domain(spec.get("u1_domain")))
-        if kind == "revolution":
-            f, h = _spec_poly(spec["f"], "f"), _spec_poly(spec["h"], "h")
-            return chart_revolution(f, h, u1_domain=_parse_domain(spec.get("u1_domain")))
-        if kind == "modulus_graph":
-            return chart_modulus_graph(_spec_poly(spec["F"], "F"))
-        return chart_circle()
+        return build(spec)
     except ChartError as exc:
         raise SpecFileError(f"invalid chart: {exc}") from exc

@@ -136,6 +136,24 @@ class TestMoments:
         assert "u1_domain" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("spec,field", [
+        ({"kind": ["graph"]}, "kind must be one of"),
+        ({"kind": "revolution", "f": "nan", "h": "1*x1^1"}, "invalid chart: f must have"),
+        ({"kind": "graph", "components": ["inf*x1^2"]},
+         "invalid chart: components[0] must have"),
+        ({"kind": "graph", "components": ["1e400*x1"]},
+         "invalid chart: components[0] must have"),
+        ({"kind": "revolution", "f": "(1+2j)", "h": "1*x1^1"}, "invalid chart: f must have"),
+    ])
+    def test_invalid_spec_field_exits_2(self, spec, field, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = main(["moments", "--spec", str(path), "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == EXIT_CONFIG
+        assert len(lines) == 1 and lines[0].startswith(f"gaussvar moments: {field}")
+
+
 class TestRuleSettings:
     @pytest.mark.parametrize("command", ["moments", "basis"])
     @pytest.mark.parametrize("flag,value", [

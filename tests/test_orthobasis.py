@@ -240,7 +240,7 @@ class TestMomentMatrix:
 
 
 class TestRuleCheck:
-    # a cylinder rule (gauss x periodic) does not fit the modulus graph
+    # a cylinder rule (unbounded x periodic) does not fit the modulus graph
     # (unbounded x unbounded); every caller must say so
     @pytest.mark.parametrize("call", [
         lambda gb, rule: gram_matrix(gb.chart, 2, rule),

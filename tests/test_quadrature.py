@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaussvar.quadrature import (
+    DEFAULT_NODES,
     QuadratureError,
     build_rule,
     choose_truncation,
@@ -29,6 +30,16 @@ class TestRuleInvariants:
         total = float(np.sum(rule.weights))
         box_volume = math.prod(d.hi - d.lo for d in rule.dims)
         assert total == pytest.approx(box_volume, rel=1e-12)
+
+    @pytest.mark.parametrize("fixture", [
+        "euclid1", "cylinder", "graph_x2", "modgraph_z2", "circle",
+    ])
+    def test_rule_kinds_are_domain_kinds(self, fixture, request):
+        chart = request.getfixturevalue(fixture)
+        kinds = [d.kind for d in chart.domains]
+        rule = build_rule(chart, 5)
+        assert [d.kind for d in rule.dims] == kinds
+        assert rule.nodes_per_dim == tuple(DEFAULT_NODES[k] for k in kinds)
 
     def test_periodic_weights_uniform(self, cylinder_rule):
         periodic = cylinder_rule.dims[1]

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussvar import variety
 from gaussvar.polyring import MultiPoly, parse_poly, variables
@@ -18,6 +20,7 @@ from gaussvar.variety import (
     chart_revolution,
     estimate_growth,
     load_chart,
+    param_interval,
     solve_param_bound,
 )
 
@@ -95,6 +98,17 @@ class TestGraph:
         with pytest.raises(ChartError):
             chart_graph([x * y])
 
+    def test_complex_typed_real_coefficients_embed_as_float64(self):
+        (x,) = variables(1)
+        sq = (x * 1j) * (x * -1j)  # x^2 with the coefficient (1+0j)
+        chart = chart_graph([sq])
+        u = np.array([0.5, 2.0])
+        assert chart.embed(u).dtype == np.float64
+        assert chart.volume_density(u).dtype == np.float64
+        assert chart.radial_sq(2.0) == 20.0
+        with pytest.raises(ChartError, match=r"components\[1\] must have finite real"):
+            chart_graph([sq, x * 1j])
+
 
 class TestRevolution:
     def test_cylinder_fields(self, cylinder):
@@ -108,6 +122,18 @@ class TestRevolution:
         c = chart_revolution(f, h)
         # f'(0) = 0 and h' = 1, so density = f(0) * 1 = 2 for any angle
         assert c.volume_density((0.0, 2.1)) == pytest.approx(2.0, rel=1e-14)
+
+    def test_complex_typed_real_coefficients_embed_as_float64(self):
+        f = MultiPoly(1, {(0,): 2 + 0j, (2,): 1 + 0j})
+        h = MultiPoly(1, {(1,): 1 + 0j})
+        chart = chart_revolution(f, h)
+        real = chart_revolution(parse_poly("2+1*x1^2", 1), parse_poly("1*x1^1", 1))
+        u = np.array([[0.5, 1.0], [-2.0, 3.0]])
+        assert chart.embed(u).dtype == np.float64
+        assert np.array_equal(chart.embed(u), real.embed(u))
+        assert np.array_equal(chart.volume_density(u), real.volume_density(u))
+        with pytest.raises(ChartError, match="h must have finite real"):
+            chart_revolution(f, h * 1j)
 
     def test_negative_profile_rejected(self):
         with pytest.raises(ChartError):
@@ -316,6 +342,13 @@ class TestSolveParamBound:
             solve_param_bound(cylinder, 1, 5.0)
 
 
+class TestParamInterval:
+    def test_one_interval_per_domain_kind(self, cylinder, graph_x2):
+        assert param_interval(cylinder, 1, 5.0) == (0.0, 2.0 * math.pi)
+        assert param_interval(chart_graph([], domain=(-1.0, 2.5)), 0, 5.0) == (-1.0, 2.5)
+        assert param_interval(graph_x2, 0, 8.0) == solve_param_bound(graph_x2, 0, 8.0)
+
+
 class TestSpecFiles:
     def test_euclidean_spec(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -408,3 +441,56 @@ class TestSpecFiles:
     def test_circle_spec(self):
         chart = load_chart({"kind": "circle"})
         assert chart.radial_sq(1.0) == 1.0
+
+    @pytest.mark.parametrize("kind", [["graph"], {"kind": "graph"}, 3, None])
+    def test_non_string_kind_rejected(self, kind):
+        with pytest.raises(SpecFileError, match="kind must be one of"):
+            load_chart({"kind": kind})
+
+    @pytest.mark.parametrize("spec,label", [
+        ({"kind": "revolution", "f": "nan", "h": "1*x1^1"}, "f must have finite real"),
+        ({"kind": "revolution", "f": "(1+2j)", "h": "1*x1^1"}, "f must have finite real"),
+        ({"kind": "revolution", "f": "1", "h": "inf*x1^1"}, "h must have finite real"),
+        ({"kind": "graph", "components": ["1*x1^2", "inf*x1^2"]},
+         r"components\[1\] must have finite real"),
+        ({"kind": "graph", "components": ["1e400*x1"]},
+         r"components\[0\] must have finite real"),
+        ({"kind": "modulus_graph", "F": "nan*x1^2"}, "F must have finite coefficients"),
+    ])
+    def test_coefficients_must_be_finite_and_real(self, spec, label):
+        with pytest.raises(SpecFileError, match=label):
+            load_chart(spec)
+
+    def test_modulus_graph_takes_complex_coefficients(self):
+        chart = load_chart({"kind": "modulus_graph", "F": "(1+2j)*x1^2"})
+        assert chart.radial_sq((1.0, 0.0)) == pytest.approx(6.0, rel=1e-15)
+
+
+# a fixed pool of spec values: kind strings and non-strings, ints and bools,
+# floats with nan and inf, lists, and polynomial texts (all of degree <= 2)
+POOL = ["euclidean", "graph", "revolution", "modulus_graph", "circle", "sphere", "unbounded",
+        None, 0, 1, 3, -2, True, False, 0.5, -1.0, math.nan, math.inf,
+        [], ["graph"], ["1*x1^2", "nan"], [-1, 1], [0, 2.5], [1, 0], [math.nan, 1],
+        [0, math.inf], [True, 2],
+        "1*x1^2", "2+1*x1^2", "nan", "inf*x1^2", "(1+2j)", "x0^^2"]
+# one valid spec per kind; a draw changes, adds or drops keys of one
+VALID_SPECS = [{"kind": "euclidean", "n": 3},
+               {"kind": "graph", "components": ["1*x1^2"], "u1_domain": [-1, 1]},
+               {"kind": "revolution", "f": "2+1*x1^2", "h": "1*x1^2"},
+               {"kind": "modulus_graph", "F": "(1+2j)"},
+               {"kind": "circle"}]
+SPEC_KEYS = ("kind", "f", "h", "F", "components", "n", "u1_domain", "extra")
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from(VALID_SPECS),
+       changes=st.dictionaries(st.sampled_from(SPEC_KEYS), st.sampled_from(POOL), max_size=2),
+       drop=st.sets(st.sampled_from(SPEC_KEYS), max_size=1))
+def test_load_chart_raises_only_spec_file_error(base, changes, drop):
+    spec = {key: value for key, value in {**base, **changes}.items() if key not in drop}
+    try:
+        chart = load_chart(spec)
+    except SpecFileError:
+        return
+    assert isinstance(chart, VarietyChart)
+    assert np.all(np.isfinite(chart.embed([d.baseline() for d in chart.domains])))
