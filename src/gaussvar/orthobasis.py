@@ -16,7 +16,10 @@ deterministic: a dependent monomial is always the later one in the order.
 A monomial's fate depends only on its predecessors, so the degree-D basis
 is the leading block of the degree-D_max basis (the prefix property): one
 Gram matrix and one elimination at D_max serve a whole degree sweep, and
-:func:`project` reports every D <= D_max at once.
+:func:`project` reports every D <= D_max at once.  It never forms the basis
+values: the coefficients come from the target's moment vector against the
+monomials, and each degree's projection is one polynomial in the monomials,
+evaluated once per node block.
 """
 
 from __future__ import annotations
@@ -219,15 +222,16 @@ def project(gb: GramBasis, f, rule: QuadRule) -> list[ProjectionReport]:
     X of shape (N, n).  Report D, for D = 0..gb.degree_cap, uses the
     leading basis elements whose kept monomial has degree <= D: the basis a
     degree-D Gram matrix gives.  Its residual norm is the quadrature norm of
-    f - sum_k c_k b_k, updated one degree block at a time; unlike
-    sqrt(<f, f> - sum c_k^2) it cannot go negative through cancellation.
-    A non-finite target sample, squared norm of f or squared residual
-    raises :class:`QuadratureError`.
+    f - p_D, where p_D = sum_k c_k b_k; unlike sqrt(<f, f> - sum c_k^2) it
+    cannot go negative through cancellation.  A non-finite target sample,
+    squared norm of f or squared residual raises :class:`QuadratureError`.
 
-    The basis values b_k are formed for ``_NODE_BLOCK`` nodes at a time, in
-    two passes over the blocks: the first sums the coefficients c_k; the
-    second, run backwards from the last block, whose values the first still
-    holds, forms the residual on each block and sums its squares per degree.
+    The monomial values E are formed for ``_NODE_BLOCK`` nodes at a time, in
+    two passes over the blocks.  The first sums the moment vector
+    m = E (W f) and sets c = C m, C being ``gb.ortho_coeffs``.  p_D is one
+    polynomial, with monomial coefficients A_D = c[:end_D] C[:end_D]; the
+    second pass, run backwards from the last block, whose values the first
+    still holds, forms f - A E for all D at once and sums its squares with W.
     """
     if not gb.is_orthonormalized():
         raise ValueError("basis not extracted yet; call orthonormalize first")
@@ -244,21 +248,21 @@ def project(gb: GramBasis, f, rule: QuadRule) -> list[ProjectionReport]:
     with np.errstate(over="ignore", invalid="ignore"):  # both norms are checked below
         C, Wf = gb.ortho_coeffs, W * fvals
         blocks = list(_node_blocks(X.shape[0]))
-        coeffs = np.zeros(C.shape[0])
+        moments = np.zeros(len(gb.monomials))
         for s in blocks:
-            B = C @ monomial_values(gb.monomials, X[s])
-            coeffs += B @ Wf[s]
+            E = monomial_values(gb.monomials, X[s])
+            moments += E @ Wf[s]
+        coeffs = C @ moments
         f_norm2 = float(np.sum(Wf * fvals))
         kept_degrees = [sum(gb.monomials[i]) for i in gb.kept_indices]
         ends = np.searchsorted(kept_degrees, np.arange(gb.degree_cap + 1), side="right")
+        A = np.array([coeffs[:end] @ C[:end] for end in ends])
         parts = np.zeros((len(blocks), gb.degree_cap + 1))
         for b, s in reversed(list(enumerate(blocks))):
             if b < len(blocks) - 1:
-                B = C @ monomial_values(gb.monomials, X[s])
-            diff = fvals[s]
-            for D, (start, end) in enumerate(zip([0, *ends], ends)):
-                diff = diff - coeffs[start:end] @ B[start:end]
-                parts[b, D] = np.sum(W[s] * diff * diff)
+                E = monomial_values(gb.monomials, X[s])
+            diff = fvals[s] - A @ E
+            parts[b] = (diff * diff) @ W[s]
         res2 = sum(parts)  # row by row in block order, as the first pass adds
     if not math.isfinite(f_norm2):
         raise QuadratureError(f"non-finite squared target norm {f_norm2}")

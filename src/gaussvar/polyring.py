@@ -18,6 +18,7 @@ done inside the ring, only exact zeros are dropped.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -274,6 +275,37 @@ def _parent(exponents: tuple) -> tuple[tuple, int]:
     return exponents[:j] + (exponents[j] - 1,) + exponents[j + 1:], j
 
 
+@functools.lru_cache(maxsize=256)
+def _kernel_plan(monomials: tuple) -> tuple:
+    """How :func:`monomial_values` forms the rows of ``monomials``: built once per tuple.
+
+    Returns ``(size, ones, copies, products)``: the row count, scratch
+    parents included; the rows of the constant; ``(row, coordinate)`` for
+    each degree-1 row; and, in degree order, ``(row, source, coordinate)``
+    for each other row, where ``source`` indexes the rows followed by the
+    coordinates (degree-2 rows read their parent straight from the points).
+    """
+    exps = list(monomials)
+    index = {e: i for i, e in enumerate(exps)}
+    for e in exps:  # also visits the parents appended below
+        if sum(e) > 2 and _parent(e)[0] not in index:
+            index[_parent(e)[0]] = len(exps)
+            exps.append(_parent(e)[0])
+    size = len(exps)
+    ones, copies, products = [], [], []
+    for i in sorted(range(size), key=lambda i: sum(exps[i])):
+        e = exps[i]
+        if not any(e):
+            ones.append(i)
+        elif sum(e) == 1:
+            copies.append((i, e.index(1)))
+        else:
+            parent, j = _parent(e)
+            src = size + parent.index(1) if sum(e) == 2 else index[parent]
+            products.append((i, src, j))
+    return size, tuple(ones), tuple(copies), tuple(products)
+
+
 def monomial_values(monomials, points: np.ndarray) -> np.ndarray:
     """Values of the exponent tuples ``monomials`` at ``points`` (shape (N, n)),
     one row per monomial.
@@ -283,28 +315,23 @@ def monomial_values(monomials, points: np.ndarray) -> np.ndarray:
     e_j > 0, so x1^a is the running product ((x1 * x1) * x1) ... .  The
     constant and the coordinates are read straight from ``points``; parents
     of degree >= 2 missing from ``monomials`` get scratch rows past the
-    returned ones.  The monomials may come in any order; the result has the
-    dtype of ``points``.
+    returned ones.  Which rows multiply which is planned once per tuple of
+    monomials (:func:`_kernel_plan`, cached), so a call on a block of points
+    only runs the multiplications.  The monomials may come in any order; the
+    result has the dtype of ``points``.
     """
-    exps = list(monomials)
-    count = len(exps)
-    index = {e: i for i, e in enumerate(exps)}
-    for e in exps:  # also visits the parents appended below
-        if sum(e) > 2 and _parent(e)[0] not in index:
-            index[_parent(e)[0]] = len(exps)
-            exps.append(_parent(e)[0])
-    E = np.empty((len(exps), points.shape[0]), dtype=points.dtype)
-    for i in sorted(range(len(exps)), key=lambda i: sum(exps[i])):
-        e = exps[i]
-        if not any(e):
-            E[i] = 1
-        elif sum(e) == 1:
-            E[i] = points[:, e.index(1)]
-        else:
-            parent, j = _parent(e)
-            src = points[:, parent.index(1)] if sum(e) == 2 else E[index[parent]]
-            np.multiply(src, points[:, j], out=E[i])
-    return E[:count]
+    monomials = tuple(monomials)
+    size, ones, copies, products = _kernel_plan(monomials)
+    E = np.empty((size, points.shape[0]), dtype=points.dtype)
+    cols = [points[:, j] for j in range(points.shape[1])]
+    for i in ones:
+        E[i] = 1
+    for i, c in copies:
+        E[i] = cols[c]
+    rows = [*E, *cols]
+    for i, src, j in products:
+        np.multiply(rows[src], cols[j], out=rows[i])
+    return E[:len(monomials)]
 
 
 def variables(n: int) -> tuple[MultiPoly, ...]:

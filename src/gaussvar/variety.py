@@ -74,9 +74,12 @@ class ParamDomain:
             raise ValueError(f"bounded domain needs lo < hi, got [{self.lo}, {self.hi}]")
 
     def baseline(self) -> float:
-        """A reference point inside the domain (0 or the interval midpoint)."""
+        """A reference point inside the domain (0 or the interval midpoint).
+
+        The halves are added, so the midpoint of finite bounds is finite.
+        """
         if self.kind == "bounded":
-            return 0.5 * (self.lo + self.hi)
+            return 0.5 * self.lo + 0.5 * self.hi
         return 0.0
 
 
@@ -218,8 +221,10 @@ def _check_profile_positive(f: MultiPoly, dom: ParamDomain) -> None:
         pts = np.append(pts[(pts >= dom.lo) & (pts <= dom.hi)], [dom.lo, dom.hi])
     elif p.order % 2 or p.coeffs[0] <= 0:
         raise ChartError(f"revolution profile f = {f.to_text()} is not positive on R")
-    # the baseline point settles a constant f, whose f' has no roots
-    low = float(np.min(p(np.append(pts, dom.baseline()))))
+    # the baseline point settles a constant f, whose f' has no roots; a value
+    # that overflows is +-inf, which still compares right against 0
+    with np.errstate(over="ignore"):
+        low = float(np.min(p(np.append(pts, dom.baseline()))))
     if low <= 0:
         raise ChartError("revolution profile f must be positive on the parameter "
                          f"domain; minimum {low:.6g}")
@@ -530,6 +535,17 @@ def load_chart(spec) -> VarietyChart:
     if extra:
         raise SpecFileError(f"keys {sorted(extra)} do not apply to kind {kind!r}")
     try:
-        return build(spec)
+        chart = build(spec)
     except ChartError as exc:
         raise SpecFileError(f"invalid chart: {exc}") from exc
+    dom = chart.domains[0]
+    if dom.kind == "bounded":  # |x|^2 at the ends and middle of u1_domain
+        rest = [d.baseline() for d in chart.domains[1:]]
+        U = [[u1, *rest] for u1 in (dom.lo, dom.baseline(), dom.hi)]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+            r2 = chart.radial_sq(U)
+        if not np.all(np.isfinite(r2)):
+            u1 = U[int(np.nonzero(~np.isfinite(r2))[0][0])][0]
+            raise SpecFileError(f"u1_domain [{dom.lo!r}, {dom.hi!r}] is too wide: "
+                                f"|x|^2 is not finite at u1 = {u1!r}")
+    return chart

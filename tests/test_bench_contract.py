@@ -1,22 +1,49 @@
 """The benchmark under ``perfbench/`` reaches into ``src/`` by name.
 
 A rename in the package that breaks the tracer or the bench's own
-failure-path checks fails here, not only when the benchmark runs.
+failure-path checks fails here, not only when the benchmark runs.  The
+projection studies at the extreme scale levels a seed can draw are also
+run here and checked as the benchmark checks them.
 """
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from gaussvar import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 
+def load_bench_modules(*names):
+    """The named ``perfbench/`` modules, each registered in sys.modules while
+    they load (dataclasses and ``check.py``'s imports look them up there)."""
+    modules = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+            spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+            module = importlib.util.module_from_spec(spec)
+            mp.setitem(sys.modules, name, module)
+            spec.loader.exec_module(module)
+            modules.append(module)
+    return modules
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench's check and workloads modules, and its recorded reference."""
+    workloads, check = load_bench_modules("workloads", "check")
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    return check, workloads, reference
+
+
 def test_traced_names_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    (spans,) = load_bench_modules("spans")
     missing = [f"{owner.__name__}.{attr}"
                for owner, attr, _, _ in spans._targets() if not hasattr(owner, attr)]
     assert not missing
@@ -27,3 +54,25 @@ def test_selftest_passes(src_env):
     proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], cwd=ROOT,
                           env=src_env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# (chart, coefficient scale, alpha): the lowest and highest levels of each draw
+EXTREME_PROJECTIONS = [("euclid3", 1.0, alpha) for alpha in (0.125, 0.375)] + [
+    (chart, scale, alpha) for chart in ("cylinder", "modgraph")
+    for scale in (0.5, 2.0) for alpha in (0.125, 0.375)]
+
+
+@pytest.mark.parametrize("chart,scale,alpha", EXTREME_PROJECTIONS)
+def test_projection_at_extreme_levels_passes_check(bench, chart, scale, alpha, tmp_path):
+    check, workloads, reference = bench
+    scales = {**workloads.draw_scales(0), "cylinder_radius": scale,
+              "modulus_coeff": scale, "alpha": alpha}
+    specs = workloads.chart_specs(scales)
+    workload = "euclid3-sweep" if chart == "euclid3" else "surface-sweep"
+    study = next(st for st in workloads.study_list(workload, scales)
+                 if st.sid == f"project:{chart}")
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    spec.write_text(json.dumps(specs[chart]))
+    argv = [study.command, "--spec", str(spec), *study.flags, "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert check.check_study(study, scales, out, reference[study.key(specs)], None) is None

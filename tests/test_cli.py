@@ -135,6 +135,23 @@ class TestMoments:
         assert code == EXIT_CONFIG
         assert "u1_domain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["moments", "growth"])
+    @pytest.mark.parametrize("chart", [
+        {"kind": "graph", "components": ["1*x1^1"]},
+        {"kind": "revolution", "f": "1", "h": "1*x1^1"},
+    ], ids=["graph", "revolution"])
+    @pytest.mark.parametrize("domain", [[1e308, 1.7e308], [-1.5e308, 1.5e308]],
+                             ids=["near-max", "symmetric"])
+    def test_domain_whose_radius_overflows_exits_2(self, command, chart, domain,
+                                                   tmp_path, capsys):
+        # finite bounds, but |x|^2 overflows on them; no numpy warning first
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**chart, "u1_domain": domain}))
+        code = main([command, "--spec", str(spec), "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == EXIT_CONFIG
+        assert len(lines) == 1 and lines[0].startswith(f"gaussvar {command}: u1_domain")
+
 
     @pytest.mark.parametrize("spec,field", [
         ({"kind": ["graph"]}, "kind must be one of"),

@@ -412,6 +412,34 @@ class TestProjection:
                                   cylinder_rule))
             assert np.sum(rep.coefficients ** 2) <= fsq + 1e-9
 
+    # Largest gaps to reference_project over the five charts, D = 2..8 and 41
+    # alphas in [0.05, 0.45], relative to f_norm: 2.5e-12 in the coefficients
+    # (modulus graph), 4.6e-14 in the residuals and 8e-14 in a rel_residual
+    # increase (circle, whose exact residual is 0, so only rounding is left).
+    COEFF_TOL, RESIDUAL_TOL = 1e-11, 2e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(0.05, 0.45), D=st.integers(2, 8))
+    @pytest.mark.parametrize("case", [chart for chart, _ in CHARTS])
+    def test_matches_orthonormal_rows(self, chart_rules, case, alpha, D):
+        # the moment vector and the one polynomial per degree give what the
+        # orthonormal basis rows give
+        chart, rule = chart_rules[case]
+        gb = orthonormalize(gram_matrix(chart, D, rule))
+        f = lambda X: np.exp(alpha * squared_norms(X))
+        reports = project(gb, f, rule)
+        disc = discretize(chart, rule)
+        fvals = f(disc.X)
+        f_norm = math.sqrt(float(np.sum(disc.weights() * fvals * fvals)))
+        assert len(reports) == D + 1
+        for rep, (coeffs, residual) in zip(reports, reference_project(gb, f, rule)):
+            assert rep.f_norm == f_norm
+            assert np.all(np.abs(rep.coefficients - coeffs) <= self.COEFF_TOL * f_norm)
+            assert abs(rep.residual_norm - residual) <= self.RESIDUAL_TOL * f_norm
+        rels = [rep.rel_residual for rep in reports]
+        # check.py's slack, plus the rounding floor of a vanishing residual
+        assert all(b <= a * (1 + 1e-9) + self.RESIDUAL_TOL for a, b in zip(rels, rels[1:]))
+
     def test_projection_requires_basis(self, euclid1, euclid1_rule):
         gb = gram_matrix(euclid1, 2, euclid1_rule)
         with pytest.raises(ValueError):

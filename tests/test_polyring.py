@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gaussvar import polyring
 from gaussvar.polyring import (
     MultiPoly,
     _graded_lex,
@@ -141,6 +142,60 @@ class TestMonomialKernel:
         X = data.draw(sample_points(n))
         x1 = MultiPoly.variable(n, 0)
         assert np.array_equal((x1 * x1).eval(X), x1.eval(X) ** 2)
+
+
+def running_product(e, pts):
+    """x^e as the kernel's multiply sequence: x1 taken e1 times, then x2, ...,
+    each factor multiplied into the running product; the constant is 1."""
+    out = None
+    for j, k in enumerate(e):
+        for _ in range(k):
+            out = pts[:, j].copy() if out is None else out * pts[:, j]
+    return np.ones(pts.shape[0], dtype=pts.dtype) if out is None else out
+
+
+def assert_bit_equal_to_running_products(E, exps, pts):
+    assert E.shape == (len(exps), pts.shape[0]) and E.dtype == pts.dtype
+    for row, e in zip(E, exps):
+        assert row.tobytes() == running_product(e, pts).tobytes(), e
+
+
+class TestKernelPlan:
+    """The cached plan gives the values of a freshly planned call, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_list_tuple_and_shuffled_order(self, data):
+        n, exps = data.draw(exponent_lists())
+        pts = data.draw(sample_points(n))
+        order = data.draw(st.permutations(range(len(exps))))
+        shuffled = [exps[i] for i in order]
+        E = monomial_values(exps, pts)
+        assert_bit_equal_to_running_products(E, exps, pts)
+        assert monomial_values(tuple(exps), pts).tobytes() == E.tobytes()
+        assert monomial_values(shuffled, pts).tobytes() == E[list(order)].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_repeated_monomials_and_complex_points(self, data):
+        n, exps = data.draw(exponent_lists())
+        exps = exps + data.draw(st.lists(st.sampled_from(exps), min_size=1, max_size=4))
+        pts = data.draw(sample_points(n))
+        pts = pts + 1j * pts[::-1] if data.draw(st.booleans()) else pts
+        assert_bit_equal_to_running_products(monomial_values(exps, pts), exps, pts)
+
+    def test_same_values_after_the_plan_is_evicted(self):
+        exps = [(3, 0, 2), (0, 0, 0), (1, 1, 1), (0, 5, 0), (2, 0, 0)]
+        pts = np.random.default_rng(7).uniform(-2.0, 2.0, size=(50, 3))
+        first = monomial_values(exps, pts)
+        cache = polyring._kernel_plan
+        for d in range(cache.cache_info().maxsize + 1):  # other monomial sets
+            monomial_values([(d, 0, 0), (0, d, 1)], pts)
+        misses = cache.cache_info().misses
+        again = monomial_values(exps, pts)
+        assert cache.cache_info().misses == misses + 1  # planned afresh
+        assert again.tobytes() == first.tobytes()
+        assert_bit_equal_to_running_products(again, exps, pts)
 
 
 class TestSquaredNorms:

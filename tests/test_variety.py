@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -406,6 +407,25 @@ class TestSpecFiles:
     def test_bad_domain(self):
         with pytest.raises(SpecFileError, match="u1_domain"):
             load_chart({"kind": "graph", "components": [], "u1_domain": [2, 1]})
+
+    @pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (0.25, 3.5), (1e308, 1.7e308),
+                                       (-1.7e308, 1.7e308), (-5e-324, 5e-324)])
+    def test_baseline_is_a_finite_midpoint(self, lo, hi):
+        mid = ParamDomain("bounded", lo, hi).baseline()
+        assert math.isfinite(mid) and lo <= mid <= hi
+        if math.isfinite(lo + hi):  # the value 0.5 * (lo + hi) had before
+            assert mid == 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("spec,u1", [
+        # (u, u^3) is finite at lo but overflows at the midpoint
+        ({"kind": "graph", "components": ["1*x1^3"], "u1_domain": [1, 1e200]}, "5e+199"),
+        # the profile check meets f = inf at the ends without a numpy warning
+        ({"kind": "revolution", "f": "1+1*x1^2", "h": "1*x1^1",
+          "u1_domain": [1e308, 1.7e308]}, "1e+308"),
+    ])
+    def test_domain_whose_radius_overflows_rejected(self, spec, u1):
+        with pytest.raises(SpecFileError, match=rf"u1_domain .* u1 = {re.escape(u1)}$"):
+            load_chart(spec)
 
     @pytest.mark.parametrize("spec,field", [
         ({"kind": "euclidean", "n": True}, "n must"),
