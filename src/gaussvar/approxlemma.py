@@ -46,6 +46,11 @@ def _check_km(k: float, m: int, m_min: int = 1) -> None:
         raise ValueError(f"order m must be >= {m_min}, got {m}")
 
 
+def _maximizer(k: float, m: int) -> float:
+    """w = k^2/4 + (k/4) sqrt(k^2 + 8m), where (y^m / m!) e^{y - y^2/k^2} peaks."""
+    return k * k / 4.0 + (k / 4.0) * math.sqrt(k * k + 8.0 * m)
+
+
 def log_cm(k: float, m: int) -> float:
     """ln C_m from the closed form.
 
@@ -55,7 +60,7 @@ def log_cm(k: float, m: int) -> float:
     C_m itself underflows (k = 1 from m of about 300).
     """
     _check_km(k, m)
-    w = k * k / 4.0 + (k / 4.0) * math.sqrt(k * k + 8.0 * m)
+    w = _maximizer(k, m)
     return m * math.log(w) - math.lgamma(m + 1.0) + w - w * w / (k * k)
 
 
@@ -95,8 +100,7 @@ def cstar(k: float, m: int) -> float:
            + m/2 - m ln m - (1/2) ln m.
     """
     _check_km(k, m, m_min=2)
-    w = k * k / 4.0 + (k / 4.0) * math.sqrt(k * k + 8.0 * m)
-    return (m * math.log(w) + (k / (2.0 * math.sqrt(2.0))) * math.sqrt(m)
+    return (m * math.log(_maximizer(k, m)) + (k / (2.0 * math.sqrt(2.0))) * math.sqrt(m)
             + m / 2.0 - m * math.log(m) - 0.5 * math.log(m))
 
 
@@ -108,8 +112,7 @@ def alpha_gap(k: float, m: int) -> float:
     in m is ever asserted.
     """
     _check_km(k, m)
-    w = k * k / 4.0 + (k / 4.0) * math.sqrt(k * k + 8.0 * m)
-    return math.log(w) - 0.5 * math.log(m)
+    return math.log(_maximizer(k, m)) - 0.5 * math.log(m)
 
 
 @dataclass(frozen=True)

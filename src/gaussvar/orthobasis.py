@@ -25,7 +25,7 @@ evaluated once per node block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -144,8 +144,6 @@ def gram_matrix(chart: VarietyChart, degree_cap: int, rule: QuadRule,
     pair, in row-major order, with its exponent sum a + b.  Equal moments are
     then one double, and G stays exactly symmetric (that pair has i <= j).
     """
-    if degree_cap < 0:
-        raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
     monomials = tuple(monomials_up_to_degree(chart.ambient_dim, degree_cap))
     disc = discretize(chart, rule)
     with np.errstate(over="ignore", invalid="ignore"):  # G is checked below
@@ -194,11 +192,8 @@ def orthonormalize(gb: GramBasis, rank_tol: float = 1e-9) -> GramBasis:
         norm = math.sqrt(res2)
         C[k], GC[k] = v / norm, Gv / norm
         kept.append(i)
-    return GramBasis(
-        chart=gb.chart, degree_cap=gb.degree_cap, monomials=gb.monomials,
-        gram=gb.gram, weight=gb.weight, rank=len(kept),
-        kept_indices=tuple(kept), ortho_coeffs=C[:len(kept)].copy(),
-    )
+    return replace(gb, rank=len(kept), kept_indices=tuple(kept),
+                   ortho_coeffs=C[:len(kept)].copy())
 
 
 @dataclass(frozen=True)
@@ -227,43 +222,31 @@ def project(gb: GramBasis, f, rule: QuadRule) -> list[ProjectionReport]:
     squared norm of f or squared residual raises :class:`QuadratureError`.
 
     The monomial values E are formed for ``_NODE_BLOCK`` nodes at a time, in
-    two passes over the blocks.  The first sums the moment vector
+    two forward passes over the blocks.  The first sums the moment vector
     m = E (W f) and sets c = C m, C being ``gb.ortho_coeffs``.  p_D is one
     polynomial, with monomial coefficients A_D = c[:end_D] C[:end_D]; the
-    second pass, run backwards from the last block, whose values the first
-    still holds, forms f - A E for all D at once and sums its squares with W.
+    second forms f - A E for all D at once and adds each block's squares,
+    weighted by W, into the squared residuals.
     """
     if not gb.is_orthonormalized():
         raise ValueError("basis not extracted yet; call orthonormalize first")
     disc = discretize(gb.chart, rule)
-    W, X = disc.weights(gb.weight), disc.X
-    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-        fvals = np.asarray(f(X), dtype=float)
-    if not np.all(np.isfinite(fvals)):
-        i = int(np.nonzero(~np.isfinite(fvals))[0][0])
-        raise QuadratureError(
-            f"non-finite target sample at node {i}, parameters "
-            f"{rule.points[i].tolist()}"
-        )
+    W, X, fvals = disc.weights(gb.weight), disc.X, disc.sample(f)
+    C = gb.ortho_coeffs
+    kept_degrees = [sum(gb.monomials[i]) for i in gb.kept_indices]
+    ends = np.searchsorted(kept_degrees, np.arange(gb.degree_cap + 1), side="right")
     with np.errstate(over="ignore", invalid="ignore"):  # both norms are checked below
-        C, Wf = gb.ortho_coeffs, W * fvals
-        blocks = list(_node_blocks(X.shape[0]))
+        Wf = W * fvals
         moments = np.zeros(len(gb.monomials))
-        for s in blocks:
-            E = monomial_values(gb.monomials, X[s])
-            moments += E @ Wf[s]
+        for s in _node_blocks(X.shape[0]):
+            moments += monomial_values(gb.monomials, X[s]) @ Wf[s]
         coeffs = C @ moments
         f_norm2 = float(np.sum(Wf * fvals))
-        kept_degrees = [sum(gb.monomials[i]) for i in gb.kept_indices]
-        ends = np.searchsorted(kept_degrees, np.arange(gb.degree_cap + 1), side="right")
         A = np.array([coeffs[:end] @ C[:end] for end in ends])
-        parts = np.zeros((len(blocks), gb.degree_cap + 1))
-        for b, s in reversed(list(enumerate(blocks))):
-            if b < len(blocks) - 1:
-                E = monomial_values(gb.monomials, X[s])
-            diff = fvals[s] - A @ E
-            parts[b] = (diff * diff) @ W[s]
-        res2 = sum(parts)  # row by row in block order, as the first pass adds
+        res2 = np.zeros(gb.degree_cap + 1)
+        for s in _node_blocks(X.shape[0]):
+            diff = fvals[s] - A @ monomial_values(gb.monomials, X[s])
+            res2 += (diff * diff) @ W[s]
     if not math.isfinite(f_norm2):
         raise QuadratureError(f"non-finite squared target norm {f_norm2}")
     if not np.all(np.isfinite(res2)):
@@ -300,13 +283,10 @@ def weighted_equivalence_check(chart: VarietyChart, pairs, rule: QuadRule,
     def side(rule, damped):
         disc = discretize(chart, rule)
         damp = np.exp(-0.25 * disc.r2) if damped else 1.0  # x * 1.0 is exact
-        out = []
-        for f, p in pairs:
-            with np.errstate(over="ignore", invalid="ignore"):  # integrate checks them
-                diff = np.asarray(f(disc.X)) * damp - np.real(p.eval(disc.X)) * damp
-                vals = diff * diff
-            out.append(float(disc.integrate(vals, scale=0.5 if damped else 1.0)))
-        return out
+        return [float(disc.integrate(
+                    lambda X: np.square(f(X) * damp - np.real(p.eval(X)) * damp),
+                    scale=0.5 if damped else 1.0))
+                for f, p in pairs]
 
     return list(zip(side(rule, True), side(rule_rhs or rule, False)))
 

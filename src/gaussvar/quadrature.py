@@ -14,8 +14,12 @@ discretize plain Lebesgue measure on a truncated box:
 
 :func:`discretize` samples a chart on a rule once -- the embedded points
 X, r^2 = |X|^2 and the measure weights dmu = rule weights x density -- and
-every integral, Gram matrix and projection works from that sample.
-Integrands are functions of the ambient point x, so they are called on X.
+every integral, Gram matrix and projection works from that sample.  It
+rejects a non-finite r^2 or volume density, naming the node, so the weights
+are finite.  Integrands are functions of the ambient point x, and
+:meth:`Discretization.sample` is the one place they are evaluated: it calls
+them on X and names the first node whose value is non-finite.  An integral
+is the weighted sum of those values, and only its total is checked.
 Every sum runs in a fixed order, over the nodes or over node blocks of a
 fixed size, so every result is reproducible bit for bit for a fixed rule.
 """
@@ -141,12 +145,27 @@ def build_rule(chart: VarietyChart, radius: float, nodes_per_dim=None) -> QuadRu
     return QuadRule(dims, radius)
 
 
+def _check_nodes(U: np.ndarray, vals: np.ndarray, what: str) -> None:
+    """Raise naming the first node, and its parameters, where ``vals`` is non-finite."""
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        raise QuadratureError(f"non-finite {what} at node {i}, parameters {U[i].tolist()}")
+
+
+def _checked_total(total):
+    if not np.isfinite(total):
+        raise QuadratureError(f"non-finite integral {total} of finite samples")
+    return total
+
+
 @dataclass(frozen=True)
 class Discretization:
     """A chart sampled once on a rule's nodes.
 
     ``X`` holds the embedded nodes (N, n), ``r2`` the squared radii |X|^2
-    and ``dmu`` the rule weights times the volume density.
+    and ``dmu`` the rule weights times the volume density, all finite.
+    Integrands are evaluated and checked by :meth:`sample` only.
     """
 
     rule: QuadRule
@@ -162,40 +181,39 @@ class Discretization:
             raise ValueError(f"weight must be 'gauss' or 'none', got {weight!r}")
         return self.dmu
 
-    def integrate(self, vals, weight: str = "gauss", scale: float = 1.0):
-        """Weighted sum of node values; names the first non-finite node.
+    def sample(self, g) -> np.ndarray:
+        """Node values of ``g``: g(X) for a callable, else a scalar or node array.
 
-        A sum of finite samples that overflows raises as well.
+        Raises :class:`QuadratureError` naming the first node, and its
+        parameters, whose value is non-finite; no numpy warning escapes.
         """
-        U = self.rule.points
-        W = self.weights(weight, scale)
-        vals = np.asarray(vals)
-        if vals.shape != (U.shape[0],):
-            vals = np.broadcast_to(vals, (U.shape[0],))
-        bad = ~np.isfinite(W) | ~np.isfinite(vals)
-        if np.any(bad):
-            i = int(np.nonzero(bad)[0][0])
-            raise QuadratureError(
-                f"non-finite integrand sample at node {i}, parameters {U[i].tolist()}"
-            )
-        with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-            total = np.sum(W * vals)
-        if not np.isfinite(total):
-            raise QuadratureError(f"non-finite integral {total} of finite samples")
-        return total
+        with np.errstate(all="ignore"):  # checked right below
+            vals = np.broadcast_to(g(self.X) if callable(g) else g, self.r2.shape)
+        _check_nodes(self.rule.points, vals, "integrand sample")
+        return vals
+
+    def integrate(self, g, weight: str = "gauss", scale: float = 1.0):
+        """Weighted sum of :meth:`sample` ``(g)``; a total that overflows raises."""
+        vals = self.sample(g)
+        with np.errstate(over="ignore", invalid="ignore"):  # the total is checked
+            return _checked_total(np.sum(self.weights(weight, scale) * vals))
 
 
 def discretize(chart: VarietyChart, rule: QuadRule) -> Discretization:
-    """Sample ``chart`` on the nodes of ``rule``, which must match its domains."""
+    """Sample ``chart`` on the nodes of ``rule``, which must match its domains.
+
+    A non-finite |x|^2 or volume density raises, naming the first such node.
+    """
     kinds, domains = [d.kind for d in rule.dims], [d.kind for d in chart.domains]
     if kinds != domains:
         raise QuadratureError(f"rule kinds {kinds} do not fit chart domains {domains}")
     U = rule.points
-    X = chart.embed(U)
-    return Discretization(
-        rule=rule, X=X, r2=squared_norms(X),
-        dmu=rule.weights * chart.volume_density(U),
-    )
+    with np.errstate(all="ignore"):  # checked right below
+        X = chart.embed(U)
+        r2, dmu = squared_norms(X), rule.weights * chart.volume_density(U)
+    _check_nodes(U, r2, "|x|^2")
+    _check_nodes(U, dmu, "volume density")
+    return Discretization(rule=rule, X=X, r2=r2, dmu=dmu)
 
 
 def integrate(chart: VarietyChart, g, rule: QuadRule, weight: str = "gauss"):
@@ -206,9 +224,7 @@ def integrate(chart: VarietyChart, g, rule: QuadRule, weight: str = "gauss"):
     constant.  Raises :class:`QuadratureError` naming the parameters of the
     first node whose sample is non-finite.
     """
-    disc = discretize(chart, rule)
-    vals = g(disc.X) if callable(g) else float(g)
-    return disc.integrate(vals, weight)
+    return discretize(chart, rule).integrate(g, weight)
 
 
 def gaussian_moment(chart: VarietyChart, m: int, rule: QuadRule) -> float:
@@ -289,9 +305,8 @@ def moment_table(chart: VarietyChart, m_values, rule: QuadRule,
     for m in m_values:
         if m < 0:
             raise ValueError(f"moment order must be >= 0, got {m}")
-        with np.errstate(over="ignore"):  # integrate names an overflowed sample
-            vals = r2 ** (m // 2) if m % 2 == 0 else r2 ** (m / 2.0)
-        value = float(disc.integrate(vals))
+        value = float(disc.integrate(
+            lambda _: r2 ** (m // 2) if m % 2 == 0 else r2 ** (m / 2.0)))
         if growth is not None:
             bound = tail_budget(growth.C, growth.l, m, rule.truncation_radius)
         else:
@@ -331,7 +346,7 @@ def integrability_scan(chart: VarietyChart, alpha: float,
     values = []
     for R in radii:
         disc = discretize(chart, build_rule(chart, R))
-        values.append(float(disc.integrate(np.exp(2.0 * alpha * disc.r2))))
+        values.append(float(disc.integrate(lambda _: np.exp(2.0 * alpha * disc.r2))))
     divergent = any(
         values[i + 3] > 10.0 * values[i] for i in range(len(values) - 3)
     )
@@ -346,14 +361,11 @@ def shell_moment_sum(chart: VarietyChart, m: int, rule: QuadRule):
 
     Returns (per-shell contributions, their total).  The shells partition
     the nodes, so the total must agree with the direct moment up to
-    summation reordering.
+    summation reordering.  A non-finite sample or total raises.
     """
     disc = discretize(chart, rule)
     r = np.sqrt(disc.r2)
-    vals = disc.weights() * r ** m
-    shell_idx = np.floor(r).astype(int)
-    j_max = int(shell_idx.max())
-    shells = np.array(
-        [np.sum(vals[shell_idx == j]) for j in range(j_max + 1)]
-    )
-    return shells, float(np.sum(shells))
+    vals = disc.sample(lambda _: r ** m)
+    with np.errstate(over="ignore", invalid="ignore"):  # the total is checked
+        shells = np.bincount(np.floor(r).astype(int), weights=disc.weights() * vals)
+        return shells, float(_checked_total(np.sum(shells)))

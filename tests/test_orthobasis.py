@@ -577,14 +577,13 @@ class TestNodeBlocks:
             project(gb, self.target(cylinder), rule)
             project_calls, calls[:] = calls[:], []
             basis_inner_products(gb, rule)
-            # every node once, in node order; project's second pass then visits
-            # every block but the last, whose values it kept, in reverse
+            # every node once, in node order; project's two passes each do so
             for seen, expected in ((gram_calls, blocks), (calls, blocks),
-                                   (project_calls, blocks + blocks[-2::-1])):
+                                   (project_calls, blocks + blocks)):
                 assert max(p.shape[0] for p in seen) <= size
                 assert len(seen) == len(expected)
                 assert all(np.array_equal(p, q) for p, q in zip(seen, expected))
-        assert len(project_calls) == 1  # a one-block rule evaluates once
+        assert len(project_calls) == 2  # a one-block rule evaluates once per pass
 
 
 class TestWeightedEquivalence:

@@ -1,0 +1,85 @@
+"""List the CSV files the bench studies write differently in another checkout.
+
+Usage, from the repository root::
+
+    python3 tools/same_outputs.py PARENT_CHECKOUT
+
+Every study of every workload in ``perfbench/workloads.py``, at seeds 0
+and 3, runs through ``gaussvar.cli.main`` once per checkout: in a child
+interpreter that imports ``gaussvar`` from that checkout's ``src/``, with
+the spec files written once for both.  Every CSV either side writes is
+compared byte for byte.  The differing files are listed, and the exit code
+is 1 when there is one, or when a study's exit code differs.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
+
+SEEDS = (0, 3)
+_RUN = ("import json, sys\n"
+        "from gaussvar.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.load(sys.stdin)]))\n")
+
+
+def study_argvs(work: Path) -> list[tuple[str, list[str]]]:
+    """(output directory, argv without --out) of every study, specs written to ``work``."""
+    out = []
+    for name in sorted(workloads.WHY):
+        for seed in SEEDS:
+            plan = workloads.make_plan(name, seed)
+            specs = work / "specs" / f"{name}-seed{seed}"
+            specs.mkdir(parents=True)
+            for chart, spec in plan.specs.items():
+                (specs / f"{chart}.json").write_text(json.dumps(spec))
+            for i, st in enumerate(plan.studies):
+                spec = ["--spec", str(specs / f"{st.chart}.json")] if st.chart else []
+                out.append((f"{name}-seed{seed}/{i:02d}-{st.sid.replace(':', '-')}",
+                            [st.command, *spec, *st.flags]))
+    return out
+
+
+def run_side(checkout: Path, studies, out: Path) -> list[int]:
+    """Run every study with ``checkout``'s package; their exit codes."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    argvs = [argv + ["--out", str(out / rel)] for rel, argv in studies]
+    proc = subprocess.run([sys.executable, "-c", _RUN], input=json.dumps(argvs),
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1 or not (Path(args[0]) / "src" / "gaussvar").is_dir():
+        print("usage: python3 tools/same_outputs.py PARENT_CHECKOUT", file=sys.stderr)
+        return 2
+    parent = Path(args[0]).resolve()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        studies = study_argvs(work)
+        codes = {side: run_side(checkout, studies, work / side)
+                 for side, checkout in (("parent", parent), ("this", ROOT))}
+        differ = [f"{rel}: exit {a} vs {b}" for (rel, _), a, b
+                  in zip(studies, codes["parent"], codes["this"]) if a != b]
+        csvs = sorted({p.relative_to(work / side).as_posix()
+                       for side in codes for p in (work / side).rglob("*.csv")})
+        for rel in csvs:
+            a, b = work / "parent" / rel, work / "this" / rel
+            if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
+                differ.append(rel)
+    print("\n".join(differ + [f"{len(differ)} differences; {len(csvs)} CSV files "
+                              f"compared with {parent}"]))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
