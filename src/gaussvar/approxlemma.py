@@ -66,7 +66,12 @@ def log_cm(k: float, m: int) -> float:
 
 def cm_closed_form(k: float, m: int) -> float:
     """C_m from its closed form, exp(:func:`log_cm`)."""
-    return math.exp(log_cm(k, m))
+    log = log_cm(k, m)
+    try:
+        return math.exp(log)
+    except OverflowError:
+        raise OverflowError(f"C_m overflows a double at k={k:g}, m={m}: "
+                            f"ln C_m = {log:.6g}") from None
 
 
 def cm_brute(k: float, m: int) -> float:

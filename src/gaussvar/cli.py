@@ -220,8 +220,7 @@ def main(argv=None) -> int:
     except (ConfigError, SpecFileError, OSError) as exc:
         print(f"gaussvar {args.command}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (quadrature.QuadratureError, GrowthError, OverflowError,
-            FloatingPointError, ValueError) as exc:
+    except (quadrature.QuadratureError, GrowthError, OverflowError, ValueError) as exc:
         print(f"gaussvar {args.command}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -218,8 +218,9 @@ def project(gb: GramBasis, f, rule: QuadRule) -> list[ProjectionReport]:
     leading basis elements whose kept monomial has degree <= D: the basis a
     degree-D Gram matrix gives.  Its residual norm is the quadrature norm of
     f - p_D, where p_D = sum_k c_k b_k; unlike sqrt(<f, f> - sum c_k^2) it
-    cannot go negative through cancellation.  A non-finite target sample,
-    squared norm of f or squared residual raises :class:`QuadratureError`.
+    cannot go negative through cancellation.  A complex target raises
+    ``ValueError``; a non-finite target sample, squared norm of f or squared
+    residual raises :class:`QuadratureError`.
 
     The monomial values E are formed for ``_NODE_BLOCK`` nodes at a time, in
     two forward passes over the blocks.  The first sums the moment vector
@@ -232,6 +233,8 @@ def project(gb: GramBasis, f, rule: QuadRule) -> list[ProjectionReport]:
         raise ValueError("basis not extracted yet; call orthonormalize first")
     disc = discretize(gb.chart, rule)
     W, X, fvals = disc.weights(gb.weight), disc.X, disc.sample(f)
+    if np.iscomplexobj(fvals):
+        raise ValueError(f"project needs a real target, not samples of dtype {fvals.dtype}")
     C = gb.ortho_coeffs
     kept_degrees = [sum(gb.monomials[i]) for i in gb.kept_indices]
     ends = np.searchsorted(kept_degrees, np.arange(gb.degree_cap + 1), side="right")

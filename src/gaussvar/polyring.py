@@ -9,9 +9,11 @@ for two variables the order reads
 
     1 < x1 < x2 < x1^2 < x1*x2 < x2^2 < ...
 
-Every evaluation goes through one kernel, :func:`monomial_values`, which
-forms each monomial as its parent times one coordinate.  All types here are
-immutable after construction and safe to share between threads.
+The order is stated once, as the sort key ``_graded_lex`` of the
+enumeration and of a polynomial's terms.  Every evaluation goes through one
+kernel, :func:`monomial_values`: the constant is 1, a degree-1 monomial is
+its coordinate, and any other is its parent row times one coordinate.  All
+types here are immutable after construction and safe to share between threads.
 Coefficients are double precision (real or complex); no epsilon pruning is
 done inside the ring, only exact zeros are dropped.
 """
@@ -19,6 +21,7 @@ done inside the ring, only exact zeros are dropped.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -43,24 +46,16 @@ def _graded_lex(exponents: tuple) -> tuple:
 def monomials_up_to_degree(n: int, degree_cap: int) -> list[tuple]:
     """All exponent tuples in ``n`` variables of total degree <= ``degree_cap``.
 
-    Returned in graded lexicographic order; the count is C(n + D, D).
+    A degree-d tuple counts, per variable, one multiset of d variables; the
+    tuples are sorted by ``_graded_lex``.  The count is C(n + D, D).
     """
     if n < 1:
         raise ValueError(f"need at least one variable, got n={n}")
     if degree_cap < 0:
         raise ValueError(f"degree cap must be non-negative, got {degree_cap}")
-    out: list[tuple] = []
-
-    def compositions(total: int, slots: int, prefix: list[int]) -> None:
-        if slots == 1:
-            out.append(tuple(prefix + [total]))
-            return
-        for e in range(total, -1, -1):
-            compositions(total - e, slots - 1, prefix + [e])
-
-    for d in range(degree_cap + 1):
-        compositions(d, n, [])
-    return out
+    return sorted((tuple(map(vs.count, range(n))) for d in range(degree_cap + 1)
+                   for vs in itertools.combinations_with_replacement(range(n), d)),
+                  key=_graded_lex)
 
 
 class MultiPoly:
@@ -281,19 +276,17 @@ def _kernel_plan(monomials: tuple) -> tuple:
 
     Returns ``(size, ones, copies, products)``: the row count, scratch
     parents included; the rows of the constant; ``(row, coordinate)`` for
-    each degree-1 row; and, in degree order, ``(row, source, coordinate)``
-    for each other row, where ``source`` indexes the rows followed by the
-    coordinates (degree-2 rows read their parent straight from the points).
+    each degree-1 row; and, in degree order, ``(row, parent row,
+    coordinate)`` for each other row.
     """
     exps = list(monomials)
     index = {e: i for i, e in enumerate(exps)}
     for e in exps:  # also visits the parents appended below
-        if sum(e) > 2 and _parent(e)[0] not in index:
+        if sum(e) > 1 and _parent(e)[0] not in index:
             index[_parent(e)[0]] = len(exps)
             exps.append(_parent(e)[0])
-    size = len(exps)
     ones, copies, products = [], [], []
-    for i in sorted(range(size), key=lambda i: sum(exps[i])):
+    for i in sorted(range(len(exps)), key=lambda i: sum(exps[i])):
         e = exps[i]
         if not any(e):
             ones.append(i)
@@ -301,20 +294,19 @@ def _kernel_plan(monomials: tuple) -> tuple:
             copies.append((i, e.index(1)))
         else:
             parent, j = _parent(e)
-            src = size + parent.index(1) if sum(e) == 2 else index[parent]
-            products.append((i, src, j))
-    return size, tuple(ones), tuple(copies), tuple(products)
+            products.append((i, index[parent], j))
+    return len(exps), tuple(ones), tuple(copies), tuple(products)
 
 
 def monomial_values(monomials, points: np.ndarray) -> np.ndarray:
     """Values of the exponent tuples ``monomials`` at ``points`` (shape (N, n)),
     one row per monomial.
 
-    Every row is written into one preallocated matrix as its parent row
-    x^(e - u_j) times the coordinate x_j, where j is the last variable with
-    e_j > 0, so x1^a is the running product ((x1 * x1) * x1) ... .  The
-    constant and the coordinates are read straight from ``points``; parents
-    of degree >= 2 missing from ``monomials`` get scratch rows past the
+    Every row is written into one preallocated matrix.  The constant is 1
+    and a degree-1 row is a copy of its coordinate; every other row is its
+    parent row x^(e - u_j) times the coordinate x_j, where j is the last
+    variable with e_j > 0, so x1^a is the running product ((x1 * x1) * x1)
+    ... .  Parents missing from ``monomials`` get scratch rows past the
     returned ones.  Which rows multiply which is planned once per tuple of
     monomials (:func:`_kernel_plan`, cached), so a call on a block of points
     only runs the multiplications.  The monomials may come in any order; the
@@ -326,11 +318,10 @@ def monomial_values(monomials, points: np.ndarray) -> np.ndarray:
     cols = [points[:, j] for j in range(points.shape[1])]
     for i in ones:
         E[i] = 1
-    for i, c in copies:
-        E[i] = cols[c]
-    rows = [*E, *cols]
+    for i, j in copies:
+        E[i] = cols[j]
     for i, src, j in products:
-        np.multiply(rows[src], cols[j], out=rows[i])
+        np.multiply(E[src], cols[j], out=E[i])
     return E[:len(monomials)]
 
 
@@ -362,9 +353,7 @@ def truncated_exponential(k, m: int) -> MultiPoly:
                 except OverflowError:
                     # factorial beyond float range: the coefficient underflows
                     mult = 0.0
-        coeff = (1j ** alpha) * mult
-        if coeff != 0:
-            terms[mono] = coeff
+        terms[mono] = (1j ** alpha) * mult
     return MultiPoly(n, terms)
 
 

@@ -317,7 +317,8 @@ def solve_param_bound(chart: VarietyChart, dim: int, radius: float):
     def radial_along(ts):
         U = np.tile(base, (ts.size, 1))
         U[:, dim] = ts
-        return chart.radial_sq(U)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: outside
+            return chart.radial_sq(U)
 
     span = 2.0 * max(radius, 1.0)
     for _ in range(60):
@@ -389,11 +390,10 @@ def _measure_volumes(chart: VarietyChart, radii: np.ndarray) -> np.ndarray:
     the running sums of the shells, so they never decrease.
     """
     r_max = float(radii[-1])
-    if chart.kind in ("revolution", "circle"):
+    if chart.kind == "revolution":
         # density and radius do not depend on the angular parameter, so the
         # measurement is one-dimensional, times one angular cell of 2 pi
-        axes = [_growth_axis(chart, 0, r_max, _GROWTH_GRID[1])]
-        axes += [(np.zeros(1), 2.0 * math.pi)] * (chart.intrinsic_dim - 1)
+        axes = [_growth_axis(chart, 0, r_max, _GROWTH_GRID[1]), (np.zeros(1), 2.0 * math.pi)]
     else:
         npts = _GROWTH_GRID.get(chart.intrinsic_dim, 65)
         axes = [_growth_axis(chart, dim, r_max, npts)
@@ -411,7 +411,9 @@ def _measure_volumes(chart: VarietyChart, radii: np.ndarray) -> np.ndarray:
         dens = chart.volume_density(U)
         if not np.all(np.isfinite(dens)):
             raise GrowthError("non-finite volume density sample")
-        shell = np.searchsorted(radii * radii, chart.radial_sq(U), side="left")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: outside
+            r2 = chart.radial_sq(U)
+        shell = np.searchsorted(radii * radii, r2, side="left")
         shells += np.bincount(shell, weights=dens, minlength=radii.size + 1)
     return np.cumsum(shells[:-1]) * math.prod(a[1] for a in axes)
 

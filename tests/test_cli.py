@@ -152,6 +152,23 @@ class TestMoments:
         assert code == EXIT_CONFIG
         assert len(lines) == 1 and lines[0].startswith(f"gaussvar {command}: u1_domain")
 
+    @pytest.mark.parametrize("command", ["growth", "moments"])
+    @pytest.mark.parametrize("chart", [
+        {"kind": "graph", "components": ["1e200*x1^2"]},
+        {"kind": "graph", "components": ["1e150*x1^3"]},
+        {"kind": "modulus_graph", "F": "1e300*x1^2"},
+        {"kind": "revolution", "f": "1e200+1*x1^2", "h": "1*x1^1"},
+    ], ids=["graph-square", "graph-cube", "modulus-graph", "revolution"])
+    def test_radius_overflowing_in_bracket_or_grid_exits_1(self, command, chart,
+                                                          tmp_path, capsys):
+        # |x|^2 overflows while the parameter bound is bracketed or the growth
+        # grid is measured; it counts as outside every ball, with no numpy warning
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(chart))
+        code = main([command, "--spec", str(spec), "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == EXIT_NUMERICAL
+        assert len(lines) == 1 and lines[0].startswith(f"gaussvar {command}: ")
 
     @pytest.mark.parametrize("spec,field", [
         ({"kind": ["graph"]}, "kind must be one of"),
@@ -193,6 +210,13 @@ class TestLemma:
         assert header == ["k", "m", "cm_closed", "cm_brute", "cstar"]
         assert len(rows) == 60
         assert float(rows[-1][2]) < 1e-6
+
+    def test_overflowing_cm_names_k_and_m(self, tmp_path, capsys):
+        # ln C_1 at k = 54 is about 736, past the largest exp argument of a double
+        code = main(["lemma", "--k", "54", "--mmax", "1", "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == EXIT_NUMERICAL
+        assert len(lines) == 1 and "k=54" in lines[0] and "m=1" in lines[0]
 
     def test_bad_k_exits_2(self, tmp_path, capsys):
         assert main(["lemma", "--k", "zero", "--out", str(tmp_path / "o")]) == EXIT_CONFIG

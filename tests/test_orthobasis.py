@@ -445,6 +445,11 @@ class TestProjection:
         with pytest.raises(ValueError):
             project(gb, lambda X: X[:, 0], euclid1_rule)
 
+    def test_complex_target_names_its_dtype(self, circle, circle_rule):
+        gb = orthonormalize(gram_matrix(circle, 2, circle_rule))
+        with pytest.raises(ValueError, match="complex128"):
+            project(gb, lambda X: np.exp(1j * X[:, 0]), circle_rule)
+
 
 class TestAmbientIntegrands:
     """Every integrand is a function of x, called on the rule's one embedded sample."""

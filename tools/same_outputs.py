@@ -3,6 +3,11 @@
 Usage, from the repository root::
 
     python3 tools/same_outputs.py PARENT_CHECKOUT
+    python3 tools/same_outputs.py REVISION
+
+PARENT_CHECKOUT is a directory holding ``src/gaussvar``; a REVISION of this
+repository, such as ``HEAD``, is exported with ``git archive`` into the
+temporary directory and compared as a checkout.
 
 Every study of every workload in ``perfbench/workloads.py``, at seeds 0
 and 3, runs through ``gaussvar.cli.main`` once per checkout: in a child
@@ -14,10 +19,12 @@ is 1 when there is one, or when a study's exit code differs.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -57,14 +64,30 @@ def run_side(checkout: Path, studies, out: Path) -> list[int]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def as_checkout(arg: str, tmp: Path) -> Path | None:
+    """The checkout ``arg`` names: a directory, or a git revision exported
+    into ``tmp``; None when it is neither."""
+    if (Path(arg) / "src" / "gaussvar").is_dir():
+        return Path(arg).resolve()
+    if arg.startswith("-"):
+        return None
+    proc = subprocess.run(["git", "-C", str(ROOT), "archive", arg], capture_output=True)
+    if proc.returncode:
+        return None
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
+        tar.extractall(tmp / "checkout", filter="data")
+    return tmp / "checkout"
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1 or not (Path(args[0]) / "src" / "gaussvar").is_dir():
-        print("usage: python3 tools/same_outputs.py PARENT_CHECKOUT", file=sys.stderr)
-        return 2
-    parent = Path(args[0]).resolve()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
+        parent = as_checkout(args[0], work) if len(args) == 1 else None
+        if parent is None:
+            print("usage: python3 tools/same_outputs.py PARENT_CHECKOUT|REVISION",
+                  file=sys.stderr)
+            return 2
         studies = study_argvs(work)
         codes = {side: run_side(checkout, studies, work / side)
                  for side, checkout in (("parent", parent), ("this", ROOT))}
@@ -77,7 +100,7 @@ def main(argv=None) -> int:
             if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
                 differ.append(rel)
     print("\n".join(differ + [f"{len(differ)} differences; {len(csvs)} CSV files "
-                              f"compared with {parent}"]))
+                              f"compared with {args[0]}"]))
     return 1 if differ else 0
 
 
