@@ -64,14 +64,18 @@ def log_cm(k: float, m: int) -> float:
     return m * math.log(w) - math.lgamma(m + 1.0) + w - w * w / (k * k)
 
 
-def cm_closed_form(k: float, m: int) -> float:
-    """C_m from its closed form, exp(:func:`log_cm`)."""
-    log = log_cm(k, m)
+def _exp_cm(k: float, m: int, log: float) -> float:
+    """C_m = exp(``log``); an overflow names k, m and ln C_m."""
     try:
         return math.exp(log)
     except OverflowError:
         raise OverflowError(f"C_m overflows a double at k={k:g}, m={m}: "
                             f"ln C_m = {log:.6g}") from None
+
+
+def cm_closed_form(k: float, m: int) -> float:
+    """C_m from its closed form, exp(:func:`log_cm`)."""
+    return _exp_cm(k, m, log_cm(k, m))
 
 
 def cm_brute(k: float, m: int) -> float:
@@ -95,7 +99,7 @@ def cm_brute(k: float, m: int) -> float:
             f"stationary point y*={ystar:g} is not the maximum "
             f"(grid beats it by {gmax - gstar:g})"
         )
-    return math.exp(gstar)
+    return _exp_cm(k, m, gstar)
 
 
 def cstar(k: float, m: int) -> float:

@@ -7,11 +7,16 @@ pair with the same exponent sum holds the same double, so ``gram.csv``
 formats each of its few distinct values once.  Restricted monomials can become
 linearly dependent through the relations of the variety -- on the unit
 circle x^2 + y^2 = 1 kills one of the six degree-2 monomials -- so the
-basis is extracted by a threshold Cholesky elimination on the Gram matrix
-that processes monomials in graded lexicographic order and drops any whose
+basis is extracted by a threshold elimination on the Gram matrix that
+processes monomials in graded lexicographic order and drops any whose
 squared residual against the span of its kept predecessors is at most
 rank_tol times its diagonal Gram entry.  The kept set is therefore
 deterministic: a dependent monomial is always the later one in the order.
+A monomial with a dropped divisor x^a / x_p is dropped without work, so the
+kept monomials form an order ideal.  The work runs one degree at a time:
+each degree's candidates are orthogonalized against the kept basis as one
+block, by block Gram-Schmidt run twice, and the threshold decisions are made
+candidate by candidate inside the block.
 
 A monomial's fate depends only on its predecessors, so the degree-D basis
 is the leading block of the degree-D_max basis (the prefix property): one
@@ -162,38 +167,87 @@ def gram_matrix(chart: VarietyChart, degree_cap: int, rule: QuadRule,
     )
 
 
+def _divisor_table(monomials) -> np.ndarray:
+    """Row i: for each coordinate p, the index of x^a / x_p, or N where a_p = 0."""
+    index = {m: i for i, m in enumerate(monomials)}
+    N = len(monomials)
+    return np.array([[index[m[:p] + (e - 1,) + m[p + 1:]] if e else N
+                      for p, e in enumerate(m)] for m in monomials],
+                    dtype=np.intp).reshape(N, -1)
+
+
+def _threshold_steps(H: np.ndarray, diag, rank_tol: float) -> tuple[list[int], np.ndarray]:
+    """Sequential threshold elimination in the metric H: kept positions, rows Y.
+
+    Rows of Y hold the coefficients of the vectors kept so far and rows of
+    YH = Y H their images.  Candidate j starts as e_j and takes the step
+    y -= (YH y) Y twice: under cancellation one pass leaves parts of y along
+    the kept directions, and a second removes them to rounding level ("twice
+    is enough").  It is dropped when its squared residual y.H.y is at most
+    ``rank_tol`` times ``diag[j]``, its monomial's Gram diagonal; otherwise
+    it is normalized, and H y, already formed for the residual, is scaled
+    into its row of YH.  Y is exactly 0 in the columns of dropped candidates.
+    """
+    b = H.shape[0]
+    Y, YH = np.zeros((b, b)), np.empty((b, b))
+    kept: list[int] = []
+    for j in range(b):
+        n = len(kept)
+        y = np.zeros(b)
+        y[j] = 1.0
+        y -= YH[:n, j] @ Y[:n]  # the first step: YH e_j is column j of YH
+        y -= (YH[:n] @ y) @ Y[:n]
+        Hy = H @ y
+        res2 = float(y @ Hy)
+        if diag[j] <= 0 or res2 <= rank_tol * diag[j]:
+            continue
+        norm = math.sqrt(res2)
+        Y[n], YH[n] = y / norm, Hy / norm
+        kept.append(j)
+    return kept, Y[:len(kept)]
+
+
 def orthonormalize(gb: GramBasis, rank_tol: float = 1e-9) -> GramBasis:
-    """Extract the orthonormal basis by graded-lex threshold elimination.
+    """Extract the orthonormal basis by graded-lex threshold elimination, one degree at a time.
 
     Rows of C hold the coefficients of the k vectors kept so far and rows of
-    GC = C G their Gram images.  Candidate i starts as e_i and takes the
-    block step v -= (GC v) C twice: under cancellation one pass leaves parts
-    of v along the kept directions, and a second removes them to rounding
-    level ("twice is enough").  It is dropped when its squared residual
-    v.G.v is at most ``rank_tol`` times G_ii; otherwise it is normalized, and
-    G v, already formed for the residual, is scaled into its row of GC.
+    GC = C G their Gram images.  The candidates of degree d are the degree-d
+    monomials whose every divisor x^a / x_p was kept; any other is dropped
+    without work, since if x^a / x_p lies in the span of earlier monomials on
+    M, so does x^a.  The kept set is therefore an order ideal.
+
+    The candidates J form one block V = I[:, J], orthogonalized against every
+    kept row by block Gram-Schmidt run twice (BCGS2: V -= C^T (GC V), two
+    passes of matrix products; in the first, GC V is GC[:, J]).  Inside the
+    block, :func:`_threshold_steps` decides on H = V^T G V, candidate by
+    candidate in graded-lex order, and keeps candidate i when G_ii > 0 and
+    its squared residual exceeds ``rank_tol`` times G_ii.  The kept
+    combinations Y of the block's columns append C = Y V^T and
+    GC = Y (G V)^T.  Coefficients outside ``kept_indices`` stay exactly 0.
     """
     if rank_tol <= 0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
     G = gb.gram
     N = len(gb.monomials)
     C, GC = np.empty((N, N)), np.empty((N, N))
-    kept: list[int] = []
-    for i in range(N):
-        k = len(kept)
-        v = np.zeros(N)
-        v[i] = 1.0
-        for _ in range(2):
-            v -= (GC[:k] @ v) @ C[:k]
-        Gv = G @ v
-        res2 = float(v @ Gv)
-        if G[i, i] <= 0 or res2 <= rank_tol * G[i, i]:
-            continue
-        norm = math.sqrt(res2)
-        C[k], GC[k] = v / norm, Gv / norm
-        kept.append(i)
-    return replace(gb, rank=len(kept), kept_indices=tuple(kept),
-                   ortho_coeffs=C[:len(kept)].copy())
+    divisors = _divisor_table(gb.monomials)
+    degrees = np.array([sum(m) for m in gb.monomials])
+    is_kept = np.zeros(N + 1, dtype=bool)
+    is_kept[N] = True  # stands in for the divisor along a coordinate the monomial lacks
+    k = 0
+    for d in range(gb.degree_cap + 1):
+        block = np.flatnonzero(degrees == d)
+        J = block[is_kept[divisors[block]].all(axis=1)]
+        V = -(C[:k].T @ GC[:k][:, J])
+        V[J, np.arange(J.size)] += 1.0
+        V -= C[:k].T @ (GC[:k] @ V)
+        GV = G @ V
+        local, Y = _threshold_steps(V.T @ GV, G[J, J], rank_tol)
+        C[k:k + len(local)], GC[k:k + len(local)] = Y @ V.T, Y @ GV.T
+        is_kept[J[local]] = True
+        k += len(local)
+    kept = tuple(np.flatnonzero(is_kept[:N]).tolist())
+    return replace(gb, rank=k, kept_indices=kept, ortho_coeffs=C[:k].copy())
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,12 @@ class TestClosedForm:
         for m in (1, 5, 40, 200):
             assert cm_closed_form(k, m) == math.exp(log_cm(k, m))
 
+    @pytest.mark.parametrize("cm", [cm_closed_form, cm_brute])
+    def test_overflow_names_k_and_m(self, cm):
+        # ln C_1 at k = 54 is about 736, past the largest exp argument of a double
+        with pytest.raises(OverflowError, match=r"k=54, m=1: ln C_m = 73\d\.\d+$"):
+            cm(54.0, 1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             log_cm(1.0, 0)

@@ -301,6 +301,22 @@ class TestOrthonormalize:
             assert np.array_equal(gb0.gram, G_before)
             assert gb.gram is gb0.gram
 
+    @pytest.mark.parametrize("fixture,rule_fixture", CHARTS)
+    def test_kept_set_is_the_references_order_ideal(self, fixture, rule_fixture,
+                                                     request):
+        # a monomial with a dropped divisor is skipped unseen; up to D = 12 the
+        # monomial-by-monomial elimination drops every such monomial as well
+        chart = request.getfixturevalue(fixture)
+        rule = request.getfixturevalue(rule_fixture)
+        for D in range(13):
+            gb = orthonormalize(gram_matrix(chart, D, rule))
+            kept = {gb.monomials[i] for i in gb.kept_indices}
+            assert all(m[:p] + (e - 1,) + m[p + 1:] in kept
+                       for m in kept for p, e in enumerate(m) if e)
+            outside = np.delete(gb.ortho_coeffs, gb.kept_indices, axis=1)
+            assert np.all(outside == 0)
+            assert gb.kept_indices == reference_elimination(gb.gram)[0]
+
     def test_second_pass_keeps_basis_orthonormal(self, modgraph_z2,
                                                   modgraph_z2_rule):
         # cond(G) ~ 1e21 here: a single pass leaves a defect of about 3e-7
@@ -308,13 +324,13 @@ class TestOrthonormalize:
         C = gb.ortho_coeffs
         assert np.max(np.abs(C @ gb.gram @ C.T - np.eye(gb.rank))) <= 5e-8
 
-    @pytest.mark.parametrize("D", range(13))
+    @pytest.mark.parametrize("D", range(17))
     def test_circle_rank_oracle(self, D, circle, circle_rule):
         # the trigonometric polynomials of degree <= D on the circle
         gb = orthonormalize(gram_matrix(circle, D, circle_rule))
         assert gb.rank == 2 * D + 1
 
-    @pytest.mark.parametrize("D", [4, 8, 12])
+    @pytest.mark.parametrize("D", [4, 8, 12, 16])
     def test_cylinder_rank_oracle(self, D, cylinder, cylinder_rule):
         # x^2 + y^2 = 1: z^c times the 2(D - c) + 1 circle harmonics, c <= D
         gb = orthonormalize(gram_matrix(cylinder, D, cylinder_rule))

@@ -14,13 +14,18 @@ and 3, runs through ``gaussvar.cli.main`` once per checkout: in a child
 interpreter that imports ``gaussvar`` from that checkout's ``src/``, with
 the spec files written once for both.  Every CSV either side writes is
 compared byte for byte.  The differing files are listed, and the exit code
-is 1 when there is one, or when a study's exit code differs.
+is 1 when there is one, or when a study's exit code differs.  Under a
+differing file with the same shape on both sides (rows, and cells per row),
+each numeric column gets one line: its largest absolute difference, and its
+largest difference relative to the parent's value.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -79,6 +84,25 @@ def as_checkout(arg: str, tmp: Path) -> Path | None:
     return tmp / "checkout"
 
 
+def numeric_differences(a: Path, b: Path) -> list[str]:
+    """One line per column of numbers, when ``a`` and ``b`` have the same shape:
+    its largest absolute and relative difference (relative to ``a``)."""
+    ra, rb = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
+    if [len(r) for r in ra] != [len(r) for r in rb] or not ra:
+        return []
+    out = []
+    for c, name in enumerate(ra[0]):
+        try:
+            pairs = [(float(x[c]), float(y[c])) for x, y in zip(ra[1:], rb[1:])]
+        except ValueError:
+            continue
+        diffs = [(abs(x - y), abs(x - y) / abs(x) if x else math.inf)
+                 for x, y in pairs if x != y]
+        most = [max(d) for d in zip(*diffs)] or [0.0, 0.0]
+        out.append(f"  {name}: max abs {most[0]:.3g}, max rel {most[1]:.3g}")
+    return out
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     with tempfile.TemporaryDirectory() as tmp:
@@ -95,12 +119,15 @@ def main(argv=None) -> int:
                   in zip(studies, codes["parent"], codes["this"]) if a != b]
         csvs = sorted({p.relative_to(work / side).as_posix()
                        for side in codes for p in (work / side).rglob("*.csv")})
+        lines = list(differ)
         for rel in csvs:
             a, b = work / "parent" / rel, work / "this" / rel
-            if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
+            both = a.is_file() and b.is_file()
+            if not (both and a.read_bytes() == b.read_bytes()):
                 differ.append(rel)
-    print("\n".join(differ + [f"{len(differ)} differences; {len(csvs)} CSV files "
-                              f"compared with {args[0]}"]))
+                lines += [rel] + (numeric_differences(a, b) if both else [])
+    print("\n".join(lines + [f"{len(differ)} differences; {len(csvs)} CSV files "
+                             f"compared with {args[0]}"]))
     return 1 if differ else 0
 
 
