@@ -9,16 +9,14 @@ residual in the degree-D slice of the coordinate ring decays as D grows.
 import numpy as np
 
 from gaussvar import (
-    build_rule,
     chart_graph,
     chart_revolution,
-    choose_truncation,
-    estimate_growth,
     gram_matrix,
     integrability_scan,
     orthonormalize,
     parse_poly,
     project,
+    truncated_rule,
 )
 
 cylinder = chart_revolution(parse_poly("1", 1), parse_poly("1*x1^1", 1))
@@ -39,8 +37,7 @@ def f(X):
 
 print()
 for name, chart in (("cylinder", cylinder), ("graph of x^2", parabola)):
-    growth = estimate_growth(chart, np.linspace(2.0, 10.0, 9))
-    rule = build_rule(chart, choose_truncation(growth, 16))
+    _, rule = truncated_rule(chart, 16)  # truncated for orders up to 2D = 16
 
     # one basis at D=8 holds every lower degree's basis as its leading block
     gb = orthonormalize(gram_matrix(chart, 8, rule))

@@ -4,6 +4,8 @@ Walks the full pipeline on the real line and on the cylinder:
 measure volume growth, turn it into a tail budget for the majorant series
 C * sum (r+1)^{m+l} e^{-r^2}, pick the smallest radius whose tail is below
 the target, and integrate r^m e^{-r^2} dmu on the truncated box.
+``truncated_rule`` takes the first three steps in one call; this demo
+walks them one at a time.
 """
 
 import math

@@ -47,6 +47,7 @@ from .quadrature import (
     moment_table,
     shell_moment_sum,
     tail_budget,
+    truncated_rule,
 )
 from .variety import (
     ChartError,

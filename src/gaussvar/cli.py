@@ -17,13 +17,12 @@ import numpy as np
 
 from . import approxlemma, orthobasis, quadrature
 from .polyring import MultiPoly, squared_norms
-from .variety import GrowthEstimate, GrowthError, SpecFileError, estimate_growth, load_chart
+from .variety import GrowthError, SpecFileError, estimate_growth, load_chart
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
-_MOMENT_RADII = np.linspace(2.0, 10.0, 9)
 _GROWTH_RADII = np.geomspace(2.0, 100.0, 18)
 
 
@@ -81,21 +80,9 @@ _EPS = (1e-12, _need(lambda v: v > 0, "positive"))  # v > 0 is False for NaN
 _NODES = (None, _at_least(4))
 
 
-def _rule_for(chart, m_max, args) -> tuple[GrowthEstimate, quadrature.QuadRule]:
-    growth = estimate_growth(chart, _MOMENT_RADII)
-    R = quadrature.choose_truncation(growth, m_max, args.eps)
-    return growth, quadrature.build_rule(chart, R, args.nodes)
-
-
 def _compact(chart) -> bool:
     """No unbounded parameter, so the chart has finite volume."""
     return all(d.kind != "unbounded" for d in chart.domains)
-
-
-def _check_weight(chart, weight):
-    """--weight none integrates plain dmu, whose mass is finite only on a compact chart."""
-    if weight == "none" and not _compact(chart):
-        raise ConfigError(f"--weight none needs a compact chart, got {chart.chart_id}")
 
 
 def _exp_target(chart, alpha):
@@ -108,7 +95,7 @@ def _exp_target(chart, alpha):
 
 def cmd_moments(args, out: Path) -> None:
     chart = load_chart(args.spec)
-    growth, rule = _rule_for(chart, args.mmax, args)
+    growth, rule = quadrature.truncated_rule(chart, args.mmax, args.eps, args.nodes)
     table = quadrature.moment_table(chart, range(args.mmax + 1), rule, growth)
     table.to_csv(out / "moments.csv")
 
@@ -123,23 +110,25 @@ def cmd_growth(args, out: Path) -> None:
     _write_csv(out / "growth.csv", "r,volume,C,l,slope", rows)
 
 
-def cmd_basis(args, out: Path) -> None:
-    chart = load_chart(args.spec)
-    _check_weight(chart, args.weight)
-    _, rule = _rule_for(chart, 2 * args.degree, args)
+def _basis(args, chart):
+    """--weight checked, the rule for orders up to 2 --degree and the basis to --degree."""
+    if args.weight == "none" and not _compact(chart):  # dmu has finite mass only then
+        raise ConfigError(f"--weight none needs a compact chart, got {chart.chart_id}")
+    _, rule = quadrature.truncated_rule(chart, 2 * args.degree, args.eps, args.nodes)
     gram = orthobasis.gram_matrix(chart, args.degree, rule, weight=args.weight)
-    gb = orthobasis.orthonormalize(gram)
+    return rule, orthobasis.orthonormalize(gram)
+
+
+def cmd_basis(args, out: Path) -> None:
+    _, gb = _basis(args, load_chart(args.spec))
     orthobasis.gram_to_csv(gb, out / "gram.csv")
     orthobasis.basis_to_csv(gb, out / "basis.csv")
 
 
 def cmd_project(args, out: Path) -> None:
     chart = load_chart(args.spec)
-    _check_weight(chart, args.weight)
     target = _exp_target(chart, args.alpha)
-    _, rule = _rule_for(chart, 2 * args.degree, args)
-    gram = orthobasis.gram_matrix(chart, args.degree, rule, weight=args.weight)
-    gb = orthobasis.orthonormalize(gram)
+    rule, gb = _basis(args, chart)
     reports = orthobasis.project(gb, target, rule)
     orthobasis.projections_to_csv(reports[2::2], out / "projection.csv")
 
@@ -152,7 +141,7 @@ def cmd_lemma(args, out: Path) -> None:
 def cmd_equivalence(args, out: Path) -> None:
     chart = load_chart(args.spec)
     target = _exp_target(chart, args.alpha)
-    _, rule = _rule_for(chart, 4, args)
+    _, rule = quadrature.truncated_rule(chart, 4, args.eps, args.nodes)
     rhs_nodes = [n + 16 for n in rule.nodes_per_dim]
     rule_rhs = quadrature.build_rule(chart, rule.truncation_radius, rhs_nodes)
 

@@ -35,10 +35,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .polyring import MultiPoly, monomial_values, monomials_up_to_degree
-from .quadrature import (
-    QuadRule, QuadratureError, build_rule, choose_truncation, discretize,
-)
-from .variety import VarietyChart, chart_euclidean, chart_graph, estimate_growth
+from .quadrature import QuadRule, QuadratureError, build_rule, discretize, truncated_rule
+from .variety import VarietyChart, chart_euclidean, chart_graph
 
 __all__ = [
     "GramBasis",
@@ -79,16 +77,17 @@ class GramBasis:
     def chart_id(self) -> str:
         return self.chart.chart_id
 
-    def is_orthonormalized(self) -> bool:
-        return self.ortho_coeffs is not None
+    def basis_coeffs(self) -> np.ndarray:
+        """``ortho_coeffs``; ``ValueError`` before :func:`orthonormalize`."""
+        if self.ortho_coeffs is None:
+            raise ValueError("basis not extracted yet; call orthonormalize first")
+        return self.ortho_coeffs
 
     def basis_polynomials(self) -> list[MultiPoly]:
         """The basis elements as ambient polynomials."""
-        if not self.is_orthonormalized():
-            raise ValueError("basis not extracted yet; call orthonormalize first")
         out = []
         n = self.chart.ambient_dim
-        for row in self.ortho_coeffs:
+        for row in self.basis_coeffs():
             terms = {m: c for m, c in zip(self.monomials, row) if c != 0}
             out.append(MultiPoly(n, terms))
         return out
@@ -283,13 +282,11 @@ def project(gb: GramBasis, f, rule: QuadRule) -> list[ProjectionReport]:
     second forms f - A E for all D at once and adds each block's squares,
     weighted by W, into the squared residuals.
     """
-    if not gb.is_orthonormalized():
-        raise ValueError("basis not extracted yet; call orthonormalize first")
+    C = gb.basis_coeffs()
     disc = discretize(gb.chart, rule)
     W, X, fvals = disc.weights(gb.weight), disc.X, disc.sample(f)
     if np.iscomplexobj(fvals):
         raise ValueError(f"project needs a real target, not samples of dtype {fvals.dtype}")
-    C = gb.ortho_coeffs
     kept_degrees = [sum(gb.monomials[i]) for i in gb.kept_indices]
     ends = np.searchsorted(kept_degrees, np.arange(gb.degree_cap + 1), side="right")
     with np.errstate(over="ignore", invalid="ignore"):  # both norms are checked below
@@ -317,11 +314,9 @@ def project(gb: GramBasis, f, rule: QuadRule) -> list[ProjectionReport]:
 
 def basis_inner_products(gb: GramBasis, rule: QuadRule) -> np.ndarray:
     """Re-integrate <b_i, b_j> with an independent rule (verification aid)."""
-    if not gb.is_orthonormalized():
-        raise ValueError("basis not extracted yet; call orthonormalize first")
+    C = gb.basis_coeffs()
     return _weighted_gram(discretize(gb.chart, rule), gb.weight,
-                          lambda X: gb.ortho_coeffs @ monomial_values(gb.monomials, X),
-                          gb.rank)
+                          lambda X: C @ monomial_values(gb.monomials, X), gb.rank)
 
 
 # ------------------------------------------------------------------ equivalence
@@ -372,9 +367,7 @@ def classic_recovery(kind: str, degree_cap: int = 6) -> RecoveryReport:
     """
     if kind == "hermite":
         chart = chart_euclidean(1)
-        growth = estimate_growth(chart, np.linspace(2.0, 10.0, 9))
-        R = choose_truncation(growth, 2 * degree_cap, 1e-12)
-        rule = build_rule(chart, R)
+        _, rule = truncated_rule(chart, 2 * degree_cap)
         gb = orthonormalize(gram_matrix(chart, degree_cap, rule, weight="gauss"))
         to_power, sq_norm = np.polynomial.hermite.herm2poly, lambda k: (
             2.0 ** k * math.factorial(k) * math.sqrt(math.pi))
@@ -412,12 +405,11 @@ def basis_to_csv(gb: GramBasis, path) -> None:
     Each basis element is one ``%`` call over its nonzero coefficients, on
     a row template joined from cells built once per monomial.
     """
-    if not gb.is_orthonormalized():
-        raise ValueError("basis not extracted yet; call orthonormalize first")
+    C = gb.basis_coeffs()
     cells = [f"@,{' '.join(map(str, m))},%.17g\n" for m in gb.monomials]
     with open(path, "w", newline="") as fh:
         fh.write("basis_index,monomial_exponents,coefficient\n")
-        for k, row in enumerate(gb.ortho_coeffs):
+        for k, row in enumerate(C):
             nz = np.flatnonzero(row)
             template = "".join([cells[j] for j in nz]).replace("@", str(k))
             fh.write(template % tuple(row[nz].tolist()))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polyring import squared_norms
-from .variety import GrowthEstimate, VarietyChart, param_interval
+from .variety import GrowthEstimate, VarietyChart, estimate_growth, param_interval
 
 __all__ = [
     "QuadratureError",
@@ -42,6 +42,7 @@ __all__ = [
     "MomentTable",
     "IntegrabilityScan",
     "build_rule",
+    "truncated_rule",
     "discretize",
     "integrate",
     "gaussian_moment",
@@ -275,6 +276,17 @@ def choose_truncation(growth: GrowthEstimate, m_max: int, eps: float = 1e-12) ->
     )
 
 
+_FIT_RADII = np.linspace(2.0, 10.0, 9)  # radii of the growth fit behind every rule
+
+
+def truncated_rule(chart: VarietyChart, m_max: int, eps: float = 1e-12,
+                   nodes_per_dim=None) -> tuple[GrowthEstimate, QuadRule]:
+    """The growth fit on ``_FIT_RADII``, and the rule with ``nodes_per_dim`` at the
+    :func:`choose_truncation` radius for orders up to ``m_max``: every study's rule."""
+    growth = estimate_growth(chart, _FIT_RADII)
+    return growth, build_rule(chart, choose_truncation(growth, m_max, eps), nodes_per_dim)
+
+
 # ------------------------------------------------------------------ moment tables
 
 
@@ -305,8 +317,7 @@ def moment_table(chart: VarietyChart, m_values, rule: QuadRule,
     for m in m_values:
         if m < 0:
             raise ValueError(f"moment order must be >= 0, got {m}")
-        value = float(disc.integrate(
-            lambda _: r2 ** (m // 2) if m % 2 == 0 else r2 ** (m / 2.0)))
+        value = float(disc.integrate(lambda _: r2 ** (m / 2.0)))
         if growth is not None:
             bound = tail_budget(growth.C, growth.l, m, rule.truncation_radius)
         else:

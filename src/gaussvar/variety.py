@@ -61,7 +61,10 @@ class SpecFileError(ValueError):
 
 @dataclass(frozen=True)
 class ParamDomain:
-    """Domain of one parameter: 'unbounded', 'bounded' [lo, hi], or 'periodic'."""
+    """Domain of one parameter: 'unbounded', 'bounded' [lo, hi], or 'periodic'.
+
+    Only u1 can be bounded: ends that are not finite with lo < hi raise ChartError.
+    """
 
     kind: str
     lo: float | None = None
@@ -70,8 +73,9 @@ class ParamDomain:
     def __post_init__(self):
         if self.kind not in ("unbounded", "bounded", "periodic"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "bounded" and not (self.lo < self.hi):  # type: ignore[operator]
-            raise ValueError(f"bounded domain needs lo < hi, got [{self.lo}, {self.hi}]")
+        if self.kind == "bounded" and not -math.inf < self.lo < self.hi < math.inf:
+            raise ChartError(f"u1_domain needs finite bounds lo < hi, "
+                             f"got [{self.lo!r}, {self.hi!r}]")
 
     def baseline(self) -> float:
         """A reference point inside the domain (0 or the interval midpoint).
@@ -83,28 +87,34 @@ class ParamDomain:
         return 0.0
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class VarietyChart:
-    """A parametrization U subset R^d -> R^n with its volume density."""
+    """A parametrization U subset R^d -> R^n with its volume density.
 
-    __slots__ = (
-        "kind", "ambient_dim", "domains", "_embed", "_density", "chart_id",
-    )
+    |x|^2 must be finite at the ends and middle of a bounded u1_domain.
+    """
 
-    def __init__(self, kind, ambient_dim, domains, embed, density, chart_id):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "ambient_dim", int(ambient_dim))
-        object.__setattr__(self, "domains", tuple(domains))
-        object.__setattr__(self, "_embed", embed)
-        object.__setattr__(self, "_density", density)
-        object.__setattr__(self, "chart_id", chart_id)
+    kind: str
+    ambient_dim: int
+    domains: tuple
+    _embed: object
+    _density: object
+    chart_id: str
+
+    def __post_init__(self):
         if self.intrinsic_dim > self.ambient_dim:
-            raise ChartError(
-                f"intrinsic dimension {self.intrinsic_dim} exceeds ambient "
-                f"dimension {self.ambient_dim}"
-            )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VarietyChart is immutable")
+            raise ChartError(f"intrinsic dimension {self.intrinsic_dim} exceeds "
+                             f"ambient dimension {self.ambient_dim}")
+        dom = self.domains[0]
+        if dom.kind == "bounded":
+            rest = [d.baseline() for d in self.domains[1:]]
+            U = [[u1, *rest] for u1 in (dom.lo, dom.baseline(), dom.hi)]
+            with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+                r2 = self.radial_sq(U)
+            if not np.all(np.isfinite(r2)):
+                u1 = U[int(np.nonzero(~np.isfinite(r2))[0][0])][0]
+                raise ChartError(f"u1_domain [{dom.lo!r}, {dom.hi!r}] is too wide: "
+                                 f"|x|^2 is not finite at u1 = {u1!r}")
 
     @property
     def intrinsic_dim(self) -> int:
@@ -460,17 +470,13 @@ def _spec_poly(text, label: str) -> MultiPoly:
 
 
 def _parse_domain(value):
+    """A JSON u1_domain as None or [lo, hi]; the chart checks the bounds themselves."""
     if value == "unbounded" or value is None:
         return None
     if (isinstance(value, (list, tuple)) and len(value) == 2
             # bool is an int subclass, but JSON true/false are not numbers
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        lo, hi = float(value[0]), float(value[1])
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise SpecFileError(f"u1_domain bounds must be finite, got {value}")
-        if not lo < hi:
-            raise SpecFileError(f"u1_domain needs lo < hi, got {value}")
-        return (lo, hi)
+        return value
     raise SpecFileError(f"u1_domain must be 'unbounded' or [lo, hi], got {value!r}")
 
 
@@ -537,17 +543,6 @@ def load_chart(spec) -> VarietyChart:
     if extra:
         raise SpecFileError(f"keys {sorted(extra)} do not apply to kind {kind!r}")
     try:
-        chart = build(spec)
+        return build(spec)
     except ChartError as exc:
         raise SpecFileError(f"invalid chart: {exc}") from exc
-    dom = chart.domains[0]
-    if dom.kind == "bounded":  # |x|^2 at the ends and middle of u1_domain
-        rest = [d.baseline() for d in chart.domains[1:]]
-        U = [[u1, *rest] for u1 in (dom.lo, dom.baseline(), dom.hi)]
-        with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-            r2 = chart.radial_sq(U)
-        if not np.all(np.isfinite(r2)):
-            u1 = U[int(np.nonzero(~np.isfinite(r2))[0][0])][0]
-            raise SpecFileError(f"u1_domain [{dom.lo!r}, {dom.hi!r}] is too wide: "
-                                f"|x|^2 is not finite at u1 = {u1!r}")
-    return chart

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussvar import cli, orthobasis, variety
+from gaussvar import cli, orthobasis, quadrature, variety
 from gaussvar.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 
@@ -150,7 +150,8 @@ class TestMoments:
         code = main([command, "--spec", str(spec), "--out", str(tmp_path / "o")])
         lines = capsys.readouterr().err.splitlines()
         assert code == EXIT_CONFIG
-        assert len(lines) == 1 and lines[0].startswith(f"gaussvar {command}: u1_domain")
+        assert len(lines) == 1 and lines[0].startswith(
+            f"gaussvar {command}: invalid chart: u1_domain")
 
     @pytest.mark.parametrize("command", ["growth", "moments"])
     @pytest.mark.parametrize("chart", [
@@ -199,6 +200,24 @@ class TestRuleSettings:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert flag in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", [("moments",), ("basis", "--degree", "2"),
+                                         ("project", "--degree", "2"), ("equivalence",)],
+                             ids=lambda c: c[0])
+    def test_one_truncated_rule_per_study(self, command, cylinder_spec, tmp_path,
+                                          monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        original = quadrature.truncated_rule
+        monkeypatch.setattr(quadrature, "truncated_rule", counting)
+        assert main([*command, "--spec", str(cylinder_spec), "--nodes", "16",
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert len(calls) == 1
 
 
 class TestLemma:

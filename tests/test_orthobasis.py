@@ -660,6 +660,20 @@ class TestClassicRecovery:
             classic_recovery("chebyshev")
 
 
+class TestOrthonormalizeFirst:
+    @pytest.mark.parametrize("use", [
+        lambda gb, rule, path: gb.basis_polynomials(),
+        lambda gb, rule, path: project(gb, lambda X: X[:, 0], rule),
+        lambda gb, rule, path: basis_inner_products(gb, rule),
+        lambda gb, rule, path: basis_to_csv(gb, path),
+    ], ids=["basis_polynomials", "project", "basis_inner_products", "basis_to_csv"])
+    def test_gram_result_is_refused(self, use, euclid1, euclid1_rule, tmp_path):
+        gb = gram_matrix(euclid1, 2, euclid1_rule)
+        with pytest.raises(ValueError, match="call orthonormalize first"):
+            use(gb, euclid1_rule, tmp_path / "basis.csv")
+        assert not (tmp_path / "basis.csv").exists()
+
+
 class TestExports:
     def test_basis_csv(self, euclid1, euclid1_rule, tmp_path):
         gb = orthonormalize(gram_matrix(euclid1, 2, euclid1_rule))

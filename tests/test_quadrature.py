@@ -14,9 +14,10 @@ from gaussvar.quadrature import (
     moment_table,
     shell_moment_sum,
     tail_budget,
+    truncated_rule,
 )
 from gaussvar.polyring import squared_norms
-from gaussvar.variety import chart_graph
+from gaussvar.variety import chart_graph, estimate_growth
 
 
 class TestRuleInvariants:
@@ -267,6 +268,32 @@ class TestChooseTruncation:
     def test_missing_growth(self):
         with pytest.raises(ValueError):
             choose_truncation(None, 4)
+
+
+class TestTruncatedRule:
+    @pytest.mark.parametrize("fixture,m_max,rule_fixture", [
+        ("euclid1", 12, "euclid1_rule"), ("cylinder", 16, "cylinder_rule"),
+        ("graph_x2", 16, "graph_x2_rule"), ("modgraph_z2", 10, "modgraph_z2_rule"),
+    ])
+    def test_is_the_conftest_pipeline(self, fixture, m_max, rule_fixture, request):
+        chart, rule = request.getfixturevalue(fixture), request.getfixturevalue(rule_fixture)
+        growth, got = truncated_rule(chart, m_max)
+        assert growth.l == chart.intrinsic_dim
+        assert got.truncation_radius == rule.truncation_radius
+        assert got.nodes_per_dim == rule.nodes_per_dim
+        np.testing.assert_array_equal(got.points, rule.points)
+        np.testing.assert_array_equal(got.weights, rule.weights)
+
+    @pytest.mark.parametrize("fixture", ["euclid1", "cylinder", "graph_x2",
+                                         "modgraph_z2", "circle"])
+    def test_passes_eps_and_nodes(self, fixture, request):
+        chart = request.getfixturevalue(fixture)
+        growth = estimate_growth(chart, np.linspace(2.0, 10.0, 9))
+        rule = build_rule(chart, choose_truncation(growth, 4, 1e-6), 12)
+        got_growth, got = truncated_rule(chart, 4, 1e-6, 12)
+        assert got_growth.C == growth.C
+        assert (got.truncation_radius, got.nodes_per_dim) == (
+            rule.truncation_radius, rule.nodes_per_dim)
 
 
 class TestConvergence:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,30 @@ class TestRevolution:
         with pytest.raises(ChartError):
             chart_revolution(parse_poly("1*x1^4-1*x1^2+0.2", 1),
                              parse_poly("1*x1^1", 1))
+
+
+class TestBoundedDomain:
+    """A bounded u1_domain is checked where the chart is built, for API calls too."""
+
+    @pytest.mark.parametrize("build", [
+        lambda dom: chart_graph([parse_poly("1*x1^2", 1)], domain=dom),
+        lambda dom: chart_revolution(parse_poly("1", 1), parse_poly("1*x1^1", 1),
+                                     u1_domain=dom),
+    ], ids=["graph", "revolution"])
+    @pytest.mark.parametrize("domain", [
+        (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (1.0, 0.0),
+        (1e308, 1.7e308),  # finite ends, but |x|^2 overflows on them
+    ], ids=["inf-hi", "inf-lo", "nan-lo", "reversed", "overflowing"])
+    def test_bad_domain_raises_at_construction(self, build, domain):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ChartError, match="^u1_domain"):
+                build(domain)
+
+    def test_bounded_param_domain_needs_finite_ordered_ends(self):
+        for lo, hi in [(0.0, math.inf), (math.nan, 1.0), (1.0, 1.0)]:
+            with pytest.raises(ChartError, match="u1_domain"):
+                ParamDomain("bounded", lo, hi)
 
 
 class TestModulusGraph:
