@@ -5,7 +5,7 @@ measure volume growth, turn it into a tail budget for the majorant series
 C * sum (r+1)^{m+l} e^{-r^2}, pick the smallest radius whose tail is below
 the target, and integrate r^m e^{-r^2} dmu on the truncated box.
 ``truncated_rule`` takes the first three steps in one call; this demo
-walks them one at a time.
+walks them one at a time on the line and calls it on the cylinder.
 """
 
 import math
@@ -22,6 +22,7 @@ from gaussvar import (
     moment_table,
     parse_poly,
     tail_budget,
+    truncated_rule,
 )
 
 line = chart_euclidean(1)
@@ -47,8 +48,7 @@ for m in range(7):
 # The cylinder (f=1, h=u1): its Gaussian mass splits into a 1-D Gaussian
 # integral times the circle length times e^{-1}.
 cylinder = chart_revolution(parse_poly("1", 1), parse_poly("1*x1^1", 1))
-cg = estimate_growth(cylinder, np.linspace(2.0, 10.0, 9))
-crule = build_rule(cylinder, choose_truncation(cg, 8))
+cg, crule = truncated_rule(cylinder, 8)
 table = moment_table(cylinder, range(5), crule, cg)
 mass = table.rows[0][1]
 split = math.sqrt(math.pi) * 2.0 * math.pi * math.exp(-1.0)

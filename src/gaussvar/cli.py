@@ -76,7 +76,7 @@ _FLAGS = {  # flag -> argparse settings; each command in _COMMANDS sets the defa
     "k": dict(help="comma-separated wavevector lengths"),
 }
 _SPEC = (None, _need(bool, "given"))
-_EPS = (1e-12, _need(lambda v: v > 0, "positive"))  # v > 0 is False for NaN
+_EPS = (quadrature.DEFAULT_EPS, _need(lambda v: v > 0, "positive"))  # v > 0 is False for NaN
 _NODES = (None, _at_least(4))
 
 

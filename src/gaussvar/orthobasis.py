@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .polyring import MultiPoly, monomial_values, monomials_up_to_degree
-from .quadrature import QuadRule, QuadratureError, build_rule, discretize, truncated_rule
+from .quadrature import QuadRule, QuadratureError, discretize, truncated_rule
 from .variety import VarietyChart, chart_euclidean, chart_graph
 
 __all__ = [
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramBasis:
     """Gram matrix of restricted monomials, plus the extracted basis.
 
@@ -249,7 +249,7 @@ def orthonormalize(gb: GramBasis, rank_tol: float = 1e-9) -> GramBasis:
     return replace(gb, rank=k, kept_indices=kept, ortho_coeffs=C[:k].copy())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionReport:
     """Best approximation of a target function in the degree-D slice."""
 
@@ -346,7 +346,7 @@ def weighted_equivalence_check(chart: VarietyChart, pairs, rule: QuadRule,
 # ------------------------------------------------------------------ classics
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryReport:
     """Comparison of the computed basis against a classical family."""
 
@@ -362,22 +362,21 @@ def classic_recovery(kind: str, degree_cap: int = 6) -> RecoveryReport:
 
     ``hermite``: euclidean chart on R with the Gaussian weight;
     ``legendre``: the interval [-1, 1] (a graph chart with no components)
-    with the weight switched off.  Rows are sign-fixed so the leading
-    coefficient is positive before comparing.
+    with the weight switched off.  Both take their rule from
+    :func:`truncated_rule`; the interval's rule does not depend on R.  Rows
+    are sign-fixed so the leading coefficient is positive before comparing.
     """
     if kind == "hermite":
-        chart = chart_euclidean(1)
-        _, rule = truncated_rule(chart, 2 * degree_cap)
-        gb = orthonormalize(gram_matrix(chart, degree_cap, rule, weight="gauss"))
+        chart, weight = chart_euclidean(1), "gauss"
         to_power, sq_norm = np.polynomial.hermite.herm2poly, lambda k: (
             2.0 ** k * math.factorial(k) * math.sqrt(math.pi))
     elif kind == "legendre":
-        chart = chart_graph([], domain=(-1.0, 1.0))
-        rule = build_rule(chart, 2)
-        gb = orthonormalize(gram_matrix(chart, degree_cap, rule, weight="none"))
+        chart, weight = chart_graph([], domain=(-1.0, 1.0)), "none"
         to_power, sq_norm = np.polynomial.legendre.leg2poly, lambda k: 2.0 / (2.0 * k + 1.0)
     else:
         raise ValueError(f"kind must be 'hermite' or 'legendre', got {kind!r}")
+    _, rule = truncated_rule(chart, 2 * degree_cap)
+    gb = orthonormalize(gram_matrix(chart, degree_cap, rule, weight=weight))
     reference = np.zeros((degree_cap + 1, degree_cap + 1))
     for k in range(degree_cap + 1):  # the degree-k member divided by its norm
         reference[k, :k + 1] = to_power(np.eye(k + 1)[k]) / math.sqrt(sq_norm(k))

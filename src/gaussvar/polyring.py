@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,22 +59,24 @@ def monomials_up_to_degree(n: int, degree_cap: int) -> list[tuple]:
                   key=_graded_lex)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class MultiPoly:
     """Sparse polynomial in ``ambient_dim`` variables.
 
     ``terms`` maps exponent tuples to nonzero float or complex
-    coefficients.  Instances are immutable; arithmetic returns new objects
-    in canonical form.
+    coefficients.  Instances are immutable and compare by
+    ``(ambient_dim, terms)``; arithmetic returns new objects in canonical form.
     """
 
-    __slots__ = ("terms", "ambient_dim")
+    ambient_dim: int
+    terms: dict | None = None
 
-    def __init__(self, ambient_dim: int, terms=None) -> None:
-        ambient_dim = int(ambient_dim)
+    def __post_init__(self) -> None:
+        ambient_dim = int(self.ambient_dim)
         if ambient_dim < 1:
             raise ValueError(f"ambient dimension must be >= 1, got {ambient_dim}")
         canon = {}
-        for mono, coeff in (terms or {}).items():
+        for mono, coeff in (self.terms or {}).items():
             mono = tuple(int(e) for e in mono)
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in monomial: {mono}")
@@ -122,16 +125,6 @@ class MultiPoly:
 
     def sorted_terms(self) -> list[tuple[tuple, complex]]:
         return sorted(self.terms.items(), key=lambda kv: _graded_lex(kv[0]))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiPoly)
-            and self.ambient_dim == other.ambient_dim
-            and self.terms == other.terms
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.ambient_dim}, {self.to_text()!r})"

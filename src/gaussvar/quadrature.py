@@ -27,7 +27,7 @@ fixed size, so every result is reproducible bit for bit for a fixed rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,9 +52,11 @@ __all__ = [
     "integrability_scan",
     "shell_moment_sum",
     "DEFAULT_NODES",
+    "DEFAULT_EPS",
 ]
 
 DEFAULT_NODES = {"unbounded": 64, "periodic": 64, "bounded": 48}  # by domain kind
+DEFAULT_EPS = 1e-12  # the tail budget a truncation radius must meet by default
 
 _TERM_FLOOR = 1e-300
 
@@ -63,7 +65,7 @@ class QuadratureError(RuntimeError):
     """Raised on invalid rules or non-finite integrand samples."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DimRule:
     """Nodes and plain (Lebesgue) weights on one parameter dimension."""
 
@@ -74,28 +76,27 @@ class DimRule:
     weights: np.ndarray
 
 
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class QuadRule:
     """Tensor-product rule over a chart's parameter domain."""
 
-    __slots__ = ("dims", "truncation_radius", "nodes_per_dim", "points", "weights")
+    dims: tuple
+    truncation_radius: float
+    nodes_per_dim: tuple = field(init=False)
+    points: np.ndarray = field(init=False)
+    weights: np.ndarray = field(init=False)
 
-    def __init__(self, dims, truncation_radius: float) -> None:
-        dims = tuple(dims)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "truncation_radius", float(truncation_radius))
-        object.__setattr__(
-            self, "nodes_per_dim", tuple(d.nodes.size for d in dims)
-        )
+    def __post_init__(self) -> None:
+        dims = tuple(self.dims)
         mesh = np.meshgrid(*[d.nodes for d in dims], indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
         w = dims[0].weights
         for d in dims[1:]:
             w = np.multiply.outer(w, d.weights)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", np.asarray(w).ravel())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadRule is immutable")
+        for name, value in dict(dims=dims, truncation_radius=float(self.truncation_radius),
+                                nodes_per_dim=tuple(d.nodes.size for d in dims),
+                                points=np.stack([m.ravel() for m in mesh], axis=1),
+                                weights=np.asarray(w).ravel()).items():
+            object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
         kinds = ",".join(d.kind for d in self.dims)
@@ -160,7 +161,7 @@ def _checked_total(total):
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Discretization:
     """A chart sampled once on a rule's nodes.
 
@@ -261,7 +262,7 @@ def tail_budget(C: float, l: int, m: int, R: float) -> float:
     return total
 
 
-def choose_truncation(growth: GrowthEstimate, m_max: int, eps: float = 1e-12) -> int:
+def choose_truncation(growth: GrowthEstimate, m_max: int, eps: float = DEFAULT_EPS) -> int:
     """Smallest integer R >= 2 whose tail budget is at most ``eps``."""
     if growth is None:
         raise ValueError("growth estimate missing")
@@ -279,7 +280,7 @@ def choose_truncation(growth: GrowthEstimate, m_max: int, eps: float = 1e-12) ->
 _FIT_RADII = np.linspace(2.0, 10.0, 9)  # radii of the growth fit behind every rule
 
 
-def truncated_rule(chart: VarietyChart, m_max: int, eps: float = 1e-12,
+def truncated_rule(chart: VarietyChart, m_max: int, eps: float = DEFAULT_EPS,
                    nodes_per_dim=None) -> tuple[GrowthEstimate, QuadRule]:
     """The growth fit on ``_FIT_RADII``, and the rule with ``nodes_per_dim`` at the
     :func:`choose_truncation` radius for orders up to ``m_max``: every study's rule."""

@@ -369,7 +369,7 @@ def param_interval(chart: VarietyChart, dim: int, radius: float) -> tuple[float,
 # ------------------------------------------------------------------ volume growth
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrowthEstimate:
     """Empirical certificate vol(M cap B_r) <= C * r^l on the sampled range."""
 

@@ -1,22 +1,18 @@
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from gaussvar import (
-    build_rule,
     chart_circle,
     chart_euclidean,
     chart_graph,
     chart_modulus_graph,
     chart_revolution,
-    choose_truncation,
-    estimate_growth,
     parse_poly,
+    truncated_rule,
 )
 
-MOMENT_RADII = np.linspace(2.0, 10.0, 9)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -36,13 +32,18 @@ def euclid1():
 
 
 @pytest.fixture(scope="session")
-def euclid1_growth(euclid1):
-    return estimate_growth(euclid1, MOMENT_RADII)
+def euclid1_study(euclid1):
+    return truncated_rule(euclid1, 12)
 
 
 @pytest.fixture(scope="session")
-def euclid1_rule(euclid1, euclid1_growth):
-    return build_rule(euclid1, choose_truncation(euclid1_growth, 12))
+def euclid1_growth(euclid1_study):
+    return euclid1_study[0]
+
+
+@pytest.fixture(scope="session")
+def euclid1_rule(euclid1_study):
+    return euclid1_study[1]
 
 
 @pytest.fixture(scope="session")
@@ -51,13 +52,18 @@ def cylinder():
 
 
 @pytest.fixture(scope="session")
-def cylinder_growth(cylinder):
-    return estimate_growth(cylinder, MOMENT_RADII)
+def cylinder_study(cylinder):
+    return truncated_rule(cylinder, 16)
 
 
 @pytest.fixture(scope="session")
-def cylinder_rule(cylinder, cylinder_growth):
-    return build_rule(cylinder, choose_truncation(cylinder_growth, 16))
+def cylinder_growth(cylinder_study):
+    return cylinder_study[0]
+
+
+@pytest.fixture(scope="session")
+def cylinder_rule(cylinder_study):
+    return cylinder_study[1]
 
 
 @pytest.fixture(scope="session")
@@ -67,8 +73,7 @@ def graph_x2():
 
 @pytest.fixture(scope="session")
 def graph_x2_rule(graph_x2):
-    growth = estimate_growth(graph_x2, MOMENT_RADII)
-    return build_rule(graph_x2, choose_truncation(growth, 16))
+    return truncated_rule(graph_x2, 16)[1]
 
 
 @pytest.fixture(scope="session")
@@ -78,8 +83,7 @@ def modgraph_z2():
 
 @pytest.fixture(scope="session")
 def modgraph_z2_rule(modgraph_z2):
-    growth = estimate_growth(modgraph_z2, MOMENT_RADII)
-    return build_rule(modgraph_z2, choose_truncation(growth, 10))
+    return truncated_rule(modgraph_z2, 10)[1]
 
 
 @pytest.fixture(scope="session")
@@ -89,4 +93,4 @@ def circle():
 
 @pytest.fixture(scope="session")
 def circle_rule(circle):
-    return build_rule(circle, 2)
+    return truncated_rule(circle, 16)[1]

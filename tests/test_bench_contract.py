@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from gaussvar import cli
+from gaussvar import cli, gram_matrix, orthonormalize, truncated_rule
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -47,6 +47,14 @@ def test_traced_names_resolve():
     missing = [f"{owner.__name__}.{attr}"
                for owner, attr, _, _ in spans._targets() if not hasattr(owner, attr)]
     assert not missing
+
+
+def test_ortho_defect_on_cylinder_basis(cylinder):
+    # the bench's one positional QuadRule/DimRule construction; no traced pass reaches it
+    *_, worker = load_bench_modules("workloads", "check", "spans", "worker")
+    _, rule = truncated_rule(cylinder, 8)
+    gb = orthonormalize(gram_matrix(cylinder, 4, rule))
+    assert worker.ortho_defect(gb, rule) <= 1e-10
 
 
 def test_selftest_passes(src_env):

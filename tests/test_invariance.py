@@ -18,18 +18,16 @@ from hypothesis import strategies as st
 from gaussvar import (
     MultiPoly,
     build_rule,
-    choose_truncation,
-    estimate_growth,
     gram_matrix,
     moment_table,
     orthonormalize,
     project,
+    truncated_rule,
     weighted_equivalence_check,
 )
 from gaussvar.polyring import squared_norms
 from gaussvar.variety import VarietyChart
 
-RADII = np.linspace(2.0, 10.0, 9)
 RTOL = 1e-13  # the spreads measured over 100 draws per chart stay below 2e-15
 
 
@@ -45,9 +43,8 @@ def rotated(chart, Q):
 
 def study(chart):
     """Growth, R, I_0..I_6, f_norm of the target and its equivalence sides vs 1."""
-    growth = estimate_growth(chart, RADII)
-    R = choose_truncation(growth, 12)
-    rule = build_rule(chart, R)
+    growth, rule = truncated_rule(chart, 12)
+    R = rule.truncation_radius
     moments = [value for _, value, _ in moment_table(chart, range(7), rule).rows]
     f_norm = project(orthonormalize(gram_matrix(chart, 2, rule)), target, rule)[0].f_norm
     rule_rhs = build_rule(chart, R, [n + 16 for n in rule.nodes_per_dim])

@@ -23,9 +23,9 @@ from gaussvar.polyring import (
     MultiPoly, monomial_values, monomials_up_to_degree, parse_poly, squared_norms,
 )
 from gaussvar.quadrature import (
-    QuadratureError, build_rule, discretize, integrate, moment_table,
+    QuadratureError, build_rule, discretize, integrate, moment_table, truncated_rule,
 )
-from gaussvar.variety import chart_graph
+from gaussvar.variety import chart_euclidean, chart_graph, estimate_growth
 
 # the five conftest charts with their rules
 CHARTS = [
@@ -658,6 +658,44 @@ class TestClassicRecovery:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             classic_recovery("chebyshev")
+
+    def test_one_truncated_rule_per_kind(self, monkeypatch):
+        calls = []
+
+        def spy(chart, *args):
+            growth, rule = truncated_rule(chart, *args)
+            calls.append((chart, rule))
+            return growth, rule
+
+        monkeypatch.setattr(orthobasis, "truncated_rule", spy)
+        for kind in ("hermite", "legendre"):
+            calls.clear()
+            classic_recovery(kind)
+            assert len(calls) == 1
+        chart, rule = calls[0]  # legendre's bounded rule does not depend on R
+        ref = build_rule(chart, 2)
+        np.testing.assert_array_equal(rule.points, ref.points)
+        np.testing.assert_array_equal(rule.weights, ref.weights)
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("make", [
+        lambda chart, rule: build_rule(chart, 5).dims[0],
+        lambda chart, rule: build_rule(chart, 5),
+        lambda chart, rule: discretize(chart, rule),
+        lambda chart, rule: gram_matrix(chart, 2, rule),
+        lambda chart, rule: project(orthonormalize(gram_matrix(chart, 2, rule)),
+                                    lambda X: X[:, 0], rule)[0],
+        lambda chart, rule: classic_recovery("legendre", 2),
+        lambda chart, rule: estimate_growth(chart, np.linspace(2.0, 10.0, 9)),
+        lambda chart, rule: chart_euclidean(1),
+    ], ids=["DimRule", "QuadRule", "Discretization", "GramBasis", "ProjectionReport",
+            "RecoveryReport", "GrowthEstimate", "VarietyChart"])
+    def test_array_holders_compare_by_identity(self, make, euclid1, euclid1_rule):
+        a, b = make(euclid1, euclid1_rule), make(euclid1, euclid1_rule)
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 class TestOrthonormalizeFirst:

@@ -242,6 +242,37 @@ class TestRingOps:
         assert p.partial(1) == x ** 3 + MultiPoly.constant(2, 2.0)
 
 
+class TestMultiPolyType:
+    def test_compares_by_dim_and_terms(self):
+        x, y = variables(2)
+        assert x + y == MultiPoly(2, {(0, 1): 1.0, (1, 0): 1.0})
+        assert x != MultiPoly(3, {(1, 0, 0): 1.0})  # the same coefficient, other dim
+        assert MultiPoly.zero(1) != 0 and x != "x1^1" and x != x.terms
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(MultiPoly.variable(2, 0))
+
+    def test_drops_zero_coefficients(self):
+        p = MultiPoly(2, {(1, 0): 0.0, (0, 1): 0j, (0, 0): -2.5})
+        assert p.terms == {(0, 0): -2.5}
+
+    def test_construction_and_repr(self):
+        terms = {(2, 0): 1.0, (1, 1): -3.0, (0, 0): 0.5}
+        p, q = MultiPoly(2, terms), MultiPoly(ambient_dim=2, terms=terms)
+        assert p == q and p.ambient_dim == 2 and p.terms == terms
+        assert repr(p) == "MultiPoly(2, '0.5 + 1*x1^2 - 3*x1^1*x2^1')"
+        assert repr(MultiPoly(1, {(2,): 1.5 - 0.25j, (0,): 1j})) == (
+            "MultiPoly(1, '(0+1j) + (1.5-0.25j)*x1^2')")
+        assert repr(MultiPoly(2)) == "MultiPoly(2, '0')"
+
+    @pytest.mark.parametrize("name", ["ambient_dim", "terms"])
+    def test_fields_are_frozen(self, name):
+        p = MultiPoly.variable(2, 1)
+        with pytest.raises(AttributeError):
+            setattr(p, name, getattr(p, name))
+
+
 def random_int_poly(rng, n, max_degree):
     terms = {}
     for mono in monomials_up_to_degree(n, max_degree):

@@ -5,6 +5,7 @@ import pytest
 
 from gaussvar.quadrature import (
     DEFAULT_NODES,
+    QuadRule,
     QuadratureError,
     build_rule,
     choose_truncation,
@@ -70,6 +71,23 @@ class TestRuleInvariants:
     def test_rule_chart_mismatch(self, euclid1, cylinder_rule):
         with pytest.raises(QuadratureError):
             integrate(euclid1, 1.0, cylinder_rule)
+
+
+class TestQuadRuleType:
+    def test_positional_construction(self, cylinder):
+        rule = build_rule(cylinder, 5, [8, 6])
+        again = QuadRule(rule.dims, 5)
+        assert again.nodes_per_dim == rule.nodes_per_dim == (8, 6)
+        assert again.truncation_radius == 5.0 and isinstance(rule.dims, tuple)
+        np.testing.assert_array_equal(again.points, rule.points)
+        np.testing.assert_array_equal(again.weights, rule.weights)
+        assert repr(again) == "QuadRule(dims=[unbounded,periodic], R=5, nodes=(8, 6))"
+
+    @pytest.mark.parametrize("name", ["dims", "truncation_radius", "nodes_per_dim",
+                                      "points", "weights"])
+    def test_fields_are_frozen(self, euclid1_rule, name):
+        with pytest.raises(AttributeError):
+            setattr(euclid1_rule, name, getattr(euclid1_rule, name))
 
 
 class TestIntegrate:
@@ -274,15 +292,20 @@ class TestTruncatedRule:
     @pytest.mark.parametrize("fixture,m_max,rule_fixture", [
         ("euclid1", 12, "euclid1_rule"), ("cylinder", 16, "cylinder_rule"),
         ("graph_x2", 16, "graph_x2_rule"), ("modgraph_z2", 10, "modgraph_z2_rule"),
+        ("circle", 16, "circle_rule"),
     ])
     def test_is_the_conftest_pipeline(self, fixture, m_max, rule_fixture, request):
         chart, rule = request.getfixturevalue(fixture), request.getfixturevalue(rule_fixture)
-        growth, got = truncated_rule(chart, m_max)
-        assert growth.l == chart.intrinsic_dim
-        assert got.truncation_radius == rule.truncation_radius
-        assert got.nodes_per_dim == rule.nodes_per_dim
-        np.testing.assert_array_equal(got.points, rule.points)
-        np.testing.assert_array_equal(got.weights, rule.weights)
+        growth = estimate_growth(chart, np.linspace(2.0, 10.0, 9))
+        ref = build_rule(chart, choose_truncation(growth, m_max))
+        got_growth, got = truncated_rule(chart, m_max)
+        assert got_growth.l == growth.l == chart.intrinsic_dim
+        assert got_growth.C == growth.C
+        for r in (got, rule):
+            assert r.truncation_radius == ref.truncation_radius
+            assert r.nodes_per_dim == ref.nodes_per_dim
+            np.testing.assert_array_equal(r.points, ref.points)
+            np.testing.assert_array_equal(r.weights, ref.weights)
 
     @pytest.mark.parametrize("fixture", ["euclid1", "cylinder", "graph_x2",
                                          "modgraph_z2", "circle"])
