@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,11 +60,11 @@ def monomials_up_to_degree(n: int, degree_cap: int) -> list[tuple]:
                   key=_graded_lex)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, repr=False)
 class MultiPoly:
     """Sparse polynomial in ``ambient_dim`` variables.
 
-    ``terms`` maps exponent tuples to nonzero float or complex
+    ``terms`` maps exponent tuples of ints to nonzero float or complex
     coefficients.  Instances are immutable and compare by
     ``(ambient_dim, terms)``; arithmetic returns new objects in canonical form.
     """
@@ -72,12 +73,19 @@ class MultiPoly:
     terms: dict | None = None
 
     def __post_init__(self) -> None:
-        ambient_dim = int(self.ambient_dim)
+        try:  # operator.index admits Python and numpy ints only
+            ambient_dim = operator.index(self.ambient_dim)
+        except TypeError:
+            raise ValueError(f"ambient dimension must be an integer, "
+                             f"got {self.ambient_dim!r}") from None
         if ambient_dim < 1:
             raise ValueError(f"ambient dimension must be >= 1, got {ambient_dim}")
         canon = {}
         for mono, coeff in (self.terms or {}).items():
-            mono = tuple(int(e) for e in mono)
+            try:
+                mono = tuple(map(operator.index, mono))
+            except TypeError:
+                raise ValueError(f"exponents must be integers, got {mono!r}") from None
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in monomial: {mono}")
             if len(mono) != ambient_dim:

@@ -76,7 +76,7 @@ class DimRule:
     weights: np.ndarray
 
 
-@dataclass(frozen=True, slots=True, repr=False, eq=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class QuadRule:
     """Tensor-product rule over a chart's parameter domain."""
 
@@ -134,8 +134,8 @@ def build_rule(chart: VarietyChart, radius: float, nodes_per_dim=None) -> QuadRu
             raise QuadratureError(f"nodes_per_dim must be integers >= 4, got {n!r}")
         lo, hi = param_interval(chart, dim, radius)
         if dom.kind == "periodic":
-            nodes = 2.0 * math.pi * np.arange(n) / n
-            weights = np.full(n, 2.0 * math.pi / n)
+            nodes = lo + (hi - lo) * np.arange(n) / n
+            weights = np.full(n, (hi - lo) / n)
         elif dom.kind == "unbounded" and lo < 0.0 < hi:
             x1, w1 = _gauss_legendre(n // 2, lo, 0.0)
             x2, w2 = _gauss_legendre(n - n // 2, 0.0, hi)

@@ -402,8 +402,9 @@ def _measure_volumes(chart: VarietyChart, radii: np.ndarray) -> np.ndarray:
     r_max = float(radii[-1])
     if chart.kind == "revolution":
         # density and radius do not depend on the angular parameter, so the
-        # measurement is one-dimensional, times one angular cell of 2 pi
-        axes = [_growth_axis(chart, 0, r_max, _GROWTH_GRID[1]), (np.zeros(1), 2.0 * math.pi)]
+        # measurement is one-dimensional, times one cell of the whole angle
+        lo, hi = param_interval(chart, 1, r_max)
+        axes = [_growth_axis(chart, 0, r_max, _GROWTH_GRID[1]), (np.full(1, lo), hi - lo)]
     else:
         npts = _GROWTH_GRID.get(chart.intrinsic_dim, 65)
         axes = [_growth_axis(chart, dim, r_max, npts)

@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -271,6 +273,32 @@ class TestMultiPolyType:
         p = MultiPoly.variable(2, 1)
         with pytest.raises(AttributeError):
             setattr(p, name, getattr(p, name))
+
+    def test_attributes_that_are_not_fields_are_refused(self):
+        with pytest.raises(AttributeError):
+            MultiPoly.variable(2, 0).foo = 1
+
+    def test_field_assignment_raises_frozen_instance_error(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            MultiPoly.variable(2, 0).terms = {}
+
+    @pytest.mark.parametrize("dim, terms, named", [
+        (1, {(1.5,): 1.0}, "(1.5,)"),
+        (1, {(math.inf,): 1.0}, "(inf,)"),
+        (1, {("1",): 1.0}, "('1',)"),
+        (2.5, {}, "2.5"),
+        ("3", {}, "'3'"),
+        (2.0, {(1, 0): 1.0}, "2.0"),
+    ], ids=["float-exponent", "inf-exponent", "str-exponent", "float-dim",
+            "str-dim", "integral-float-dim"])
+    def test_non_integer_exponent_or_dimension_raises(self, dim, terms, named):
+        with pytest.raises(ValueError, match="integers?, got " + re.escape(named)):
+            MultiPoly(dim, terms)
+
+    def test_numpy_integers_are_integers(self):
+        p = MultiPoly(np.int64(2), {(np.int32(1), np.uint8(2)): 1.0})
+        assert p == MultiPoly(2, {(1, 2): 1.0})
+        assert all(type(e) is int for e in (p.ambient_dim, *next(iter(p.terms))))
 
 
 def random_int_poly(rng, n, max_degree):

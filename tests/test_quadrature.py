@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -42,6 +43,13 @@ class TestRuleInvariants:
         rule = build_rule(chart, 5)
         assert [d.kind for d in rule.dims] == kinds
         assert rule.nodes_per_dim == tuple(DEFAULT_NODES[k] for k in kinds)
+
+    @pytest.mark.parametrize("n", [4, 7, 64, 100])
+    def test_periodic_rule_is_the_trapezoid_on_the_whole_angle(self, cylinder, n):
+        periodic = build_rule(cylinder, 3.0, [8, n]).dims[1]
+        assert (periodic.lo, periodic.hi) == (0.0, 2.0 * math.pi)
+        np.testing.assert_array_equal(periodic.nodes, 2.0 * math.pi * np.arange(n) / n)
+        np.testing.assert_array_equal(periodic.weights, np.full(n, 2.0 * math.pi / n))
 
     def test_periodic_weights_uniform(self, cylinder_rule):
         periodic = cylinder_rule.dims[1]
@@ -88,6 +96,14 @@ class TestQuadRuleType:
     def test_fields_are_frozen(self, euclid1_rule, name):
         with pytest.raises(AttributeError):
             setattr(euclid1_rule, name, getattr(euclid1_rule, name))
+
+    def test_attributes_that_are_not_fields_are_refused(self, euclid1_rule):
+        with pytest.raises(AttributeError):
+            euclid1_rule.foo = 1
+
+    def test_field_assignment_raises_frozen_instance_error(self, euclid1_rule):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            euclid1_rule.truncation_radius = 1.0
 
 
 class TestIntegrate:
