@@ -183,11 +183,14 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial powers must be non-negative integers")
+        try:  # operator.index admits Python and numpy ints only, as for the exponents
+            e = operator.index(exponent)
+        except TypeError:
+            raise ValueError(f"polynomial powers must be integers, got {exponent!r}") from None
+        if e < 0:
+            raise ValueError(f"polynomial powers must be non-negative, got {e}")
         result = MultiPoly.constant(self.ambient_dim, 1.0)
         base = self
-        e = exponent
         while e:
             if e & 1:
                 result = result * base

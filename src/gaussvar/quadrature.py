@@ -12,6 +12,10 @@ discretize plain Lebesgue measure on a truncated box:
 * periodic dimensions -- the uniform trapezoidal rule on [0, 2*pi), exact
   for trigonometric polynomials of degree < nodes/2.
 
+A euclidean chart's weight e^{-|u|^2} splits per coordinate, and
+:func:`hermite_rule` gives it the untruncated Gauss-Hermite tensor rule,
+exact for the Gram matrix of a degree cap.
+
 :func:`discretize` samples a chart on a rule once -- the embedded points
 X, r^2 = |X|^2 and the measure weights dmu = rule weights x density -- and
 every integral, Gram matrix and projection works from that sample.  It
@@ -42,6 +46,7 @@ __all__ = [
     "MomentTable",
     "IntegrabilityScan",
     "build_rule",
+    "hermite_rule",
     "truncated_rule",
     "discretize",
     "integrate",
@@ -145,6 +150,30 @@ def build_rule(chart: VarietyChart, radius: float, nodes_per_dim=None) -> QuadRu
             nodes, weights = _gauss_legendre(n, lo, hi)
         dims.append(DimRule(dom.kind, lo, hi, nodes, weights))
     return QuadRule(dims, radius)
+
+
+def hermite_rule(chart: VarietyChart, degree: int) -> QuadRule:
+    """Gauss-Hermite tensor rule with ``degree + 1`` nodes per dimension, for a euclidean chart.
+
+    It is exact for e^{-|u|^2} times any polynomial of degree <= 2 degree + 1,
+    so for every entry of a degree-``degree`` Gram matrix.  Each dimension
+    holds the weights w e^{x^2}, so that :func:`discretize`'s dmu e^{-r^2}
+    gives back w; nothing is truncated, and the truncation radius is inf.
+    numpy's ``hermgauss`` loses its weights to underflow or overflow from
+    371 nodes on (numpy 2.4); a weight that is not a finite normal double
+    raises :class:`QuadratureError` naming the degree.
+    """
+    if chart.kind != "euclidean":
+        raise QuadratureError(f"the Gauss-Hermite rule is exact on euclidean charts only, "
+                              f"not {chart.chart_id}")
+    with np.errstate(all="ignore"):  # checked right below
+        x, w = np.polynomial.hermite.hermgauss(degree + 1)
+        weights = np.exp(x * x + np.log(w))
+    if not (np.all(w >= np.finfo(float).tiny) and np.all(np.isfinite(weights))):
+        raise QuadratureError(f"no Gauss-Hermite rule for degree {degree}: the weights of "
+                              f"{degree + 1} nodes underflow or overflow a double")
+    dim = DimRule("unbounded", -math.inf, math.inf, x, weights)
+    return QuadRule((dim,) * chart.intrinsic_dim, math.inf)
 
 
 def _check_nodes(U: np.ndarray, vals: np.ndarray, what: str) -> None:

@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from gaussvar import cli, gram_matrix, orthonormalize, truncated_rule
+from gaussvar import (
+    chart_euclidean, cli, gram_matrix, hermite_rule, orthonormalize, truncated_rule,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -55,6 +57,16 @@ def test_ortho_defect_on_cylinder_basis(cylinder):
     _, rule = truncated_rule(cylinder, 8)
     gb = orthonormalize(gram_matrix(cylinder, 4, rule))
     assert worker.ortho_defect(gb, rule) <= 1e-10
+
+
+def test_ortho_defect_on_hermite_basis():
+    # a euclid3 basis from the exact Gram rule, checked where the bench checks it:
+    # on project's target rule with 16 more nodes per dimension
+    *_, worker = load_bench_modules("workloads", "check", "spans", "worker")
+    chart = chart_euclidean(3)
+    _, rule = truncated_rule(chart, 8)
+    gb = orthonormalize(gram_matrix(chart, 4, hermite_rule(chart, 4)))
+    assert worker.ortho_defect(gb, rule) <= 1e-12
 
 
 def test_selftest_passes(src_env):

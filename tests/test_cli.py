@@ -219,6 +219,27 @@ class TestRuleSettings:
                      "--out", str(tmp_path / "o")]) == EXIT_OK
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("command,expected", [("basis", 0), ("project", 1)])
+    def test_euclidean_gram_needs_no_truncated_rule(self, command, expected, euclid_spec,
+                                                    tmp_path, monkeypatch):
+        # the Gram rule is Gauss-Hermite; only project's target needs the truncated rule
+        calls = []
+
+        def counting(name):
+            original = getattr(quadrature, name)
+
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return spy
+
+        for name in ("estimate_growth", "build_rule", "hermite_rule"):
+            monkeypatch.setattr(quadrature, name, counting(name))
+        assert main([command, "--spec", str(euclid_spec), "--degree", "4",
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert calls.count("estimate_growth") == calls.count("build_rule") == expected
+        assert calls.count("hermite_rule") == 1
+
 
 class TestLemma:
     def test_cm_column_decays(self, tmp_path):
@@ -296,6 +317,19 @@ class TestBasis:
         values = np.array([float(r[2]) for r in rows])
         # bit for bit, so -0.0 and 0.0 count as different
         assert np.array_equal(values.view(np.int64), G.ravel().view(np.int64))
+
+    def test_huge_degree_writes_one_stderr_line(self, euclid_spec, tmp_path, src_env):
+        # hermgauss warns of overflow at 401 nodes; in a child interpreter under
+        # -W error, a warning that escaped would be a second stderr line
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "gaussvar.cli", "basis",
+             "--spec", str(euclid_spec), "--degree", "400", "--out", str(tmp_path / "o")],
+            env=src_env, capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_NUMERICAL
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("gaussvar basis: ")
+        assert "degree 400" in lines[0]
 
 
 class TestProject:

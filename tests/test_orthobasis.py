@@ -23,7 +23,8 @@ from gaussvar.polyring import (
     MultiPoly, monomial_values, monomials_up_to_degree, parse_poly, squared_norms,
 )
 from gaussvar.quadrature import (
-    QuadratureError, build_rule, discretize, integrate, moment_table, truncated_rule,
+    QuadratureError, build_rule, discretize, hermite_rule, integrate, moment_table,
+    truncated_rule,
 )
 from gaussvar.variety import chart_euclidean, chart_graph, estimate_growth
 
@@ -183,6 +184,18 @@ class TestGramMatrix:
     def test_euclidean_full_rank(self, euclid1, euclid1_rule):
         gb = orthonormalize(gram_matrix(euclid1, 5, euclid1_rule))
         assert gb.rank == len(gb.monomials)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), D=st.integers(0, 8))
+    def test_hermite_rule_gives_closed_form(self, n, D):
+        # <x^a, x^b> = prod_i Gamma((s_i + 1) / 2), 0 when some s_i = a_i + b_i is odd
+        G = gram_matrix(chart_euclidean(n), D, hermite_rule(chart_euclidean(n), D)).gram
+        monomials = monomials_up_to_degree(n, D)
+        exact = np.array([[math.prod(0.0 if (a + b) % 2 else math.gamma((a + b + 1) / 2)
+                                     for a, b in zip(ma, mb))
+                           for mb in monomials] for ma in monomials])
+        scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
+        assert np.all(np.abs(G - exact) <= 1e-14 * scale)
 
 
 @pytest.fixture(scope="module")
@@ -659,7 +672,14 @@ class TestClassicRecovery:
         with pytest.raises(ValueError):
             classic_recovery("chebyshev")
 
+    def test_hermite_matches_at_degree_fourteen(self):
+        # needs exact Gram entries: the 64-node Gauss-Legendre rule leaves errors of 3.8e-5
+        report = classic_recovery("hermite", degree_cap=14)
+        assert report.matched
+        assert report.max_rel_coeff_err <= 1e-9
+
     def test_one_truncated_rule_per_kind(self, monkeypatch):
+        # hermite's one rule is the exact Gauss-Hermite rule, legendre's the truncated rule
         calls = []
 
         def spy(chart, *args):
@@ -667,11 +687,17 @@ class TestClassicRecovery:
             calls.append((chart, rule))
             return growth, rule
 
+        def hermite_spy(chart, degree):
+            calls.append(("hermite_rule", degree))
+            return hermite_rule(chart, degree)
+
         monkeypatch.setattr(orthobasis, "truncated_rule", spy)
-        for kind in ("hermite", "legendre"):
-            calls.clear()
-            classic_recovery(kind)
-            assert len(calls) == 1
+        monkeypatch.setattr(orthobasis, "hermite_rule", hermite_spy)
+        classic_recovery("hermite")
+        assert calls == [("hermite_rule", 6)]
+        calls.clear()
+        classic_recovery("legendre")
+        assert len(calls) == 1
         chart, rule = calls[0]  # legendre's bounded rule does not depend on R
         ref = build_rule(chart, 2)
         np.testing.assert_array_equal(rule.points, ref.points)

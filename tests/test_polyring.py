@@ -228,6 +228,16 @@ class TestRingOps:
         (x,) = variables(1)
         assert x * x == x ** 2
 
+    def test_numpy_integer_power(self):
+        (x,) = variables(1)
+        assert x ** np.int64(2) == x * x
+
+    @pytest.mark.parametrize("exponent", [1.5, -1])
+    def test_power_needs_non_negative_integer(self, exponent):
+        (x,) = variables(1)
+        with pytest.raises(ValueError):
+            x ** exponent
+
     def test_scale_by_zero(self):
         (x,) = variables(1)
         z = x ** 2 * 0.0

@@ -10,7 +10,9 @@ from gaussvar.quadrature import (
     QuadratureError,
     build_rule,
     choose_truncation,
+    discretize,
     gaussian_moment,
+    hermite_rule,
     integrability_scan,
     integrate,
     moment_table,
@@ -19,7 +21,7 @@ from gaussvar.quadrature import (
     truncated_rule,
 )
 from gaussvar.polyring import squared_norms
-from gaussvar.variety import chart_graph, estimate_growth
+from gaussvar.variety import chart_euclidean, chart_graph, estimate_growth
 
 
 class TestRuleInvariants:
@@ -79,6 +81,49 @@ class TestRuleInvariants:
     def test_rule_chart_mismatch(self, euclid1, cylinder_rule):
         with pytest.raises(QuadratureError):
             integrate(euclid1, 1.0, cylinder_rule)
+
+
+class TestHermiteRule:
+    @pytest.mark.parametrize("n,degree", [(1, 0), (2, 3), (3, 6)])
+    def test_degree_plus_one_nodes_untruncated(self, n, degree):
+        rule = hermite_rule(chart_euclidean(n), degree)
+        assert rule.nodes_per_dim == (degree + 1,) * n
+        assert rule.truncation_radius == math.inf
+        assert all((d.kind, d.lo, d.hi) == ("unbounded", -math.inf, math.inf)
+                   for d in rule.dims)
+
+    def test_gauss_weights_come_back(self):
+        rule = hermite_rule(chart_euclidean(2), 9)
+        x, w = np.polynomial.hermite.hermgauss(10)
+        np.testing.assert_array_equal(rule.dims[0].nodes, x)
+        weights = discretize(chart_euclidean(2), rule).weights()
+        np.testing.assert_allclose(weights, np.outer(w, w).ravel(), rtol=1e-13)
+
+    def test_exact_to_twice_the_degree_plus_one(self):
+        # integral x^10 e^{-x^2} = Gamma(11/2), on 6 nodes
+        val = integrate(chart_euclidean(1), lambda X: X[:, 0] ** 10,
+                        hermite_rule(chart_euclidean(1), 5))
+        assert val == pytest.approx(math.gamma(5.5), rel=1e-14)
+
+    def test_euclidean_charts_only(self, cylinder):
+        with pytest.raises(QuadratureError, match="euclidean"):
+            hermite_rule(cylinder, 4)
+
+    def test_negative_degree(self):
+        with pytest.raises(ValueError):
+            hermite_rule(chart_euclidean(1), -1)
+
+    def test_overflowing_weights_name_the_degree(self):
+        with np.errstate(all="raise"):
+            with pytest.raises(QuadratureError, match="degree 400"):
+                hermite_rule(chart_euclidean(1), 400)
+
+    def test_underflowed_weights_name_the_degree(self, monkeypatch):
+        # numpy 2.4's hermgauss returns 371 zero weights, without a warning
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss",
+                            lambda n: (np.linspace(-1.0, 1.0, n), np.zeros(n)))
+        with pytest.raises(QuadratureError, match="degree 370"):
+            hermite_rule(chart_euclidean(1), 370)
 
 
 class TestQuadRuleType:
