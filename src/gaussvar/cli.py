@@ -64,15 +64,16 @@ def _wavevectors(flag, text):
     return ks
 
 
-_EXACT_GRAM = ("; on a euclidean chart, basis and project integrate the Gram matrix "
-               "exactly on degree+1 Gauss-Hermite nodes per dimension, whatever this is")
+_EXACT_GRAM = ("project's Gauss-Hermite target rule on a euclidean chart, whose Gram "
+               "matrix is exact on degree+1 Gauss-Hermite nodes per dimension")
 _FLAGS = {  # flag -> argparse settings; each command in _COMMANDS sets the default
     "spec": dict(help="variety spec file (JSON)"),
     "mmax": dict(type=int, help="largest moment/expansion order"),
     "degree": dict(type=int, help="degree cap D"),
-    "eps": dict(type=float, help="tail budget for the truncation radius" + _EXACT_GRAM),
-    "nodes": dict(type=int, help="nodes per dimension; None: quadrature.DEFAULT_NODES "
-                                 "by domain kind" + _EXACT_GRAM),
+    "eps": dict(type=float, help="tail budget for the truncation radius, and refinement "
+                                 "budget of " + _EXACT_GRAM),
+    "nodes": dict(type=int, help="nodes per dimension (None: quadrature.DEFAULT_NODES by "
+                                 "domain kind), and the pinned rung of " + _EXACT_GRAM),
     "weight": dict(choices=("gauss", "none"), help="inner-product weight"),
     "alpha": dict(type=float, help="exponent of the target e^{alpha r^2}"),
     "k": dict(help="comma-separated wavevector lengths"),
@@ -112,21 +113,21 @@ def cmd_growth(args, out: Path) -> None:
     _write_csv(out / "growth.csv", "r,volume,C,l,slope", rows)
 
 
-def _basis(args, chart, with_rule: bool = False):
-    """--weight checked; the rule for orders up to 2 --degree, or None; the basis to --degree.
+def _basis(args, chart):
+    """--weight checked; the study's truncated rule, or None; the basis to --degree.
 
     A euclidean chart's weight is exactly e^{-|u|^2} * 1, so its Gram matrix is
-    integrated on the exact :func:`quadrature.hermite_rule`, and the truncated
-    rule is built only ``with_rule``.  Every other chart's Gram matrix is
-    integrated on the truncated rule.
+    integrated on the exact :func:`quadrature.hermite_rule` and no truncated
+    rule is built.  Every other chart's Gram matrix is integrated on the
+    truncated rule for orders up to 2 --degree.
     """
     if args.weight == "none" and not _compact(chart):  # dmu has finite mass only then
         raise ConfigError(f"--weight none needs a compact chart, got {chart.chart_id}")
-    euclidean = chart.kind == "euclidean"
-    rule = None
-    if with_rule or not euclidean:
+    if chart.kind == "euclidean":
+        rule, gram_rule = None, quadrature.hermite_rule(chart, args.degree)
+    else:
         _, rule = quadrature.truncated_rule(chart, 2 * args.degree, args.eps, args.nodes)
-    gram_rule = quadrature.hermite_rule(chart, args.degree) if euclidean else rule
+        gram_rule = rule
     gram = orthobasis.gram_matrix(chart, args.degree, gram_rule, weight=args.weight)
     return rule, orthobasis.orthonormalize(gram)
 
@@ -140,7 +141,10 @@ def cmd_basis(args, out: Path) -> None:
 def cmd_project(args, out: Path) -> None:
     chart = load_chart(args.spec)
     target = _exp_target(chart, args.alpha)
-    rule, gb = _basis(args, chart, with_rule=True)
+    rule, gb = _basis(args, chart)
+    if rule is None:
+        rule, _ = quadrature.hermite_target_rule(chart, target, args.degree, args.eps,
+                                                 args.nodes)
     reports = orthobasis.project(gb, target, rule)
     orthobasis.projections_to_csv(reports[2::2], out / "projection.csv")
 

@@ -14,7 +14,10 @@ discretize plain Lebesgue measure on a truncated box:
 
 A euclidean chart's weight e^{-|u|^2} splits per coordinate, and
 :func:`hermite_rule` gives it the untruncated Gauss-Hermite tensor rule,
-exact for the Gram matrix of a degree cap.
+exact for the Gram matrix of a degree cap.  A target f is not a polynomial,
+so :func:`hermite_target_rule` refines that rule by 8 nodes per dimension
+until two integrals of f move by at most eps: there eps is a refinement
+budget, not a tail budget.
 
 :func:`discretize` samples a chart on a rule once -- the embedded points
 X, r^2 = |X|^2 and the measure weights dmu = rule weights x density -- and
@@ -47,6 +50,7 @@ __all__ = [
     "IntegrabilityScan",
     "build_rule",
     "hermite_rule",
+    "hermite_target_rule",
     "truncated_rule",
     "discretize",
     "integrate",
@@ -174,6 +178,56 @@ def hermite_rule(chart: VarietyChart, degree: int) -> QuadRule:
                               f"{degree + 1} nodes underflow or overflow a double")
     dim = DimRule("unbounded", -math.inf, math.inf, x, weights)
     return QuadRule((dim,) * chart.intrinsic_dim, math.inf)
+
+
+_RUNG = 8  # node-count step between the rungs of a target rule's refinement check
+
+
+def hermite_target_rule(chart: VarietyChart, f, degree: int, eps: float = DEFAULT_EPS,
+                        nodes=None) -> tuple[QuadRule, float]:
+    """The Gauss-Hermite tensor rule to project ``f`` on up to ``degree``, and its delta.
+
+    Rung n is ``hermite_rule(chart, n - 1)``, n nodes per dimension and
+    nothing truncated.  Its delta is the largest relative change of
+    integral f^2  and  integral f (1 + r^2)^degree  against e^{-r^2} dmu
+    from rung n to rung n + 8.  The second stands for the products f p,
+    p of degree up to ``degree``, in the residual (f - p)^2: f^2 alone can
+    settle on too few nodes for them.  The rungs tried
+    are the multiples of 8 from the first one >= degree + 1 whose check
+    rung has at most ``DEFAULT_NODES["unbounded"]`` nodes per dimension, or
+    ``nodes`` alone when it is given.  The first rung whose delta is at most
+    ``eps`` is returned; when none is, :class:`QuadratureError` names eps
+    and the last delta.  ``f`` is sampled once per rung.
+    """
+    if nodes is None:
+        first = -(-(degree + 1) // _RUNG) * _RUNG
+        rungs = range(first, DEFAULT_NODES["unbounded"] - _RUNG + 1, _RUNG)
+        if not rungs:
+            raise QuadratureError(f"no Gauss-Hermite target rule for degree {degree}: "
+                                  f"its first rung, {first} nodes per dimension, has no "
+                                  f"check rung within {DEFAULT_NODES['unbounded']}")
+    else:
+        rungs = [nodes]
+
+    def integrals(n):
+        rule = hermite_rule(chart, n - 1)
+        disc = discretize(chart, rule)
+        fvals = disc.sample(f)
+        wf = disc.weights() * fvals
+        with np.errstate(over="ignore", invalid="ignore"):  # the totals are checked
+            totals = [np.sum(wf * fvals), np.sum(wf * (1.0 + disc.r2) ** degree)]
+        return rule, np.array([_checked_total(t) for t in totals])
+
+    rule, coarse = integrals(rungs[0])
+    for n in rungs:
+        fine_rule, fine = integrals(n + _RUNG)
+        delta = float(np.max(np.abs(fine - coarse) / np.abs(fine)))
+        if delta <= eps:
+            return rule, delta
+        rule, coarse = fine_rule, fine
+    raise QuadratureError(f"no Gauss-Hermite target rule meets eps={eps:g}: the last rung "
+                          f"tried, {n} nodes per dimension, has delta {delta:.3g} "
+                          f"against {n + _RUNG}")
 
 
 def _check_nodes(U: np.ndarray, vals: np.ndarray, what: str) -> None:

@@ -60,8 +60,8 @@ def test_ortho_defect_on_cylinder_basis(cylinder):
 
 
 def test_ortho_defect_on_hermite_basis():
-    # a euclid3 basis from the exact Gram rule, checked where the bench checks it:
-    # on project's target rule with 16 more nodes per dimension
+    # a euclid3 basis from the exact Gram rule, checked as the bench checks a
+    # traced truncated rule: on that rule with 16 more nodes per dimension
     *_, worker = load_bench_modules("workloads", "check", "spans", "worker")
     chart = chart_euclidean(3)
     _, rule = truncated_rule(chart, 8)
@@ -76,8 +76,13 @@ def test_selftest_passes(src_env):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-# (chart, coefficient scale, alpha): the lowest and highest levels of each draw
-EXTREME_PROJECTIONS = [("euclid3", 1.0, alpha) for alpha in (0.125, 0.375)] + [
+(WORKLOADS,) = load_bench_modules("workloads")
+
+# (chart, coefficient scale, alpha): the lowest and highest levels of each draw, and
+# every alpha for euclid3, whose target rule a refinement check chooses per alpha.
+# reference.json's euclid3 f_norm comes from the truncated rule, 7.4e-10 off the
+# closed form at alpha 0.375, where check.py allows 1e-9.
+EXTREME_PROJECTIONS = [("euclid3", 1.0, alpha) for alpha in WORKLOADS.ALPHA_LEVELS] + [
     (chart, scale, alpha) for chart in ("cylinder", "modgraph")
     for scale in (0.5, 2.0) for alpha in (0.125, 0.375)]
 

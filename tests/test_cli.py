@@ -219,26 +219,29 @@ class TestRuleSettings:
                      "--out", str(tmp_path / "o")]) == EXIT_OK
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("command,expected", [("basis", 0), ("project", 1)])
-    def test_euclidean_gram_needs_no_truncated_rule(self, command, expected, euclid_spec,
+    @pytest.mark.parametrize("command,target_rules", [("basis", 0), ("project", 1)])
+    def test_euclidean_gram_needs_no_truncated_rule(self, command, target_rules, euclid_spec,
                                                     tmp_path, monkeypatch):
-        # the Gram rule is Gauss-Hermite; only project's target needs the truncated rule
+        # the Gram rule is Gauss-Hermite, and so is project's refined target rule
         calls = []
 
         def counting(name):
             original = getattr(quadrature, name)
 
             def spy(*args, **kwargs):
-                calls.append(name)
+                calls.append((name, args))
                 return original(*args, **kwargs)
             return spy
 
-        for name in ("estimate_growth", "build_rule", "hermite_rule"):
+        for name in ("estimate_growth", "build_rule", "hermite_rule", "hermite_target_rule"):
             monkeypatch.setattr(quadrature, name, counting(name))
         assert main([command, "--spec", str(euclid_spec), "--degree", "4",
                      "--out", str(tmp_path / "o")]) == EXIT_OK
-        assert calls.count("estimate_growth") == calls.count("build_rule") == expected
-        assert calls.count("hermite_rule") == 1
+        names = [name for name, _ in calls]
+        assert names.count("estimate_growth") == names.count("build_rule") == 0
+        assert names.count("hermite_target_rule") == target_rules
+        name, (_, degree) = calls[0]
+        assert (name, degree) == ("hermite_rule", 4)  # the Gram rule, built first
 
 
 class TestLemma:
@@ -355,6 +358,38 @@ class TestProject:
         assert main(["project", "--spec", str(cylinder_spec), "--degree", "8",
                      "--out", str(tmp_path / "out")]) == EXIT_OK
         assert calls == [8]
+
+
+    @pytest.fixture
+    def euclid3_spec(self, tmp_path):
+        path = tmp_path / "euclid3.json"
+        path.write_text(json.dumps({"kind": "euclidean", "n": 3}))
+        return path
+
+    def test_euclidean_target_beyond_the_ladder_exits_1(self, euclid3_spec, tmp_path, capsys):
+        # no Gauss-Hermite rung up to 64 nodes per dimension settles e^{0.45 r^2}
+        code = main(["project", "--spec", str(euclid3_spec), "--degree", "6",
+                     "--alpha", "0.45", "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == EXIT_NUMERICAL
+        assert len(lines) == 1 and "eps=1e-12" in lines[0]
+
+    def test_euclidean_eps_is_the_refinement_budget(self, euclid3_spec, tmp_path):
+        assert main(["project", "--spec", str(euclid3_spec), "--degree", "6",
+                     "--alpha", "0.4", "--eps", "1e-6", "--out", str(tmp_path / "o")]) == EXIT_OK
+
+    def test_euclidean_nodes_pins_the_target_rule(self, euclid3_spec, tmp_path, monkeypatch):
+        rules = []
+        original = orthobasis.project
+
+        def spy(gb, f, rule):
+            rules.append(rule)
+            return original(gb, f, rule)
+
+        monkeypatch.setattr(orthobasis, "project", spy)
+        assert main(["project", "--spec", str(euclid3_spec), "--degree", "6",
+                     "--nodes", "40", "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert [rule.nodes_per_dim for rule in rules] == [(40, 40, 40)]
 
 
 class TestAlpha:

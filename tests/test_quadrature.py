@@ -13,6 +13,7 @@ from gaussvar.quadrature import (
     discretize,
     gaussian_moment,
     hermite_rule,
+    hermite_target_rule,
     integrability_scan,
     integrate,
     moment_table,
@@ -124,6 +125,63 @@ class TestHermiteRule:
                             lambda n: (np.linspace(-1.0, 1.0, n), np.zeros(n)))
         with pytest.raises(QuadratureError, match="degree 370"):
             hermite_rule(chart_euclidean(1), 370)
+
+
+def _exp_target(alpha):
+    return lambda X: np.exp(alpha * squared_norms(X))
+
+
+class TestHermiteTargetRule:
+    @pytest.mark.parametrize("n,degree,alpha,nodes", [
+        (3, 6, 0.125, 24), (3, 6, 0.25, 32), (3, 6, 0.375, 56),
+        (1, 10, 0.05, 24),  # f^2 alone settles on 16; f (1 + r^2)^10 does not
+    ])
+    def test_first_rung_within_eps(self, n, degree, alpha, nodes):
+        rule, delta = hermite_target_rule(chart_euclidean(n), _exp_target(alpha), degree)
+        assert rule.nodes_per_dim == (nodes,) * n and rule.truncation_radius == math.inf
+        assert delta <= 1e-12
+
+    def test_delta_is_the_change_to_the_next_rung(self):
+        chart, f, degree = chart_euclidean(2), _exp_target(0.3), 4
+        rule, delta = hermite_target_rule(chart, f, degree)
+        n = rule.nodes_per_dim[0]
+        changes = []
+        for g in (lambda X: f(X) ** 2, lambda X: f(X) * (1.0 + squared_norms(X)) ** degree):
+            coarse, fine = (integrate(chart, g, hermite_rule(chart, m - 1)) for m in (n, n + 8))
+            changes.append(abs(fine - coarse) / fine)
+        assert delta == pytest.approx(max(changes), rel=1e-3, abs=1e-15)
+
+    @pytest.mark.parametrize("degree,first", [(0, 8), (7, 8), (8, 16), (55, 56)])
+    def test_ladder_starts_at_a_multiple_of_eight_above_the_degree(self, degree, first,
+                                                                   monkeypatch):
+        sizes = []
+        monkeypatch.setattr("gaussvar.quadrature.hermite_rule",
+                            lambda chart, d: sizes.append(d + 1) or hermite_rule(chart, d))
+        hermite_target_rule(chart_euclidean(1), 1.0, degree)
+        assert sizes == [first, first + 8]
+
+    def test_degree_beyond_the_ladder_raises(self):
+        with pytest.raises(QuadratureError, match="degree 56"):
+            hermite_target_rule(chart_euclidean(1), 1.0, 56)
+
+    @pytest.mark.parametrize("nodes", [20, 40])
+    def test_nodes_pins_the_rung(self, nodes):
+        rule, _ = hermite_target_rule(chart_euclidean(3), _exp_target(0.125), 6, nodes=nodes)
+        assert rule.nodes_per_dim == (nodes,) * 3
+
+    def test_pinned_rung_must_pass_its_check(self):
+        with pytest.raises(QuadratureError, match=r"eps=1e-12: .* 16 nodes .* against 24"):
+            hermite_target_rule(chart_euclidean(3), _exp_target(0.375), 6, nodes=16)
+
+    def test_no_rung_within_eps_names_eps_and_the_last_delta(self):
+        with pytest.raises(QuadratureError, match=r"eps=1e-12: the last rung tried, 56 "
+                                                  r"nodes per dimension, has delta "
+                                                  r"1\.09e-05 against 64"):
+            hermite_target_rule(chart_euclidean(3), _exp_target(0.45), 6)
+
+    def test_euclidean_charts_only(self, cylinder):
+        with pytest.raises(QuadratureError, match="euclidean"):
+            hermite_target_rule(cylinder, 1.0, 2)
 
 
 class TestQuadRuleType:
