@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import approxlemma, orthobasis, quadrature
-from .polyring import MultiPoly, squared_norms
+from .polyring import MultiPoly
 from .variety import GrowthError, SpecFileError, estimate_growth, load_chart
 
 EXIT_OK = 0
@@ -64,8 +64,11 @@ def _wavevectors(flag, text):
     return ks
 
 
-_EXACT_GRAM = ("project's Gauss-Hermite target rule on a euclidean chart, whose Gram "
-               "matrix is exact on degree+1 Gauss-Hermite nodes per dimension")
+_EXACT_GRAM = ("project's Gauss-Hermite target rule on a euclidean chart. Not read for an "
+               "exact Gram rule (quadrature.gauss_rule): basis uses one under --weight "
+               "gauss on euclidean, graph, revolution and circle charts and on the modulus "
+               "graph of c*z^k, project on euclidean charts only; elsewhere project keeps "
+               "one truncated rule for its Gram matrix and its target")
 _FLAGS = {  # flag -> argparse settings; each command in _COMMANDS sets the default
     "spec": dict(help="variety spec file (JSON)"),
     "mmax": dict(type=int, help="largest moment/expansion order"),
@@ -93,7 +96,7 @@ def _exp_target(chart, alpha):
     if not math.isfinite(alpha) or (not _compact(chart) and alpha >= 0.5):
         raise ConfigError(f"--alpha must be finite, and < 1/2 unless the chart is compact, "
                           f"got {alpha:g} for {chart.chart_id}")
-    return lambda X: np.exp(alpha * squared_norms(X))
+    return quadrature.RadialFunction(lambda r2: np.exp(alpha * r2))
 
 
 def cmd_moments(args, out: Path) -> None:
@@ -113,38 +116,55 @@ def cmd_growth(args, out: Path) -> None:
     _write_csv(out / "growth.csv", "r,volume,C,l,slope", rows)
 
 
-def _basis(args, chart):
-    """--weight checked; the study's truncated rule, or None; the basis to --degree.
-
-    A euclidean chart's weight is exactly e^{-|u|^2} * 1, so its Gram matrix is
-    integrated on the exact :func:`quadrature.hermite_rule` and no truncated
-    rule is built.  Every other chart's Gram matrix is integrated on the
-    truncated rule for orders up to 2 --degree.
-    """
-    if args.weight == "none" and not _compact(chart):  # dmu has finite mass only then
+def _weighted_chart(args):
+    """The spec's chart, with --weight checked: none needs finite volume."""
+    chart = load_chart(args.spec)
+    if args.weight == "none" and not _compact(chart):
         raise ConfigError(f"--weight none needs a compact chart, got {chart.chart_id}")
-    if chart.kind == "euclidean":
-        rule, gram_rule = None, quadrature.hermite_rule(chart, args.degree)
-    else:
-        _, rule = quadrature.truncated_rule(chart, 2 * args.degree, args.eps, args.nodes)
-        gram_rule = rule
-    gram = orthobasis.gram_matrix(chart, args.degree, gram_rule, weight=args.weight)
-    return rule, orthobasis.orthonormalize(gram)
+    return chart
+
+
+def _basis(args, chart, rule):
+    """The basis to --degree, its Gram matrix integrated on ``rule``."""
+    return orthobasis.orthonormalize(
+        orthobasis.gram_matrix(chart, args.degree, rule, weight=args.weight))
+
+
+def _truncated(args, chart):
+    """The study's truncated rule, for orders up to 2 --degree."""
+    return quadrature.truncated_rule(chart, 2 * args.degree, args.eps, args.nodes)[1]
 
 
 def cmd_basis(args, out: Path) -> None:
-    _, gb = _basis(args, load_chart(args.spec))
+    """The Gram matrix on the exact :func:`quadrature.gauss_rule` when the chart
+    has one under --weight gauss, and on the truncated rule otherwise."""
+    chart = _weighted_chart(args)
+    rule = None
+    if args.weight == "gauss":  # the exact rules are for e^{-r^2} dmu
+        try:
+            rule = quadrature.gauss_rule(chart, args.degree)
+        except quadrature.NoExactRuleError:
+            pass
+    if rule is None:
+        rule = _truncated(args, chart)
+    gb = _basis(args, chart, rule)
     orthobasis.gram_to_csv(gb, out / "gram.csv")
     orthobasis.basis_to_csv(gb, out / "basis.csv")
 
 
 def cmd_project(args, out: Path) -> None:
-    chart = load_chart(args.spec)
+    """A euclidean chart's Gram matrix is exact on :func:`quadrature.gauss_rule`, and its
+    target is integrated on :func:`quadrature.hermite_target_rule`; every other
+    chart's Gram matrix and target share one truncated rule."""
+    chart = _weighted_chart(args)
     target = _exp_target(chart, args.alpha)
-    rule, gb = _basis(args, chart)
-    if rule is None:
+    if chart.kind == "euclidean":
+        gb = _basis(args, chart, quadrature.gauss_rule(chart, args.degree))
         rule, _ = quadrature.hermite_target_rule(chart, target, args.degree, args.eps,
                                                  args.nodes)
+    else:
+        rule = _truncated(args, chart)
+        gb = _basis(args, chart, rule)
     reports = orthobasis.project(gb, target, rule)
     orthobasis.projections_to_csv(reports[2::2], out / "projection.csv")
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .polyring import MultiPoly, monomial_values, monomials_up_to_degree
-from .quadrature import QuadRule, QuadratureError, discretize, hermite_rule, truncated_rule
+from .quadrature import QuadRule, QuadratureError, discretize, gauss_rule, truncated_rule
 from .variety import VarietyChart, chart_euclidean, chart_graph
 
 __all__ = [
@@ -361,7 +361,7 @@ def classic_recovery(kind: str, degree_cap: int = 6) -> RecoveryReport:
     """Recover the Hermite or Legendre family from the generic machinery.
 
     ``hermite``: euclidean chart on R with the Gaussian weight, on the exact
-    :func:`hermite_rule`; ``legendre``: the interval [-1, 1] (a graph chart
+    :func:`gauss_rule`; ``legendre``: the interval [-1, 1] (a graph chart
     with no components) with the weight switched off, on the rule of
     :func:`truncated_rule`, which for a bounded interval does not depend on R.
     Rows are sign-fixed so the leading coefficient is positive before comparing.
@@ -370,7 +370,7 @@ def classic_recovery(kind: str, degree_cap: int = 6) -> RecoveryReport:
         chart, weight = chart_euclidean(1), "gauss"
         to_power, sq_norm = np.polynomial.hermite.herm2poly, lambda k: (
             2.0 ** k * math.factorial(k) * math.sqrt(math.pi))
-        rule = hermite_rule(chart, degree_cap)
+        rule = gauss_rule(chart, degree_cap)
     elif kind == "legendre":
         chart, weight = chart_graph([], domain=(-1.0, 1.0)), "none"
         to_power, sq_norm = np.polynomial.legendre.leg2poly, lambda k: 2.0 / (2.0 * k + 1.0)

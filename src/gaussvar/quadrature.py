@@ -12,20 +12,30 @@ discretize plain Lebesgue measure on a truncated box:
 * periodic dimensions -- the uniform trapezoidal rule on [0, 2*pi), exact
   for trigonometric polynomials of degree < nodes/2.
 
-A euclidean chart's weight e^{-|u|^2} splits per coordinate, and
-:func:`hermite_rule` gives it the untruncated Gauss-Hermite tensor rule,
-exact for the Gram matrix of a degree cap.  A target f is not a polynomial,
-so :func:`hermite_target_rule` refines that rule by 8 nodes per dimension
-until two integrals of f move by at most eps: there eps is a refinement
-budget, not a tail budget.
+A Gram matrix is a finite set of moments, and :func:`gauss_rule` integrates
+it exactly, untruncated, wherever the chart's weight lives on one
+parameter: Gauss-Hermite (:func:`hermite_rule`) on a euclidean chart, whose
+weight e^{-|u|^2} splits per coordinate; the trapezoid on the circle; and on
+graphs, revolutions and the modulus graph of c z^k a Gauss rule for the
+weight e^{-r^2} density in u1 or in rho = |u|, built by Lanczos and
+Golub-Welsch and certified against a finer discretization.  Its weights
+carry e^{-r^2} dmu, and the polar rule of the modulus graph is given by
+points and weights, not as a tensor product.  The CLI's ``basis`` uses it
+whenever the chart has one, whatever ``--eps`` and ``--nodes`` say;
+``project`` keeps one truncated rule off euclidean charts.  A target f is
+not a polynomial, so :func:`hermite_target_rule` refines the Gauss-Hermite
+rule by 8 nodes per dimension until two integrals of f move by at most
+eps: there eps is a refinement budget, not a tail budget.
 
 :func:`discretize` samples a chart on a rule once -- the embedded points
-X, r^2 = |X|^2 and the measure weights dmu = rule weights x density -- and
+X, r^2 = |X|^2 and the measure weights dmu = rule weights x density, or
+the rule's weights where they carry the measure already -- and
 every integral, Gram matrix and projection works from that sample.  It
 rejects a non-finite r^2 or volume density, naming the node, so the weights
 are finite.  Integrands are functions of the ambient point x, and
 :meth:`Discretization.sample` is the one place they are evaluated: it calls
-them on X and names the first node whose value is non-finite.  An integral
+them on X (a :class:`RadialFunction` on the sampled r^2) and names the
+first node whose value is non-finite.  An integral
 is the weighted sum of those values, and only its total is checked.
 Every sum runs in a fixed order, over the nodes or over node blocks of a
 fixed size, so every result is reproducible bit for bit for a fixed rule.
@@ -33,6 +43,7 @@ fixed size, so every result is reproducible bit for bit for a fixed rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,12 +54,15 @@ from .variety import GrowthEstimate, VarietyChart, estimate_growth, param_interv
 
 __all__ = [
     "QuadratureError",
+    "NoExactRuleError",
     "DimRule",
     "QuadRule",
     "Discretization",
+    "RadialFunction",
     "MomentTable",
     "IntegrabilityScan",
     "build_rule",
+    "gauss_rule",
     "hermite_rule",
     "hermite_target_rule",
     "truncated_rule",
@@ -62,6 +76,7 @@ __all__ = [
     "shell_moment_sum",
     "DEFAULT_NODES",
     "DEFAULT_EPS",
+    "GAUSS_DELTA",
 ]
 
 DEFAULT_NODES = {"unbounded": 64, "periodic": 64, "bounded": 48}  # by domain kind
@@ -74,9 +89,14 @@ class QuadratureError(RuntimeError):
     """Raised on invalid rules or non-finite integrand samples."""
 
 
+class NoExactRuleError(QuadratureError):
+    """Raised by :func:`gauss_rule` for a chart it has no exact rule for."""
+
+
 @dataclass(frozen=True, eq=False)
 class DimRule:
-    """Nodes and plain (Lebesgue) weights on one parameter dimension."""
+    """Nodes and weights on one parameter dimension: plain (Lebesgue) weights,
+    unless the :class:`QuadRule` they are part of carries the measure."""
 
     kind: str  # the domain kind: "unbounded" (truncated), "bounded", "periodic"
     lo: float
@@ -87,30 +107,51 @@ class DimRule:
 
 @dataclass(frozen=True, repr=False, eq=False)
 class QuadRule:
-    """Tensor-product rule over a chart's parameter domain."""
+    """Nodes and weights over a chart's parameter domain.
+
+    ``QuadRule(dims, R)`` is the tensor product of the one-dimensional rules
+    ``dims``, truncated at radius R (inf where nothing is truncated).  Its
+    weights are plain (Lebesgue) weights unless ``carries_measure``: then
+    they already carry e^{-r^2} dmu, and :func:`discretize` takes them as
+    they are, with no density or e^{-r^2} factor.  A rule that is not a
+    tensor product has no ``dims``; it is given by ``points``, ``weights``
+    and ``kinds``, the domain kind of each parameter, and carries the
+    measure.  ``nodes_per_dim`` is empty for it.
+    """
 
     dims: tuple
     truncation_radius: float
+    carries_measure: bool = False
+    points: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    kinds: tuple = ()
     nodes_per_dim: tuple = field(init=False)
-    points: np.ndarray = field(init=False)
-    weights: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         dims = tuple(self.dims)
-        mesh = np.meshgrid(*[d.nodes for d in dims], indexing="ij")
-        w = dims[0].weights
-        for d in dims[1:]:
-            w = np.multiply.outer(w, d.weights)
-        for name, value in dict(dims=dims, truncation_radius=float(self.truncation_radius),
-                                nodes_per_dim=tuple(d.nodes.size for d in dims),
-                                points=np.stack([m.ravel() for m in mesh], axis=1),
-                                weights=np.asarray(w).ravel()).items():
+        values = dict(dims=dims, truncation_radius=float(self.truncation_radius))
+        if dims:
+            mesh = np.meshgrid(*[d.nodes for d in dims], indexing="ij")
+            w = dims[0].weights
+            for d in dims[1:]:
+                w = np.multiply.outer(w, d.weights)
+            values.update(kinds=tuple(d.kind for d in dims),
+                          nodes_per_dim=tuple(d.nodes.size for d in dims),
+                          points=np.stack([m.ravel() for m in mesh], axis=1),
+                          weights=np.asarray(w).ravel())
+        elif not (self.carries_measure and self.points is not None
+                  and self.weights is not None and self.kinds):
+            raise ValueError("a rule without dims needs points, weights and kinds, "
+                             "and carries the measure")
+        else:
+            values.update(kinds=tuple(self.kinds), nodes_per_dim=())
+        for name, value in values.items():
             object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
-        kinds = ",".join(d.kind for d in self.dims)
-        return (f"QuadRule(dims=[{kinds}], R={self.truncation_radius:g}, "
-                f"nodes={self.nodes_per_dim})")
+        size = f"nodes={self.nodes_per_dim}" if self.dims else f"points={self.weights.size}"
+        return (f"QuadRule(dims=[{','.join(self.kinds)}], R={self.truncation_radius:g}, "
+                f"{size}{', carries measure' if self.carries_measure else ''})")
 
 
 def _gauss_legendre(n: int, lo: float, hi: float):
@@ -180,6 +221,199 @@ def hermite_rule(chart: VarietyChart, degree: int) -> QuadRule:
     return QuadRule((dim,) * chart.intrinsic_dim, math.inf)
 
 
+_PANELS, _PANEL_NODES = 32, 40  # composite Gauss-Legendre discretization of a weight
+_SUPPORT_SAMPLES = 4097  # grid on which the support of a weight is found
+_WEIGHT_CAP = 745.0  # r^2 past which e^{-r^2} underflows a double
+GAUSS_DELTA = 1e-11  # the largest certified move of a Lanczos-built rule; see gauss_rule
+
+
+def _trapezoid(n: int) -> DimRule:
+    """n-node trapezoid on [0, 2 pi): exact below trigonometric degree n."""
+    return DimRule("periodic", 0.0, 2.0 * math.pi, 2.0 * math.pi * np.arange(n) / n,
+                   np.full(n, 2.0 * math.pi / n))
+
+
+@functools.cache
+def _legendre_panel():
+    return np.polynomial.legendre.leggauss(_PANEL_NODES)
+
+
+def _panels(lo: float, hi: float, panels: int):
+    """Nodes and weights of ``panels`` equal Gauss-Legendre panels on [lo, hi],
+    with 0 made a panel edge, where a density such as |u| sqrt(4 + 9u^2) may kink."""
+    x, w = _legendre_panel()
+    edges = np.linspace(lo, hi, panels + 1)
+    if lo < 0.0 < hi:
+        edges = np.union1d(edges, [0.0])
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+
+
+def _lanczos_gauss(t: np.ndarray, w: np.ndarray, n: int):
+    """The n-node Gauss rule of the discrete measure sum_i w_i delta(t_i), w_i > 0.
+
+    Lanczos on diag(t) from sqrt(w), orthogonalized twice against every
+    earlier vector, gives the Jacobi matrix; its eigenvalues are the nodes
+    (Golub-Welsch), and each weight is the Christoffel number
+    1 / sum_k p_k(x)^2 of the orthonormal polynomials, which keeps the
+    relative accuracy of the small outer weights.
+    """
+    mass = float(np.sum(w))
+    if not mass > 0.0:
+        raise QuadratureError("the weight has no mass on its discretization")
+    t_max = float(np.max(np.abs(t)))
+    alpha, beta = np.zeros(n), np.zeros(n)
+    V = np.zeros((n, t.size))
+    v = np.sqrt(w / mass)
+    for j in range(n):
+        V[j] = v
+        r = t * v
+        alpha[j] = v @ r
+        for _ in range(2):
+            r -= V[:j + 1].T @ (V[:j + 1] @ r)
+        beta[j] = math.sqrt(r @ r)
+        if j + 1 < n:
+            if not beta[j] > 1e-13 * t_max:
+                raise QuadratureError(f"the weight's discretization supports fewer than "
+                                      f"{n} nodes")
+            v = r / beta[j]
+    x = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
+    p_prev, p = np.zeros(n), np.full(n, 1.0 / math.sqrt(mass))
+    total = p * p
+    for k in range(n - 1):
+        p_prev, p = p, ((x - alpha[k]) * p - beta[k - 1] * p_prev) / beta[k]
+        total += p * p
+    return x, 1.0 / total
+
+
+def _certify(rule, coarse, t, w) -> None:
+    """Raise unless the n-node ``rule`` has the moments below degree 2n of the
+    discrete measure (t, w > 0) it was built on, and the rule ``coarse``, built on
+    a coarser discretization, is the same, both within GAUSS_DELTA: moments
+    against the absolute moments, nodes against the half-width of the
+    support, weights against themselves."""
+    (x, lam), (x2, lam2) = rule, coarse
+    center = float(w @ t) / float(np.sum(w))
+    scale = float(np.max(np.abs(t - center)))
+    s, sx = (t - center) / scale, (x - center) / scale
+    powers, rule_powers = np.ones_like(s), np.ones_like(sx)
+    for j in range(2 * x.size):
+        if abs(lam @ rule_powers - w @ powers) > GAUSS_DELTA * (w @ np.abs(powers)):
+            raise QuadratureError(f"the {x.size}-node Gauss rule misses moment {j} of "
+                                  f"its weight by more than {GAUSS_DELTA:g}")
+        powers *= s
+        rule_powers *= sx
+    moved = max(np.max(np.abs(x2 - x)) / scale, np.max(np.abs(lam2 - lam) / lam))
+    if not moved <= GAUSS_DELTA:
+        raise QuadratureError(f"a finer discretization moves the {x.size}-node Gauss "
+                              f"rule by {moved:.3g}, more than {GAUSS_DELTA:g}")
+
+
+def _weight_rule(chart: VarietyChart, n: int, polar: bool):
+    """Nodes and weights of the n-node Gauss rule in the first parameter t for
+    w(t) = e^{-r^2} density at (t, 0, ...), times t on [0, inf) when ``polar``.
+
+    The weight is discretized on ``_PANELS`` panels of its support.  On an
+    unbounded domain that is where r^2 < ``_WEIGHT_CAP`` (past which
+    e^{-r^2} is 0 in a double) on a grid of ``_SUPPORT_SAMPLES`` points over
+    [-L, L], padded by one grid step; L is the first sqrt(``_WEIGHT_CAP``)
+    2^j with r^2 >= ``_WEIGHT_CAP`` at both ends.  That L bounds the support
+    on a graph or a polar plane, where |t| <= r; on a revolution, as in
+    :func:`variety.solve_param_bound`, r^2 is taken to stay above the cap
+    past it.  A second discretization, on twice the interval about the same
+    centre (not below 0 when ``polar``) with panels half as wide (a bounded
+    domain: twice the panels),
+    builds the rule again, and :func:`_certify` compares the two; the finer
+    rule is returned.
+    """
+    dom = chart.domains[0]
+
+    def weight(t):
+        U = np.zeros((t.size, chart.intrinsic_dim))
+        U[:, 0] = t
+        with np.errstate(all="ignore"):  # checked right below
+            r2 = squared_norms(chart.embed(U))
+            w = np.exp(-r2) * chart.volume_density(U) * (t if polar else 1.0)
+        _check_nodes(U, w, "Gram weight")
+        return r2, w
+
+    if dom.kind == "bounded":
+        grids = [_panels(dom.lo, dom.hi, _PANELS), _panels(dom.lo, dom.hi, 2 * _PANELS)]
+    else:
+        L = math.sqrt(_WEIGHT_CAP)
+        while not np.all(weight(np.array([L] if polar else [-L, L]))[0] >= _WEIGHT_CAP):
+            L *= 2.0
+            if L > 2.0 ** 60:
+                raise QuadratureError(f"|x|^2 stays below {_WEIGHT_CAP:g} out to "
+                                      f"parameter {L:g}")
+        grid = np.linspace(0.0 if polar else -L, L, _SUPPORT_SAMPLES)
+        inside = grid[weight(grid)[0] < _WEIGHT_CAP]
+        if not inside.size:
+            raise QuadratureError(f"|x|^2 >= {_WEIGHT_CAP:g} on the whole support grid")
+        step = grid[1] - grid[0]
+        lo, hi = max(grid[0], inside[0] - step), min(L, inside[-1] + step)
+        pad = 0.5 * (hi - lo)
+        grids = [_panels(lo, hi, _PANELS),
+                 _panels(max(lo - pad, 0.0) if polar else lo - pad, hi + pad, 4 * _PANELS)]
+    discs = []
+    for t, plain in grids:
+        w = plain * weight(t)[1]
+        discs.append((t[w > 0], w[w > 0]))  # past the cap e^{-r^2} is 0
+    coarse, fine = (_lanczos_gauss(t, w, n) for t, w in discs)
+    _certify(fine, coarse, *discs[1])
+    return fine
+
+
+def gauss_rule(chart: VarietyChart, degree: int) -> QuadRule:
+    """A rule exact for every entry of the degree-``degree`` Gram matrix under e^{-r^2} dmu.
+
+    D = ``degree``, k = ``chart.param_degree``.  Nothing is truncated, so the
+    truncation radius is inf.
+    - euclidean: :func:`hermite_rule`, D + 1 Gauss-Hermite nodes per dimension;
+    - circle: the (2D + 1)-node trapezoid, exact for trigonometric degree 2D;
+    - graph and revolution: the (kD + 1)-node Gauss rule in u1 for the weight
+      e^{-r^2} density, which depends on u1 alone, exact for the u1-degree
+      2kD of a Gram entry; on a revolution times the (2D + 1)-node trapezoid
+      in the angle;
+    - modulus graph of c z^k (``chart.radial``): the polar rule
+      (rho cos theta, rho sin theta), the (kD + 1)-node Gauss rule in rho for
+      rho e^{-r^2} density times the (2D + 1)-node trapezoid in theta.
+
+    The Gauss rules in one parameter are built by Lanczos on a composite
+    Gauss-Legendre discretization of the weight and Golub-Welsch
+    (:func:`_weight_rule`), and certified: they match the discretization's
+    moments below degree 2(kD + 1), and a finer discretization moves no
+    node or weight by more than ``GAUSS_DELTA``.  Their weights carry
+    e^{-r^2} dmu.  Any other chart, one whose parameter degree is not
+    known, and a one-parameter rule that cannot be built or certified raise
+    :class:`NoExactRuleError`, naming the chart; the caller then keeps
+    :func:`truncated_rule`.  :func:`hermite_rule`'s own errors propagate.
+    """
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    if chart.kind == "euclidean":
+        return hermite_rule(chart, degree)
+    trig = _trapezoid(2 * degree + 1)
+    if chart.kind == "circle":
+        return QuadRule((trig,), math.inf)
+    k, polar = chart.param_degree, chart.kind == "modulus_graph" and chart.radial
+    if k is None or not (polar or chart.kind in ("graph", "revolution")):
+        raise NoExactRuleError(f"no exact Gram rule for {chart.chart_id}")
+    try:
+        t, w = _weight_rule(chart, k * degree + 1, polar)
+    except QuadratureError as exc:
+        raise NoExactRuleError(f"no certified Gram rule for {chart.chart_id}: {exc}") from exc
+    if polar:
+        points = np.stack([np.outer(t, np.cos(trig.nodes)).ravel(),
+                           np.outer(t, np.sin(trig.nodes)).ravel()], axis=1)
+        return QuadRule((), math.inf, True, points, np.outer(w, trig.weights).ravel(),
+                        tuple(d.kind for d in chart.domains))
+    dom = chart.domains[0]
+    lo, hi = (dom.lo, dom.hi) if dom.kind == "bounded" else (-math.inf, math.inf)
+    dims = (DimRule(dom.kind, lo, hi, t, w),)
+    return QuadRule(dims if chart.kind == "graph" else dims + (trig,), math.inf, True)
+
+
 _RUNG = 8  # node-count step between the rungs of a target rule's refinement check
 
 
@@ -244,36 +478,65 @@ def _checked_total(total):
     return total
 
 
+@dataclass(frozen=True)
+class RadialFunction:
+    """The integrand x -> h(|x|^2), for h vectorized over arrays.
+
+    Called on points X (N, n) it forms |X|^2; :meth:`Discretization.sample`
+    passes the discretization's ``r2`` instead, the same doubles.
+    """
+
+    h: object
+
+    def __call__(self, X) -> np.ndarray:
+        return self.h(squared_norms(X))
+
+
 @dataclass(frozen=True, eq=False)
 class Discretization:
     """A chart sampled once on a rule's nodes.
 
     ``X`` holds the embedded nodes (N, n), ``r2`` the squared radii |X|^2
-    and ``dmu`` the rule weights times the volume density, all finite.
+    and ``dmu`` the rule weights times the volume density, all finite;
+    ``dmu`` is None when the rule's weights carry e^{-r^2} dmu.
     Integrands are evaluated and checked by :meth:`sample` only.
     """
 
     rule: QuadRule
     X: np.ndarray
     r2: np.ndarray
-    dmu: np.ndarray
+    dmu: np.ndarray | None
 
     def weights(self, weight: str = "gauss", scale: float = 1.0) -> np.ndarray:
-        """Node weights of e^{-scale * r^2} dmu, or of plain dmu for "none"."""
+        """Node weights of e^{-scale * r^2} dmu, or of plain dmu for "none".
+
+        A rule that carries the measure has no plain dmu weights, so "none"
+        raises :class:`QuadratureError` on it.
+        """
+        if weight not in ("gauss", "none"):
+            raise ValueError(f"weight must be 'gauss' or 'none', got {weight!r}")
+        if self.dmu is None:
+            if weight == "none":
+                raise QuadratureError("weight 'none' needs plain dmu weights, and this "
+                                      "rule's weights carry e^{-r^2} dmu")
+            if scale == 1.0:
+                return self.rule.weights
+            return self.rule.weights * np.exp((1.0 - scale) * self.r2)
         if weight == "gauss":
             return self.dmu * np.exp(-scale * self.r2)
-        if weight != "none":
-            raise ValueError(f"weight must be 'gauss' or 'none', got {weight!r}")
         return self.dmu
 
     def sample(self, g) -> np.ndarray:
-        """Node values of ``g``: g(X) for a callable, else a scalar or node array.
+        """Node values of ``g``: g(X) for a callable, h(r2) for a
+        :class:`RadialFunction`, else a scalar or node array.
 
         Raises :class:`QuadratureError` naming the first node, and its
         parameters, whose value is non-finite; no numpy warning escapes.
         """
         with np.errstate(all="ignore"):  # checked right below
-            vals = np.broadcast_to(g(self.X) if callable(g) else g, self.r2.shape)
+            vals = (g.h(self.r2) if isinstance(g, RadialFunction)
+                    else g(self.X) if callable(g) else g)
+            vals = np.broadcast_to(vals, self.r2.shape)
         _check_nodes(self.rule.points, vals, "integrand sample")
         return vals
 
@@ -285,19 +548,22 @@ class Discretization:
 
 
 def discretize(chart: VarietyChart, rule: QuadRule) -> Discretization:
-    """Sample ``chart`` on the nodes of ``rule``, which must match its domains.
+    """Sample ``chart`` on the nodes of ``rule``, whose kinds must match its domains.
 
     A non-finite |x|^2 or volume density raises, naming the first such node.
+    The density is not evaluated for a rule whose weights carry the measure.
     """
-    kinds, domains = [d.kind for d in rule.dims], [d.kind for d in chart.domains]
+    kinds, domains = list(rule.kinds), [d.kind for d in chart.domains]
     if kinds != domains:
         raise QuadratureError(f"rule kinds {kinds} do not fit chart domains {domains}")
     U = rule.points
     with np.errstate(all="ignore"):  # checked right below
         X = chart.embed(U)
-        r2, dmu = squared_norms(X), rule.weights * chart.volume_density(U)
+        r2 = squared_norms(X)
+        dmu = None if rule.carries_measure else rule.weights * chart.volume_density(U)
     _check_nodes(U, r2, "|x|^2")
-    _check_nodes(U, dmu, "volume density")
+    if dmu is not None:
+        _check_nodes(U, dmu, "volume density")
     return Discretization(rule=rule, X=X, r2=r2, dmu=dmu)
 
 

@@ -92,6 +92,13 @@ class VarietyChart:
     """A parametrization U subset R^d -> R^n with its volume density.
 
     |x|^2 must be finite at the ends and middle of a bounded u1_domain.
+    ``param_degree`` is the degree k of the coordinates in the parameter
+    that carries the weight: 1 on euclidean charts and the circle,
+    max(1, deg f_i) on a graph, max(deg f, deg h) on a revolution in u1,
+    and max(1, deg F) on a modulus graph, whose coordinates are polynomials
+    of that degree in rho = |u| when F = c z^k; None where it is not known.
+    ``radial`` says that |x|^2 and the density depend on (u1, u2) only
+    through rho, as on the modulus graph of a monomial.
     """
 
     kind: str
@@ -100,6 +107,8 @@ class VarietyChart:
     _embed: object
     _density: object
     chart_id: str
+    param_degree: int | None = None
+    radial: bool = False
 
     def __post_init__(self):
         if self.intrinsic_dim > self.ambient_dim:
@@ -159,7 +168,7 @@ def chart_euclidean(n: int) -> VarietyChart:
         return np.ones(U.shape[0])
 
     return VarietyChart("euclidean", n, (ParamDomain("unbounded"),) * n,
-                        embed, density, f"euclidean(n={n})")
+                        embed, density, f"euclidean(n={n})", 1)
 
 
 def _univariate(p: MultiPoly, name: str, real: bool = True) -> MultiPoly:
@@ -211,7 +220,7 @@ def chart_graph(components, domain=None) -> VarietyChart:
 
     texts = ",".join(c.to_text() for c in comps)
     return VarietyChart("graph", n, (dom,), embed, density,
-                        f"graph([{texts}],{dom_id})")
+                        f"graph([{texts}],{dom_id})", max([1, *(c.degree for c in comps)]))
 
 
 def _check_profile_positive(f: MultiPoly, dom: ParamDomain) -> None:
@@ -263,7 +272,8 @@ def chart_revolution(f: MultiPoly, h: MultiPoly, u1_domain=None) -> VarietyChart
         return fv * np.sqrt(fpv * fpv + hpv * hpv)
 
     return VarietyChart("revolution", 3, (dom1, ParamDomain("periodic")), embed, density,
-                        f"revolution(f={f.to_text()},h={h.to_text()},u1={dom_id})")
+                        f"revolution(f={f.to_text()},h={h.to_text()},u1={dom_id})",
+                        max(f.degree, h.degree))
 
 
 def chart_modulus_graph(F: MultiPoly) -> VarietyChart:
@@ -288,7 +298,8 @@ def chart_modulus_graph(F: MultiPoly) -> VarietyChart:
         return np.sqrt(1.0 + dw * dw)
 
     return VarietyChart("modulus_graph", 3, (ParamDomain("unbounded"),) * 2,
-                        embed, density, f"modulus_graph(F={F.to_text()})")
+                        embed, density, f"modulus_graph(F={F.to_text()})",
+                        max(1, F.degree), radial=len(F.terms) == 1)
 
 
 def chart_circle() -> VarietyChart:
@@ -300,7 +311,7 @@ def chart_circle() -> VarietyChart:
     def density(U):
         return np.ones(U.shape[0])
 
-    return VarietyChart("circle", 2, (ParamDomain("periodic"),), embed, density, "circle()")
+    return VarietyChart("circle", 2, (ParamDomain("periodic"),), embed, density, "circle()", 1)
 
 
 # ------------------------------------------------------------------ truncation solve

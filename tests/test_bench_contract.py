@@ -12,10 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gaussvar import (
-    chart_euclidean, cli, gram_matrix, hermite_rule, orthonormalize, truncated_rule,
+    chart_euclidean, cli, gauss_rule, gram_matrix, hermite_rule, orthonormalize,
+    truncated_rule,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,6 +71,15 @@ def test_ortho_defect_on_hermite_basis():
     assert worker.ortho_defect(gb, rule) <= 1e-12
 
 
+def test_ortho_defect_on_gauss_rule_basis(cylinder):
+    # a cylinder basis from the exact Gram rule, checked as the bench checks a
+    # traced truncated rule: on that rule with 16 more nodes per dimension
+    *_, worker = load_bench_modules("workloads", "check", "spans", "worker")
+    _, rule = truncated_rule(cylinder, 8)
+    gb = orthonormalize(gram_matrix(cylinder, 4, gauss_rule(cylinder, 4)))
+    assert worker.ortho_defect(gb, rule) <= 1e-10
+
+
 def test_selftest_passes(src_env):
     # writes only under the git-ignored .perfbench/ of the repository
     proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], cwd=ROOT,
@@ -101,3 +112,37 @@ def test_projection_at_extreme_levels_passes_check(bench, chart, scale, alpha, t
     argv = [study.command, "--spec", str(spec), *study.flags, "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_OK
     assert check.check_study(study, scales, out, reference[study.key(specs)], None) is None
+
+
+# basis on the exact gauss_rule at every scale level a seed can draw, and on the circle
+BASIS_STUDIES = [(chart, scale) for chart in ("cylinder", "modgraph")
+                 for scale in WORKLOADS.SCALE_LEVELS] + [("circle", 1.0)]
+
+
+@pytest.mark.parametrize("chart,scale", BASIS_STUDIES)
+def test_basis_at_every_scale_level_passes_check(bench, chart, scale, tmp_path):
+    check, workloads, _ = bench
+    (oracles,) = load_bench_modules("oracles")
+    scales = {**workloads.draw_scales(0), "cylinder_radius": scale, "modulus_coeff": scale}
+    specs = workloads.chart_specs(scales)
+    workload = "study-mix" if chart == "circle" else "surface-sweep"
+    study = next(st for st in workloads.study_list(workload, scales)
+                 if st.sid == f"basis:{chart}")
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    spec.write_text(json.dumps(specs[chart]))
+    argv = [study.command, "--spec", str(spec), *study.flags, "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    degree = int(study.flags[study.flags.index("--degree") + 1])
+    oracle = ({"radial": oracles.paraboloid_radial(scale, 4 * degree)}
+              if chart == "modgraph" else None)
+    # check_study requires the rank (D + 1)^2, or 2D + 1 on the circle
+    assert check.check_study(study, scales, out, None, oracle) is None
+    rank = 1 + max(int(line.split(",")[0])
+                   for line in (out / "basis.csv").read_text().splitlines()[1:])
+    assert rank == (2 * degree + 1 if chart == "circle" else (degree + 1) ** 2)
+    # and gram.csv is exact: within 1e-13 sqrt(G_ii G_jj) of the closed form
+    G = np.loadtxt(out / "gram.csv", delimiter=",", skiprows=1)[:, 2]
+    radial = tuple(sorted(oracle["radial"].items())) if oracle else ()
+    ref = check.oracle_gram(chart, degree, scale, radial)
+    d = np.sqrt(np.diag(ref))
+    assert np.max(np.abs(G.reshape(ref.shape) - ref) / np.outer(d, d)) <= 1e-13

@@ -202,10 +202,12 @@ class TestRuleSettings:
         assert flag in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("command", [("moments",), ("basis", "--degree", "2"),
-                                         ("project", "--degree", "2"), ("equivalence",)],
-                             ids=lambda c: c[0])
-    def test_one_truncated_rule_per_study(self, command, cylinder_spec, tmp_path,
+    @pytest.mark.parametrize("command,rules", [
+        pytest.param(("moments",), 1, id="moments"),
+        pytest.param(("basis", "--degree", "2"), 0, id="basis"),  # on the exact gauss_rule
+        pytest.param(("project", "--degree", "2"), 1, id="project"),
+        pytest.param(("equivalence",), 1, id="equivalence")])
+    def test_one_truncated_rule_per_study(self, command, rules, cylinder_spec, tmp_path,
                                           monkeypatch):
         calls = []
 
@@ -217,7 +219,7 @@ class TestRuleSettings:
         monkeypatch.setattr(quadrature, "truncated_rule", counting)
         assert main([*command, "--spec", str(cylinder_spec), "--nodes", "16",
                      "--out", str(tmp_path / "o")]) == EXIT_OK
-        assert len(calls) == 1
+        assert len(calls) == rules
 
     @pytest.mark.parametrize("command,target_rules", [("basis", 0), ("project", 1)])
     def test_euclidean_gram_needs_no_truncated_rule(self, command, target_rules, euclid_spec,
@@ -233,7 +235,7 @@ class TestRuleSettings:
                 return original(*args, **kwargs)
             return spy
 
-        for name in ("estimate_growth", "build_rule", "hermite_rule", "hermite_target_rule"):
+        for name in ("estimate_growth", "build_rule", "gauss_rule", "hermite_target_rule"):
             monkeypatch.setattr(quadrature, name, counting(name))
         assert main([command, "--spec", str(euclid_spec), "--degree", "4",
                      "--out", str(tmp_path / "o")]) == EXIT_OK
@@ -241,7 +243,7 @@ class TestRuleSettings:
         assert names.count("estimate_growth") == names.count("build_rule") == 0
         assert names.count("hermite_target_rule") == target_rules
         name, (_, degree) = calls[0]
-        assert (name, degree) == ("hermite_rule", 4)  # the Gram rule, built first
+        assert (name, degree) == ("gauss_rule", 4)  # the Gram rule, built first
 
 
 class TestLemma:

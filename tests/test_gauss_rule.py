@@ -1,0 +1,225 @@
+"""The exact Gram rules of quadrature.gauss_rule, against perfbench's closed forms."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gaussvar import (
+    GAUSS_DELTA, MultiPoly, NoExactRuleError, QuadratureError, QuadRule, RadialFunction,
+    build_rule, chart_circle, chart_graph, chart_modulus_graph,
+    chart_revolution, discretize, gauss_rule, gram_matrix, load_chart, parse_poly,
+    quadrature,
+)
+from gaussvar.cli import EXIT_OK, main
+from gaussvar.variety import VarietyChart
+from test_bench_contract import load_bench_modules
+
+_, CHECK, ORACLES = load_bench_modules("workloads", "check", "oracles")
+TOL = 1e-13  # Gram entries against sqrt(G_ii G_jj)
+
+
+def gram_error(G, ref) -> float:
+    d = np.sqrt(np.diag(ref))
+    return float(np.max(np.abs(G - ref) / np.outer(d, d)))
+
+
+def exact_gram(chart, degree):
+    return gram_matrix(chart, degree, gauss_rule(chart, degree)).gram
+
+
+def cylinder_of(a):
+    return chart_revolution(MultiPoly.constant(1, a), parse_poly("1*x1^1", 1))
+
+
+def paraboloid(c):
+    return chart_modulus_graph(parse_poly(f"{c!r}*x1^2", 1))
+
+
+CYLINDER = cylinder_of(1.0)
+
+
+class TestClosedForms:
+    @settings(max_examples=12, deadline=None)
+    @given(degree=st.integers(0, 12), a=st.floats(0.5, 2.0))
+    @example(degree=12, a=0.5)
+    @example(degree=12, a=2.0)
+    def test_cylinder(self, degree, a):
+        ref = CHECK.oracle_gram("cylinder", degree, a, ())
+        assert gram_error(exact_gram(cylinder_of(a), degree), ref) <= TOL
+
+    @settings(max_examples=13, deadline=None)
+    @given(degree=st.integers(0, 12))
+    def test_circle(self, degree):
+        ref = CHECK.oracle_gram("circle", degree, 1.0, ())
+        assert gram_error(exact_gram(chart_circle(), degree), ref) <= TOL
+
+    @settings(max_examples=12, deadline=None)
+    @given(degree=st.integers(0, 12), c=st.floats(0.5, 2.0))
+    @example(degree=12, c=0.5)
+    @example(degree=12, c=2.0)
+    def test_paraboloid(self, degree, c):
+        # the radial integrals come from scipy quad at epsrel 1e-13
+        radial = tuple(sorted(ORACLES.paraboloid_radial(c, 4 * degree).items()))
+        ref = CHECK.oracle_gram("modgraph", degree, c, radial)
+        assert gram_error(exact_gram(paraboloid(c), degree), ref) <= TOL
+
+
+class TestShape:
+    @pytest.mark.parametrize("spec,degree,nodes", [
+        ({"kind": "euclidean", "n": 2}, 3, (4, 4)),
+        ({"kind": "circle"}, 3, (7,)),
+        ({"kind": "revolution", "f": "1", "h": "1*x1^1"}, 3, (4, 7)),
+        ({"kind": "revolution", "f": "2+1*x1^2", "h": "1*x1^1"}, 3, (7, 7)),
+        ({"kind": "graph", "components": ["1*x1^3"]}, 2, (7,)),
+        ({"kind": "graph", "components": ["1*x1^2"], "u1_domain": [-1, 2]}, 2, (5,)),
+        ({"kind": "modulus_graph", "F": "1*x1^2"}, 3, ()),
+        ({"kind": "modulus_graph", "F": "2*x1^3"}, 2, ()),
+    ])
+    def test_node_counts(self, spec, degree, nodes):
+        chart = load_chart(spec)
+        rule = gauss_rule(chart, degree)
+        assert rule.nodes_per_dim == nodes and rule.truncation_radius == math.inf
+        if chart.kind == "modulus_graph":  # (kD + 1) radii times 2D + 1 angles
+            k = chart.param_degree
+            assert rule.points.shape == ((k * degree + 1) * (2 * degree + 1), 2)
+
+    def test_polar_points(self):
+        rule = gauss_rule(paraboloid(1.0), 2)
+        rho = np.hypot(rule.points[:, 0], rule.points[:, 1])
+        assert np.unique(np.round(rho, 12)).size == 5  # k D + 1 = 5 radii
+        assert rule.kinds == ("unbounded", "unbounded") and rule.dims == ()
+
+    def test_weights_carry_the_measure(self, cylinder):
+        rule = gauss_rule(cylinder, 2)
+        disc = discretize(cylinder, rule)
+        assert rule.carries_measure and disc.dmu is None
+        assert disc.weights() is rule.weights
+        np.testing.assert_allclose(disc.weights(scale=0.5),
+                                   rule.weights * np.exp(0.5 * disc.r2), rtol=1e-15)
+        with pytest.raises(QuadratureError, match="plain dmu"):
+            disc.weights("none")
+
+    def test_a_rule_without_dims_needs_points(self):
+        with pytest.raises(ValueError, match="points, weights and kinds"):
+            QuadRule((), math.inf, True)
+        with pytest.raises(ValueError):
+            QuadRule((), math.inf, False, np.zeros((1, 2)), np.ones(1), ("unbounded",) * 2)
+
+    def test_negative_degree(self, cylinder):
+        with pytest.raises(ValueError):
+            gauss_rule(cylinder, -1)
+
+
+class TestExactness:
+    # a rule exact at degree D integrates the degree-D Gram matrix as the rule for
+    # D + 4 does, and as a 200-node Legendre rule does on a bounded interval
+    @pytest.mark.parametrize("chart", [
+        chart_graph([parse_poly("1*x1^2", 1)]),
+        chart_graph([parse_poly("1*x1^2", 1), parse_poly("0.5*x1^3", 1)]),
+        chart_revolution(parse_poly("2+1*x1^2", 1), parse_poly("1*x1^1", 1)),
+        chart_revolution(parse_poly("1", 1), parse_poly("1*x1^1+0.3*x1^3", 1)),
+        chart_modulus_graph(parse_poly("0.7*x1^3", 1)),
+        # weights whose support is far narrower than sqrt(745), or off the origin
+        chart_graph([parse_poly("100*x1^2", 1)]),
+        chart_graph([parse_poly("1*x1^5", 1), parse_poly("1*x1^1", 1)]),
+        chart_revolution(parse_poly("1+1*x1^2", 1), parse_poly("1*x1^3", 1)),
+        chart_revolution(parse_poly("1", 1), parse_poly("1*x1^1-30", 1)),
+        chart_modulus_graph(parse_poly("100*x1^2", 1)),
+        chart_modulus_graph(parse_poly("(1+2j)*x1^3", 1)),
+    ], ids=["graph-x2", "twisted-cubic", "revolution-2+u2", "revolution-h-cubic",
+            "modgraph-z3", "graph-100x2", "graph-x5-x", "revolution-kinked-density",
+            "revolution-shifted", "modgraph-100z2", "modgraph-complex-z3"])
+    def test_agrees_with_a_larger_rule(self, chart):
+        degree = 4
+        G = exact_gram(chart, degree)
+        ref = gram_matrix(chart, degree, gauss_rule(chart, degree + 4)).gram
+        assert gram_error(G, ref) <= TOL
+
+    def test_bounded_graph(self):
+        chart = chart_graph([parse_poly("1*x1^2", 1)], domain=(-1.0, 2.0))
+        ref = gram_matrix(chart, 5, build_rule(chart, 2.0, 200)).gram
+        assert gram_error(exact_gram(chart, 5), ref) <= TOL
+
+
+class TestNoExactRule:
+    @pytest.mark.parametrize("chart", [
+        chart_modulus_graph(parse_poly("1+1*x1^2", 1)),
+        VarietyChart("revolution", 3, CYLINDER.domains, CYLINDER.embed,
+                     CYLINDER.volume_density, "no-degree"),
+    ], ids=["general-modulus-graph", "unknown-parameter-degree"])
+    def test_raises(self, chart):
+        with pytest.raises(NoExactRuleError, match="no exact Gram rule"):
+            gauss_rule(chart, 2)
+
+    @pytest.mark.parametrize("spec,weight", [
+        ('{"kind": "modulus_graph", "F": "1+1*x1^2"}', "gauss"),
+        ('{"kind": "circle"}', "none"),
+    ], ids=["general-modulus-graph", "circle-weight-none"])
+    def test_basis_falls_back_to_the_truncated_rule(self, spec, weight, tmp_path,
+                                                    monkeypatch):
+        calls = []
+        original = quadrature.truncated_rule
+        monkeypatch.setattr(quadrature, "truncated_rule",
+                            lambda *a, **k: calls.append(a) or original(*a, **k))
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        assert main(["basis", "--spec", str(path), "--degree", "3", "--weight", weight,
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert len(calls) == 1
+
+
+class TestCertificate:
+    @pytest.fixture
+    def stubbed(self, monkeypatch):
+        """Make _lanczos_gauss scale the weights of the calls named by ``which``."""
+        original = quadrature._lanczos_gauss
+
+        def stub(which):
+            calls = []
+
+            def lanczos(t, w, n):
+                x, lam = original(t, w, n)
+                calls.append(n)
+                return x, lam * (1.0 + 1e-9) if which(len(calls) - 1) else lam
+            monkeypatch.setattr(quadrature, "_lanczos_gauss", lanczos)
+        return stub
+
+    def test_moments_off_the_discretization_raise(self, stubbed, cylinder):
+        stubbed(lambda call: True)
+        with pytest.raises(NoExactRuleError, match="misses moment 0 of its weight"):
+            gauss_rule(cylinder, 4)
+
+    def test_a_rule_that_moves_under_refinement_raises(self, stubbed, cylinder):
+        stubbed(lambda call: call == 0)  # the coarser discretization's rule
+        with pytest.raises(NoExactRuleError, match=r"finer discretization moves the 5-node "
+                                                  r"Gauss rule by 1e-09"):
+            gauss_rule(cylinder, 4)
+
+    def test_basis_falls_back_when_the_certificate_fails(self, stubbed, tmp_path,
+                                                         monkeypatch):
+        stubbed(lambda call: True)
+        calls = []
+        original = quadrature.truncated_rule
+        monkeypatch.setattr(quadrature, "truncated_rule",
+                            lambda *a, **k: calls.append(a) or original(*a, **k))
+        spec = tmp_path / "cylinder.json"
+        spec.write_text('{"kind": "revolution", "f": "1", "h": "1*x1^1"}')
+        assert main(["basis", "--spec", str(spec), "--degree", "4",
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert len(calls) == 1
+
+    def test_the_delta_is_documented(self):
+        assert GAUSS_DELTA == 1e-11
+        assert "GAUSS_DELTA" in gauss_rule.__doc__
+
+
+def test_radial_function_samples_read_r2(cylinder, cylinder_rule):
+    seen = []
+    f = RadialFunction(lambda r2: seen.append(r2) or np.exp(0.25 * r2))
+    disc = discretize(cylinder, cylinder_rule)
+    vals = disc.sample(f)
+    assert seen[0] is disc.r2
+    np.testing.assert_array_equal(vals, f(disc.X))  # the same doubles on points

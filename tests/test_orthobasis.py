@@ -23,8 +23,8 @@ from gaussvar.polyring import (
     MultiPoly, monomial_values, monomials_up_to_degree, parse_poly, squared_norms,
 )
 from gaussvar.quadrature import (
-    QuadratureError, build_rule, discretize, hermite_rule, integrate, moment_table,
-    truncated_rule,
+    QuadratureError, build_rule, discretize, gauss_rule, hermite_rule, integrate,
+    moment_table, truncated_rule,
 )
 from gaussvar.variety import chart_euclidean, chart_graph, estimate_growth
 
@@ -679,7 +679,7 @@ class TestClassicRecovery:
         assert report.max_rel_coeff_err <= 1e-9
 
     def test_one_truncated_rule_per_kind(self, monkeypatch):
-        # hermite's one rule is the exact Gauss-Hermite rule, legendre's the truncated rule
+        # hermite's one rule is the exact gauss_rule, legendre's the truncated rule
         calls = []
 
         def spy(chart, *args):
@@ -687,14 +687,14 @@ class TestClassicRecovery:
             calls.append((chart, rule))
             return growth, rule
 
-        def hermite_spy(chart, degree):
-            calls.append(("hermite_rule", degree))
-            return hermite_rule(chart, degree)
+        def gauss_spy(chart, degree):
+            calls.append(("gauss_rule", degree))
+            return gauss_rule(chart, degree)
 
         monkeypatch.setattr(orthobasis, "truncated_rule", spy)
-        monkeypatch.setattr(orthobasis, "hermite_rule", hermite_spy)
+        monkeypatch.setattr(orthobasis, "gauss_rule", gauss_spy)
         classic_recovery("hermite")
-        assert calls == [("hermite_rule", 6)]
+        assert calls == [("gauss_rule", 6)]
         calls.clear()
         classic_recovery("legendre")
         assert len(calls) == 1

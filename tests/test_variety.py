@@ -270,6 +270,39 @@ class TestChartInvariants:
             )
 
 
+class TestParamDegree:
+    @pytest.mark.parametrize("spec,degree,radial", [
+        ({"kind": "euclidean", "n": 3}, 1, False),
+        ({"kind": "circle"}, 1, False),
+        ({"kind": "graph", "components": []}, 1, False),
+        ({"kind": "graph", "components": ["1*x1^2", "1*x1^3"]}, 3, False),
+        ({"kind": "revolution", "f": "1", "h": "1*x1^1"}, 1, False),
+        ({"kind": "revolution", "f": "2+1*x1^2", "h": "1*x1^1"}, 2, False),
+        ({"kind": "modulus_graph", "F": "0.5*x1^2"}, 2, True),
+        ({"kind": "modulus_graph", "F": "(1+2j)*x1^3"}, 3, True),
+        ({"kind": "modulus_graph", "F": "2"}, 1, True),
+        ({"kind": "modulus_graph", "F": "1+1*x1^2"}, 2, False),
+    ])
+    def test_recorded_by_each_kind(self, spec, degree, radial):
+        chart = load_chart(spec)
+        assert (chart.param_degree, chart.radial) == (degree, radial)
+
+    def test_hand_built_chart_records_none(self, cylinder):
+        chart = VarietyChart("revolution", 3, cylinder.domains, cylinder.embed,
+                             cylinder.volume_density, "hand-built")
+        assert (chart.param_degree, chart.radial) == (None, False)
+
+    def test_radial_chart_depends_on_rho_only(self):
+        chart = load_chart({"kind": "modulus_graph", "F": "(1+2j)*x1^3"})
+        rng = np.random.default_rng(3)
+        rho, theta = rng.uniform(0.0, 2.0, 50), rng.uniform(0.0, 2.0 * math.pi, 50)
+        U = np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=1)
+        on_axis = np.stack([rho, np.zeros(50)], axis=1)
+        np.testing.assert_allclose(chart.radial_sq(U), chart.radial_sq(on_axis), rtol=1e-13)
+        np.testing.assert_allclose(chart.volume_density(U), chart.volume_density(on_axis),
+                                   rtol=1e-13)
+
+
 class TestGrowth:
     def test_euclidean_interval_length(self, euclid1):
         g = estimate_growth(euclid1, np.linspace(2.0, 10.0, 9))
