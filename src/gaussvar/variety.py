@@ -402,24 +402,63 @@ def _growth_axis(chart: VarietyChart, dim: int, r_max: float, npts: int):
     return lo + h * (np.arange(npts) + 0.5), h
 
 
+def _count_euclidean(axes, radii: np.ndarray) -> np.ndarray:
+    """Nodes of the tensor grid on ``axes`` with r^2 <= radius^2, per radius.
+
+    r^2 is the left fold ((u0^2 + u1^2) + ...) + u_{d-1}^2 of
+    :func:`squared_norms`.  Rounded addition is monotone, so for each
+    last-axis square t the nodes with fl(s + t) <= radius^2 are a prefix of
+    the sorted partial sums s over the other axes, and one search counts
+    them exactly.  The partial sums are formed in slabs of about
+    ``_GROWTH_BLOCK`` along the first axis; counts add across slabs.
+    """
+    r2cap = radii * radii
+    *rest, last = (a * a for a, _ in axes)
+    if not rest:  # d = 1: r^2 is the square itself
+        return np.searchsorted(np.sort(last), r2cap, side="right")
+    first = rest[0]
+    step = max(1, _GROWTH_BLOCK // math.prod(sq.size for sq in rest[1:]))
+    counts = np.zeros(radii.size, dtype=np.int64)
+    for start in range(0, first.size, step):
+        s = first[start:start + step]
+        for sq in rest[1:]:
+            s = np.add.outer(s, sq)
+        s = np.sort(s, axis=None)
+        for t in last:
+            counts += np.searchsorted(s + t, r2cap, side="right")
+    return counts
+
+
 def _measure_volumes(chart: VarietyChart, radii: np.ndarray) -> np.ndarray:
     """Riemannian volume of M cap B_r for each r, on one fixed grid.
 
-    The grid is built and measured in slabs of about ``_GROWTH_BLOCK`` nodes
-    along its first axis.  Each node's weight goes into the shell of the
-    first radius whose ball holds it (r^2 <= radius^2), and the volumes are
-    the running sums of the shells, so they never decrease.
+    Each kind takes the cheapest exact reduction of the same midpoint grid:
+
+    * ``euclidean``: the density is 1, so a volume is the number of nodes
+      in the ball times the cell; :func:`_count_euclidean` counts them from
+      sorted partial sums of squares, with no chart evaluation.
+    * ``revolution``: density and radius do not depend on the angle, so
+      the grid is one-dimensional, times one cell of the whole angle.
+    * every other kind: the grid is sampled in slabs of about
+      ``_GROWTH_BLOCK`` nodes along its first axis.  Each node's weight goes
+      into the shell of the first radius whose ball holds it, and the
+      volumes are the running sums of the shells.
+
+    A node lies in B_r when r^2 <= r * r on every path, so the volumes
+    never decrease, and the euclidean counts equal the sampled ones bit for
+    bit.
     """
     r_max = float(radii[-1])
     if chart.kind == "revolution":
-        # density and radius do not depend on the angular parameter, so the
-        # measurement is one-dimensional, times one cell of the whole angle
         lo, hi = param_interval(chart, 1, r_max)
         axes = [_growth_axis(chart, 0, r_max, _GROWTH_GRID[1]), (np.full(1, lo), hi - lo)]
     else:
         npts = _GROWTH_GRID.get(chart.intrinsic_dim, 65)
         axes = [_growth_axis(chart, dim, r_max, npts)
                 for dim in range(chart.intrinsic_dim)]
+    cell = math.prod(a[1] for a in axes)
+    if chart.kind == "euclidean":
+        return _count_euclidean(axes, radii) * cell
     first = axes[0][0]
     # the grid with the first parameter at 0; a slab repeats it per first node
     mesh = np.meshgrid(np.zeros(1), *[a[0] for a in axes[1:]], indexing="ij")
@@ -437,7 +476,7 @@ def _measure_volumes(chart: VarietyChart, radii: np.ndarray) -> np.ndarray:
             r2 = chart.radial_sq(U)
         shell = np.searchsorted(radii * radii, r2, side="left")
         shells += np.bincount(shell, weights=dens, minlength=radii.size + 1)
-    return np.cumsum(shells[:-1]) * math.prod(a[1] for a in axes)
+    return np.cumsum(shells[:-1]) * cell
 
 
 def estimate_growth(chart: VarietyChart, radii) -> GrowthEstimate:

@@ -334,6 +334,15 @@ class TestMoments:
         with pytest.raises(ValueError):
             gaussian_moment(euclid1, -1, euclid1_rule)
 
+    @pytest.mark.parametrize("chart_name", ["euclid3", "cylinder"])
+    def test_table_is_per_order_integrate_bit_for_bit(self, chart_name, cylinder):
+        chart = chart_euclidean(3) if chart_name == "euclid3" else cylinder
+        growth, rule = truncated_rule(chart, 12)
+        table = moment_table(chart, range(13), rule, growth)
+        disc = discretize(chart, rule)
+        for m, value, _ in table.rows:
+            assert value == float(disc.integrate(lambda _: disc.r2 ** (m / 2.0)))
+
     def test_moment_table_csv(self, euclid1, euclid1_growth, euclid1_rule, tmp_path):
         table = moment_table(euclid1, range(3), euclid1_rule, euclid1_growth)
         path = tmp_path / "moments.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussvar import variety
+from gaussvar.cli import _GROWTH_RADII
 from gaussvar.polyring import MultiPoly, parse_poly, variables
+from gaussvar.quadrature import _FIT_RADII
 from gaussvar.variety import (
     ChartError,
     GrowthError,
@@ -61,7 +64,46 @@ def reference_measure_volumes(chart, radii):
     return np.array([np.sum(wd[r2 <= r * r]) for r in radii])
 
 
-GROWTH_CHARTS = ["euclid1", "cylinder", "graph_x2", "modgraph_z2", "circle"]
+def identity_chart(n):
+    """R^n as a chart whose kind is not "euclidean", so growth samples its grid."""
+    return VarietyChart("identity", n, (ParamDomain("unbounded"),) * n,
+                        lambda U: U.copy(), lambda U: np.ones(U.shape[0]), f"identity({n})")
+
+
+@pytest.fixture(scope="module")
+def identity1():
+    return identity_chart(1)
+
+
+def counted_volumes(chart, radii):
+    """Euclidean grid volumes as count_nonzero(r^2 <= r * r) * cell, with every
+    node through radial_sq, one first-axis node of the grid at a time."""
+    npts = variety._GROWTH_GRID.get(chart.intrinsic_dim, 65)
+    axes = [variety._growth_axis(chart, dim, float(radii[-1]), npts)
+            for dim in range(chart.intrinsic_dim)]
+    mesh = np.meshgrid(np.zeros(1), *[a[0] for a in axes[1:]], indexing="ij")
+    rest = np.stack([m.ravel() for m in mesh], axis=1)
+    counts = np.zeros(radii.size, dtype=np.int64)
+    for u0 in axes[0][0]:
+        rest[:, 0] = u0
+        r2 = chart.radial_sq(rest)
+        counts += [np.count_nonzero(r2 <= r * r) for r in radii]
+    return counts * math.prod(a[1] for a in axes)
+
+
+def tie_radii(chart):
+    """Radii up to 10 with one, sqrt(v), whose square is v, the r^2 of a grid node."""
+    npts = variety._GROWTH_GRID.get(chart.intrinsic_dim, 65)
+    axes = [variety._growth_axis(chart, dim, 10.0, npts)[0]
+            for dim in range(chart.intrinsic_dim)]
+    U = np.stack(np.meshgrid(*[a[::7] for a in axes], indexing="ij"), axis=-1)
+    r2 = chart.radial_sq(U.reshape(-1, chart.intrinsic_dim))
+    r2 = np.sort(r2[(r2 > 4.0) & (r2 < 81.0) & (np.sqrt(r2) ** 2 == r2)])
+    tie = math.sqrt(r2[r2.size // 2])
+    return np.array([2.0, tie, 9.5, 10.0])
+
+
+GROWTH_CHARTS = ["euclid1", "identity1", "cylinder", "graph_x2", "modgraph_z2", "circle"]
 
 
 class TestEuclidean:
@@ -357,6 +399,38 @@ class TestGrowth:
         vols = variety._measure_volumes(circle, radii)
         assert np.all(np.abs(vols - reference_measure_volumes(circle, radii))
                       <= 1e-12 * vols)
+
+    # the rules' fit radii, the growth command's radii, and a radius on a node
+    @pytest.mark.parametrize("radii_of", [lambda chart: _FIT_RADII, lambda chart: _GROWTH_RADII,
+                                          tie_radii], ids=["fit", "cli", "tie"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_euclidean_counts_match_every_node(self, n, radii_of):
+        chart = chart_euclidean(n)
+        radii = radii_of(chart)
+        vols = variety._measure_volumes(chart, radii)
+        assert np.array_equal(vols, counted_volumes(chart, radii))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 3),
+           radii=st.lists(st.floats(0.25, 12.0), min_size=1, max_size=6, unique=True))
+    def test_euclidean_counts_match_sampled_grid(self, n, radii):
+        radii = np.array(sorted(radii))
+        counted = variety._measure_volumes(chart_euclidean(n), radii)
+        assert np.array_equal(counted, variety._measure_volumes(identity_chart(n), radii))
+
+    def test_euclidean_growth_evaluates_no_grid(self):
+        seen = []
+
+        def spy(field):
+            def call(U):
+                seen.append(U.shape[0])
+                return field(U)
+            return call
+
+        chart = chart_euclidean(3)
+        chart = dataclasses.replace(chart, _embed=spy(chart._embed), _density=spy(chart._density))
+        estimate_growth(chart, _FIT_RADII)
+        assert sum(seen) < 129 ** 3 // 20
 
     def test_non_finite_density_in_last_slab(self):
         # only nodes with u1 > 0.99 have an infinite density, and they all
