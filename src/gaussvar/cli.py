@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import approxlemma, orthobasis, quadrature
-from .polyring import MultiPoly
+from .polyring import MultiPoly, squared_norms
 from .variety import GrowthError, SpecFileError, estimate_growth, load_chart
 
 EXIT_OK = 0
@@ -96,7 +96,7 @@ def _exp_target(chart, alpha):
     if not math.isfinite(alpha) or (not _compact(chart) and alpha >= 0.5):
         raise ConfigError(f"--alpha must be finite, and < 1/2 unless the chart is compact, "
                           f"got {alpha:g} for {chart.chart_id}")
-    return quadrature.RadialFunction(lambda r2: np.exp(alpha * r2))
+    return lambda X: np.exp(alpha * squared_norms(X))
 
 
 def cmd_moments(args, out: Path) -> None:

@@ -1,8 +1,10 @@
 """Numerical integration against exp(-r^2) dmu on a chart.
 
-The measure-carrying factor exp(-r^2) couples all parameters through
-r^2 = |x(u)|^2, so it is kept in the integrand; the per-dimension rules
-discretize plain Lebesgue measure on a truncated box:
+A rule truncated at a finite radius R discretizes plain Lebesgue measure
+on a box; the factor exp(-r^2) dmu, which couples all parameters through
+r^2 = |x(u)|^2, is formed at the nodes.  An untruncated rule (R = inf)
+carries e^{-r^2} dmu in its weights: R = inf if and only if the weights
+carry the measure.  The truncated per-dimension rules of :func:`build_rule`:
 
 * unbounded dimensions -- Gauss-Legendre panels on [lo, 0] and [0, hi],
   where [lo, hi] is solved from radial_sq <= R^2 for a truncation radius R
@@ -14,18 +16,18 @@ discretize plain Lebesgue measure on a truncated box:
 
 A Gram matrix is a finite set of moments, and :func:`gauss_rule` integrates
 it exactly, untruncated, wherever the chart's weight lives on one
-parameter: Gauss-Hermite (:func:`hermite_rule`) on a euclidean chart, whose
-weight e^{-|u|^2} splits per coordinate; the trapezoid on the circle; and on
-graphs, revolutions and the modulus graph of c z^k a Gauss rule for the
-weight e^{-r^2} density in u1 or in rho = |u|, built by Lanczos and
-Golub-Welsch and certified against a finer discretization.  Its weights
-carry e^{-r^2} dmu, and the polar rule of the modulus graph is given by
-points and weights, not as a tensor product.  The CLI's ``basis`` uses it
-whenever the chart has one, whatever ``--eps`` and ``--nodes`` say;
-``project`` keeps one truncated rule off euclidean charts.  A target f is
-not a polynomial, so :func:`hermite_target_rule` refines the Gauss-Hermite
-rule by 8 nodes per dimension until two integrals of f move by at most
-eps: there eps is a refinement budget, not a tail budget.
+parameter: Gauss-Hermite on a euclidean chart, whose weight e^{-|u|^2}
+splits per coordinate; the trapezoid on the circle; and on graphs,
+revolutions and the modulus graph of c z^k a Gauss rule for the weight
+e^{-r^2} density in u1 or in rho = |u|, built by Lanczos and Golub-Welsch
+and certified against a finer discretization.  The polar rule of the
+modulus graph is given by points and weights, not as a tensor product.
+The CLI's ``basis`` uses it whenever the chart has one, whatever ``--eps``
+and ``--nodes`` say; ``project`` keeps one truncated rule off euclidean
+charts.  A target f is not a polynomial, so :func:`hermite_target_rule`
+refines the Gauss-Hermite rule by 8 nodes per dimension until two
+integrals of f move by at most eps: there eps is a refinement budget, not
+a tail budget.
 
 :func:`discretize` samples a chart on a rule once -- the embedded points
 X, r^2 = |X|^2 and the measure weights dmu = rule weights x density, or
@@ -34,8 +36,7 @@ every integral, Gram matrix and projection works from that sample.  It
 rejects a non-finite r^2 or volume density, naming the node, so the weights
 are finite.  Integrands are functions of the ambient point x, and
 :meth:`Discretization.sample` is the one place they are evaluated: it calls
-them on X (a :class:`RadialFunction` on the sampled r^2) and names the
-first node whose value is non-finite.  An integral
+them on X and names the first node whose value is non-finite.  An integral
 is the weighted sum of those values, and only its total is checked.
 Every sum runs in a fixed order, over the nodes or over node blocks of a
 fixed size, so every result is reproducible bit for bit for a fixed rule.
@@ -58,12 +59,10 @@ __all__ = [
     "DimRule",
     "QuadRule",
     "Discretization",
-    "RadialFunction",
     "MomentTable",
     "IntegrabilityScan",
     "build_rule",
     "gauss_rule",
-    "hermite_rule",
     "hermite_target_rule",
     "truncated_rule",
     "discretize",
@@ -96,9 +95,9 @@ class NoExactRuleError(QuadratureError):
 @dataclass(frozen=True, eq=False)
 class DimRule:
     """Nodes and weights on one parameter dimension: plain (Lebesgue) weights,
-    unless the :class:`QuadRule` they are part of carries the measure."""
+    unless the :class:`QuadRule` they are part of is untruncated."""
 
-    kind: str  # the domain kind: "unbounded" (truncated), "bounded", "periodic"
+    kind: str  # the domain kind: "unbounded", "bounded" or "periodic"
     lo: float
     hi: float
     nodes: np.ndarray
@@ -110,18 +109,17 @@ class QuadRule:
     """Nodes and weights over a chart's parameter domain.
 
     ``QuadRule(dims, R)`` is the tensor product of the one-dimensional rules
-    ``dims``, truncated at radius R (inf where nothing is truncated).  Its
-    weights are plain (Lebesgue) weights unless ``carries_measure``: then
-    they already carry e^{-r^2} dmu, and :func:`discretize` takes them as
-    they are, with no density or e^{-r^2} factor.  A rule that is not a
-    tensor product has no ``dims``; it is given by ``points``, ``weights``
-    and ``kinds``, the domain kind of each parameter, and carries the
-    measure.  ``nodes_per_dim`` is empty for it.
+    ``dims``, truncated at radius R.  R = inf if and only if the weights
+    carry e^{-r^2} dmu (``carries_measure``): nothing is truncated, and
+    :func:`discretize` takes the weights as they are, with no density or
+    e^{-r^2} factor.  At a finite R they are plain (Lebesgue) weights.  A
+    rule that is not a tensor product has no ``dims``; it is given by
+    ``points``, ``weights`` and ``kinds``, the domain kind of each
+    parameter, and needs R = inf.  ``nodes_per_dim`` is empty for it.
     """
 
     dims: tuple
     truncation_radius: float
-    carries_measure: bool = False
     points: np.ndarray | None = None
     weights: np.ndarray | None = None
     kinds: tuple = ()
@@ -142,16 +140,21 @@ class QuadRule:
         elif not (self.carries_measure and self.points is not None
                   and self.weights is not None and self.kinds):
             raise ValueError("a rule without dims needs points, weights and kinds, "
-                             "and carries the measure")
+                             "and R = inf")
         else:
             values.update(kinds=tuple(self.kinds), nodes_per_dim=())
         for name, value in values.items():
             object.__setattr__(self, name, value)
 
+    @property
+    def carries_measure(self) -> bool:
+        """The weights carry e^{-r^2} dmu: nothing is truncated."""
+        return self.truncation_radius == math.inf
+
     def __repr__(self) -> str:
         size = f"nodes={self.nodes_per_dim}" if self.dims else f"points={self.weights.size}"
         return (f"QuadRule(dims=[{','.join(self.kinds)}], R={self.truncation_radius:g}, "
-                f"{size}{', carries measure' if self.carries_measure else ''})")
+                f"{size})")
 
 
 def _gauss_legendre(n: int, lo: float, hi: float):
@@ -160,12 +163,15 @@ def _gauss_legendre(n: int, lo: float, hi: float):
 
 
 def build_rule(chart: VarietyChart, radius: float, nodes_per_dim=None) -> QuadRule:
-    """Construct the tensor rule for a chart truncated at radius ``radius``.
+    """Construct the tensor rule for a chart truncated at the finite radius ``radius``.
 
     ``nodes_per_dim`` may be a single int for every dimension, a sequence
     with one entry per dimension, or None for :data:`DEFAULT_NODES` of each
-    dimension's domain kind.
+    dimension's domain kind.  Its weights are plain; an untruncated rule is
+    :func:`gauss_rule`'s.
     """
+    if not math.isfinite(radius):
+        raise QuadratureError(f"a truncated rule needs a finite radius, got {radius}")
     d = chart.intrinsic_dim
     if nodes_per_dim is None:
         counts = [None] * d
@@ -195,30 +201,6 @@ def build_rule(chart: VarietyChart, radius: float, nodes_per_dim=None) -> QuadRu
             nodes, weights = _gauss_legendre(n, lo, hi)
         dims.append(DimRule(dom.kind, lo, hi, nodes, weights))
     return QuadRule(dims, radius)
-
-
-def hermite_rule(chart: VarietyChart, degree: int) -> QuadRule:
-    """Gauss-Hermite tensor rule with ``degree + 1`` nodes per dimension, for a euclidean chart.
-
-    It is exact for e^{-|u|^2} times any polynomial of degree <= 2 degree + 1,
-    so for every entry of a degree-``degree`` Gram matrix.  Each dimension
-    holds the weights w e^{x^2}, so that :func:`discretize`'s dmu e^{-r^2}
-    gives back w; nothing is truncated, and the truncation radius is inf.
-    numpy's ``hermgauss`` loses its weights to underflow or overflow from
-    371 nodes on (numpy 2.4); a weight that is not a finite normal double
-    raises :class:`QuadratureError` naming the degree.
-    """
-    if chart.kind != "euclidean":
-        raise QuadratureError(f"the Gauss-Hermite rule is exact on euclidean charts only, "
-                              f"not {chart.chart_id}")
-    with np.errstate(all="ignore"):  # checked right below
-        x, w = np.polynomial.hermite.hermgauss(degree + 1)
-        weights = np.exp(x * x + np.log(w))
-    if not (np.all(w >= np.finfo(float).tiny) and np.all(np.isfinite(weights))):
-        raise QuadratureError(f"no Gauss-Hermite rule for degree {degree}: the weights of "
-                              f"{degree + 1} nodes underflow or overflow a double")
-    dim = DimRule("unbounded", -math.inf, math.inf, x, weights)
-    return QuadRule((dim,) * chart.intrinsic_dim, math.inf)
 
 
 _PANELS, _PANEL_NODES = 32, 40  # composite Gauss-Legendre discretization of a weight
@@ -368,8 +350,9 @@ def gauss_rule(chart: VarietyChart, degree: int) -> QuadRule:
     """A rule exact for every entry of the degree-``degree`` Gram matrix under e^{-r^2} dmu.
 
     D = ``degree``, k = ``chart.param_degree``.  Nothing is truncated, so the
-    truncation radius is inf.
-    - euclidean: :func:`hermite_rule`, D + 1 Gauss-Hermite nodes per dimension;
+    truncation radius is inf, and the weights carry e^{-r^2} dmu.
+    - euclidean: D + 1 Gauss-Hermite nodes per dimension, exact for
+      e^{-|u|^2} times any polynomial of degree <= 2D + 1;
     - circle: the (2D + 1)-node trapezoid, exact for trigonometric degree 2D;
     - graph and revolution: the (kD + 1)-node Gauss rule in u1 for the weight
       e^{-r^2} density, which depends on u1 alone, exact for the u1-degree
@@ -383,19 +366,28 @@ def gauss_rule(chart: VarietyChart, degree: int) -> QuadRule:
     Gauss-Legendre discretization of the weight and Golub-Welsch
     (:func:`_weight_rule`), and certified: they match the discretization's
     moments below degree 2(kD + 1), and a finer discretization moves no
-    node or weight by more than ``GAUSS_DELTA``.  Their weights carry
-    e^{-r^2} dmu.  Any other chart, one whose parameter degree is not
-    known, and a one-parameter rule that cannot be built or certified raise
-    :class:`NoExactRuleError`, naming the chart; the caller then keeps
-    :func:`truncated_rule`.  :func:`hermite_rule`'s own errors propagate.
+    node or weight by more than ``GAUSS_DELTA``.  Any other chart, one
+    whose parameter degree is not known, and a one-parameter rule that
+    cannot be built or certified raise :class:`NoExactRuleError`, naming
+    the chart; the caller then keeps :func:`truncated_rule`.  Gauss-Hermite
+    weights that are not normal doubles raise :class:`QuadratureError`
+    naming the degree.
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     if chart.kind == "euclidean":
-        return hermite_rule(chart, degree)
+        with np.errstate(all="ignore"):  # checked right below
+            x, w = np.polynomial.hermite.hermgauss(degree + 1)
+        if not np.all(w >= np.finfo(float).tiny):
+            raise QuadratureError(f"no Gauss-Hermite rule for degree {degree}: the weights "
+                                  f"of {degree + 1} nodes underflow or overflow a double")
+        dim = DimRule("unbounded", -math.inf, math.inf, x, w)
+        return QuadRule((dim,) * chart.intrinsic_dim, math.inf)
     trig = _trapezoid(2 * degree + 1)
-    if chart.kind == "circle":
-        return QuadRule((trig,), math.inf)
+    if chart.kind == "circle":  # w density e^{-r^2}, as discretize forms it at finite R
+        U = trig.nodes[:, None]
+        w = trig.weights * chart.volume_density(U) * np.exp(-squared_norms(chart.embed(U)))
+        return QuadRule((DimRule("periodic", trig.lo, trig.hi, trig.nodes, w),), math.inf)
     k, polar = chart.param_degree, chart.kind == "modulus_graph" and chart.radial
     if k is None or not (polar or chart.kind in ("graph", "revolution")):
         raise NoExactRuleError(f"no exact Gram rule for {chart.chart_id}")
@@ -406,12 +398,12 @@ def gauss_rule(chart: VarietyChart, degree: int) -> QuadRule:
     if polar:
         points = np.stack([np.outer(t, np.cos(trig.nodes)).ravel(),
                            np.outer(t, np.sin(trig.nodes)).ravel()], axis=1)
-        return QuadRule((), math.inf, True, points, np.outer(w, trig.weights).ravel(),
+        return QuadRule((), math.inf, points, np.outer(w, trig.weights).ravel(),
                         tuple(d.kind for d in chart.domains))
     dom = chart.domains[0]
     lo, hi = (dom.lo, dom.hi) if dom.kind == "bounded" else (-math.inf, math.inf)
     dims = (DimRule(dom.kind, lo, hi, t, w),)
-    return QuadRule(dims if chart.kind == "graph" else dims + (trig,), math.inf, True)
+    return QuadRule(dims if chart.kind == "graph" else dims + (trig,), math.inf)
 
 
 _RUNG = 8  # node-count step between the rungs of a target rule's refinement check
@@ -421,7 +413,7 @@ def hermite_target_rule(chart: VarietyChart, f, degree: int, eps: float = DEFAUL
                         nodes=None) -> tuple[QuadRule, float]:
     """The Gauss-Hermite tensor rule to project ``f`` on up to ``degree``, and its delta.
 
-    Rung n is ``hermite_rule(chart, n - 1)``, n nodes per dimension and
+    Rung n is ``gauss_rule(chart, n - 1)``, n nodes per dimension and
     nothing truncated.  Its delta is the largest relative change of
     integral f^2  and  integral f (1 + r^2)^degree  against e^{-r^2} dmu
     from rung n to rung n + 8.  The second stands for the products f p,
@@ -431,8 +423,12 @@ def hermite_target_rule(chart: VarietyChart, f, degree: int, eps: float = DEFAUL
     rung has at most ``DEFAULT_NODES["unbounded"]`` nodes per dimension, or
     ``nodes`` alone when it is given.  The first rung whose delta is at most
     ``eps`` is returned; when none is, :class:`QuadratureError` names eps
-    and the last delta.  ``f`` is sampled once per rung.
+    and the last delta.  ``f`` is sampled once per rung.  A chart that is
+    not euclidean raises :class:`QuadratureError` naming it.
     """
+    if chart.kind != "euclidean":
+        raise QuadratureError(f"the Gauss-Hermite target rule is for euclidean charts "
+                              f"only, not {chart.chart_id}")
     if nodes is None:
         first = -(-(degree + 1) // _RUNG) * _RUNG
         rungs = range(first, DEFAULT_NODES["unbounded"] - _RUNG + 1, _RUNG)
@@ -444,7 +440,7 @@ def hermite_target_rule(chart: VarietyChart, f, degree: int, eps: float = DEFAUL
         rungs = [nodes]
 
     def integrals(n):
-        rule = hermite_rule(chart, n - 1)
+        rule = gauss_rule(chart, n - 1)
         disc = discretize(chart, rule)
         fvals = disc.sample(f)
         wf = disc.weights() * fvals
@@ -476,20 +472,6 @@ def _checked_total(total):
     if not np.isfinite(total):
         raise QuadratureError(f"non-finite integral {total} of finite samples")
     return total
-
-
-@dataclass(frozen=True)
-class RadialFunction:
-    """The integrand x -> h(|x|^2), for h vectorized over arrays.
-
-    Called on points X (N, n) it forms |X|^2; :meth:`Discretization.sample`
-    passes the discretization's ``r2`` instead, the same doubles.
-    """
-
-    h: object
-
-    def __call__(self, X) -> np.ndarray:
-        return self.h(squared_norms(X))
 
 
 @dataclass(frozen=True, eq=False)
@@ -527,15 +509,13 @@ class Discretization:
         return self.dmu
 
     def sample(self, g) -> np.ndarray:
-        """Node values of ``g``: g(X) for a callable, h(r2) for a
-        :class:`RadialFunction`, else a scalar or node array.
+        """Node values of ``g``: g(X) for a callable, else a scalar or node array.
 
         Raises :class:`QuadratureError` naming the first node, and its
         parameters, whose value is non-finite; no numpy warning escapes.
         """
         with np.errstate(all="ignore"):  # checked right below
-            vals = (g.h(self.r2) if isinstance(g, RadialFunction)
-                    else g(self.X) if callable(g) else g)
+            vals = g(self.X) if callable(g) else g
             vals = np.broadcast_to(vals, self.r2.shape)
         _check_nodes(self.rule.points, vals, "integrand sample")
         return vals
@@ -551,7 +531,8 @@ def discretize(chart: VarietyChart, rule: QuadRule) -> Discretization:
     """Sample ``chart`` on the nodes of ``rule``, whose kinds must match its domains.
 
     A non-finite |x|^2 or volume density raises, naming the first such node.
-    The density is not evaluated for a rule whose weights carry the measure.
+    The density is not evaluated for an untruncated rule, whose weights carry
+    the measure.
     """
     kinds, domains = list(rule.kinds), [d.kind for d in chart.domains]
     if kinds != domains:

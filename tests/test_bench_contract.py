@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from gaussvar import (
-    chart_euclidean, cli, gauss_rule, gram_matrix, hermite_rule, orthonormalize,
+    chart_euclidean, cli, gauss_rule, gram_matrix, orthonormalize,
     truncated_rule,
 )
 
@@ -67,7 +67,7 @@ def test_ortho_defect_on_hermite_basis():
     *_, worker = load_bench_modules("workloads", "check", "spans", "worker")
     chart = chart_euclidean(3)
     _, rule = truncated_rule(chart, 8)
-    gb = orthonormalize(gram_matrix(chart, 4, hermite_rule(chart, 4)))
+    gb = orthonormalize(gram_matrix(chart, 4, gauss_rule(chart, 4)))
     assert worker.ortho_defect(gb, rule) <= 1e-12
 
 

@@ -1,5 +1,6 @@
 """The exact Gram rules of quadrature.gauss_rule, against perfbench's closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussvar import (
-    GAUSS_DELTA, MultiPoly, NoExactRuleError, QuadratureError, QuadRule, RadialFunction,
+    GAUSS_DELTA, MultiPoly, NoExactRuleError, QuadratureError, QuadRule,
     build_rule, chart_circle, chart_graph, chart_modulus_graph,
     chart_revolution, discretize, gauss_rule, gram_matrix, load_chart, parse_poly,
     quadrature,
@@ -102,11 +103,30 @@ class TestShape:
         with pytest.raises(QuadratureError, match="plain dmu"):
             disc.weights("none")
 
+    def test_carries_measure_is_derived_from_the_radius(self, cylinder, cylinder_rule):
+        assert not cylinder_rule.carries_measure
+        assert QuadRule(gauss_rule(cylinder, 2).dims, math.inf).carries_measure
+        with pytest.raises(AttributeError):
+            cylinder_rule.carries_measure = True
+        with pytest.raises(TypeError):
+            QuadRule(cylinder_rule.dims, 5.0, carries_measure=True)
+
     def test_a_rule_without_dims_needs_points(self):
         with pytest.raises(ValueError, match="points, weights and kinds"):
-            QuadRule((), math.inf, True)
-        with pytest.raises(ValueError):
-            QuadRule((), math.inf, False, np.zeros((1, 2)), np.ones(1), ("unbounded",) * 2)
+            QuadRule((), math.inf)
+        points, weights, kinds = np.zeros((1, 2)), np.ones(1), ("unbounded",) * 2
+        assert QuadRule((), math.inf, points, weights, kinds).carries_measure
+        with pytest.raises(ValueError, match="R = inf"):
+            QuadRule((), 5.0, points, weights, kinds)
+
+    @pytest.mark.parametrize("chart", [
+        chart_circle(),
+        chart_graph([parse_poly("1*x1^2", 1)], domain=(-1.0, 2.0)),
+    ], ids=["circle", "bounded-graph"])
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_a_truncated_rule_needs_a_finite_radius(self, chart, radius):
+        with pytest.raises(QuadratureError, match="finite radius"):
+            build_rule(chart, radius)
 
     def test_negative_degree(self, cylinder):
         with pytest.raises(ValueError):
@@ -216,10 +236,26 @@ class TestCertificate:
         assert "GAUSS_DELTA" in gauss_rule.__doc__
 
 
-def test_radial_function_samples_read_r2(cylinder, cylinder_rule):
-    seen = []
-    f = RadialFunction(lambda r2: seen.append(r2) or np.exp(0.25 * r2))
-    disc = discretize(cylinder, cylinder_rule)
-    vals = disc.sample(f)
-    assert seen[0] is disc.r2
-    np.testing.assert_array_equal(vals, f(disc.X))  # the same doubles on points
+@pytest.mark.parametrize("spec,mass", [
+    ({"kind": "euclidean", "n": 1}, math.sqrt(math.pi)),
+    ({"kind": "euclidean", "n": 2}, math.pi),
+    ({"kind": "euclidean", "n": 3}, math.pi ** 1.5),
+    ({"kind": "circle"}, 2.0 * math.pi * math.exp(-1.0)),
+    ({"kind": "graph", "components": ["1*x1^2"]}, None),
+    ({"kind": "revolution", "f": "1", "h": "1*x1^1"},
+     2.0 * math.pi ** 1.5 * math.exp(-1.0)),
+    ({"kind": "modulus_graph", "F": "1*x1^2"}, None),  # the polar rule
+], ids=["euclid1", "euclid2", "euclid3", "circle", "graph-x2", "cylinder", "modgraph-z2"])
+def test_untruncated_rules_carry_the_measure(spec, mass):
+    # R = inf, and discretize takes the weights as they are: no density, no plain dmu
+    chart = load_chart(spec)
+    rule = gauss_rule(chart, 4)
+    calls = []
+    spied = dataclasses.replace(chart, _density=lambda U: calls.append(U) or chart._density(U))
+    disc = discretize(spied, rule)
+    assert rule.truncation_radius == math.inf and rule.carries_measure
+    assert not calls and disc.dmu is None
+    with pytest.raises(QuadratureError, match="plain dmu"):
+        disc.weights("none")
+    if mass is not None:  # the Gaussian mass in closed form
+        assert disc.integrate(1.0) == pytest.approx(mass, rel=1e-14)

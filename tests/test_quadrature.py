@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from gaussvar.quadrature import (
     build_rule,
     choose_truncation,
     discretize,
+    gauss_rule,
     gaussian_moment,
-    hermite_rule,
     hermite_target_rule,
     integrability_scan,
     integrate,
@@ -87,44 +88,48 @@ class TestRuleInvariants:
 class TestHermiteRule:
     @pytest.mark.parametrize("n,degree", [(1, 0), (2, 3), (3, 6)])
     def test_degree_plus_one_nodes_untruncated(self, n, degree):
-        rule = hermite_rule(chart_euclidean(n), degree)
+        rule = gauss_rule(chart_euclidean(n), degree)
         assert rule.nodes_per_dim == (degree + 1,) * n
         assert rule.truncation_radius == math.inf
         assert all((d.kind, d.lo, d.hi) == ("unbounded", -math.inf, math.inf)
                    for d in rule.dims)
 
     def test_gauss_weights_come_back(self):
-        rule = hermite_rule(chart_euclidean(2), 9)
+        rule = gauss_rule(chart_euclidean(2), 9)
         x, w = np.polynomial.hermite.hermgauss(10)
         np.testing.assert_array_equal(rule.dims[0].nodes, x)
         weights = discretize(chart_euclidean(2), rule).weights()
-        np.testing.assert_allclose(weights, np.outer(w, w).ravel(), rtol=1e-13)
+        np.testing.assert_array_equal(weights, np.outer(w, w).ravel())
 
     def test_exact_to_twice_the_degree_plus_one(self):
         # integral x^10 e^{-x^2} = Gamma(11/2), on 6 nodes
         val = integrate(chart_euclidean(1), lambda X: X[:, 0] ** 10,
-                        hermite_rule(chart_euclidean(1), 5))
+                        gauss_rule(chart_euclidean(1), 5))
         assert val == pytest.approx(math.gamma(5.5), rel=1e-14)
 
     def test_euclidean_charts_only(self, cylinder):
-        with pytest.raises(QuadratureError, match="euclidean"):
-            hermite_rule(cylinder, 4)
+        # the cylinder's rule carries its own measure e^{-1 - u^2} du dtheta, not
+        # the Gauss-Hermite weights of e^{-u^2} du
+        rule = gauss_rule(cylinder, 4)
+        assert rule.nodes_per_dim == (5, 9)
+        assert np.sum(rule.weights) == pytest.approx(
+            2.0 * math.pi * math.sqrt(math.pi) * math.exp(-1.0), rel=1e-14)
 
     def test_negative_degree(self):
         with pytest.raises(ValueError):
-            hermite_rule(chart_euclidean(1), -1)
+            gauss_rule(chart_euclidean(1), -1)
 
     def test_overflowing_weights_name_the_degree(self):
         with np.errstate(all="raise"):
             with pytest.raises(QuadratureError, match="degree 400"):
-                hermite_rule(chart_euclidean(1), 400)
+                gauss_rule(chart_euclidean(1), 400)
 
     def test_underflowed_weights_name_the_degree(self, monkeypatch):
         # numpy 2.4's hermgauss returns 371 zero weights, without a warning
         monkeypatch.setattr(np.polynomial.hermite, "hermgauss",
                             lambda n: (np.linspace(-1.0, 1.0, n), np.zeros(n)))
         with pytest.raises(QuadratureError, match="degree 370"):
-            hermite_rule(chart_euclidean(1), 370)
+            gauss_rule(chart_euclidean(1), 370)
 
 
 def _exp_target(alpha):
@@ -147,7 +152,7 @@ class TestHermiteTargetRule:
         n = rule.nodes_per_dim[0]
         changes = []
         for g in (lambda X: f(X) ** 2, lambda X: f(X) * (1.0 + squared_norms(X)) ** degree):
-            coarse, fine = (integrate(chart, g, hermite_rule(chart, m - 1)) for m in (n, n + 8))
+            coarse, fine = (integrate(chart, g, gauss_rule(chart, m - 1)) for m in (n, n + 8))
             changes.append(abs(fine - coarse) / fine)
         assert delta == pytest.approx(max(changes), rel=1e-3, abs=1e-15)
 
@@ -155,8 +160,8 @@ class TestHermiteTargetRule:
     def test_ladder_starts_at_a_multiple_of_eight_above_the_degree(self, degree, first,
                                                                    monkeypatch):
         sizes = []
-        monkeypatch.setattr("gaussvar.quadrature.hermite_rule",
-                            lambda chart, d: sizes.append(d + 1) or hermite_rule(chart, d))
+        monkeypatch.setattr("gaussvar.quadrature.gauss_rule",
+                            lambda chart, d: sizes.append(d + 1) or gauss_rule(chart, d))
         hermite_target_rule(chart_euclidean(1), 1.0, degree)
         assert sizes == [first, first + 8]
 
@@ -180,7 +185,8 @@ class TestHermiteTargetRule:
             hermite_target_rule(chart_euclidean(3), _exp_target(0.45), 6)
 
     def test_euclidean_charts_only(self, cylinder):
-        with pytest.raises(QuadratureError, match="euclidean"):
+        with pytest.raises(QuadratureError, match=rf"euclidean charts only, not "
+                                                  rf"{re.escape(cylinder.chart_id)}"):
             hermite_target_rule(cylinder, 1.0, 2)
 
 

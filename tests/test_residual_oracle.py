@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import residual_oracle
 from gaussvar import (
-    DEFAULT_EPS, chart_euclidean, gram_matrix, hermite_rule, hermite_target_rule,
+    DEFAULT_EPS, chart_euclidean, gauss_rule, gram_matrix, hermite_target_rule,
     orthonormalize, project,
 )
 from gaussvar.polyring import squared_norms
@@ -41,12 +41,12 @@ def test_energies_add_up_to_the_norm(n, alpha):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 3), degree=st.integers(2, 10), alpha=st.floats(0.05, 0.375))
 def test_projection_matches_closed_form(n, degree, alpha):
-    # the CLI's euclidean project: the Gram matrix on hermite_rule, the target on
+    # the CLI's euclidean project: the Gram matrix on gauss_rule, the target on
     # hermite_target_rule.  The residual comes from integral (f - p)^2, whose
     # error is eps f_norm^2 at most, so the norm's is eps f_norm^2 / residual.
     chart = chart_euclidean(n)
     f = lambda X: np.exp(alpha * squared_norms(X))
-    gb = orthonormalize(gram_matrix(chart, degree, hermite_rule(chart, degree)))
+    gb = orthonormalize(gram_matrix(chart, degree, gauss_rule(chart, degree)))
     rule, _ = hermite_target_rule(chart, f, degree, DEFAULT_EPS)
     f_norm = residual_oracle.f_norm(n, alpha)
     exact = residual_oracle.residual_norms(n, alpha, degree)
