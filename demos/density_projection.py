@@ -16,7 +16,7 @@ from gaussvar import (
     orthonormalize,
     parse_poly,
     project,
-    truncated_rule,
+    study_rules,
 )
 
 cylinder = chart_revolution(parse_poly("1", 1), parse_poly("1*x1^1", 1))
@@ -37,10 +37,10 @@ def f(X):
 
 print()
 for name, chart in (("cylinder", cylinder), ("graph of x^2", parabola)):
-    _, rule = truncated_rule(chart, 16)  # truncated for orders up to 2D = 16
+    gram_rule, rule = study_rules(chart, 8, target=f)
 
     # one basis at D=8 holds every lower degree's basis as its leading block
-    gb = orthonormalize(gram_matrix(chart, 8, rule))
+    gb = orthonormalize(gram_matrix(chart, 8, gram_rule))
     print(f"{name}: relative residual of the degree-D projection of e^(r^2/4)")
     for rep in project(gb, f, rule)[2::2]:
         D = rep.degree_cap

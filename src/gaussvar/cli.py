@@ -64,19 +64,15 @@ def _wavevectors(flag, text):
     return ks
 
 
-_EXACT_GRAM = ("project's Gauss-Hermite target rule on a euclidean chart. Not read for an "
-               "exact Gram rule (quadrature.gauss_rule): basis uses one under --weight "
-               "gauss on euclidean, graph, revolution and circle charts and on the modulus "
-               "graph of c*z^k, project on euclidean charts only; elsewhere project keeps "
-               "one truncated rule for its Gram matrix and its target")
 _FLAGS = {  # flag -> argparse settings; each command in _COMMANDS sets the default
     "spec": dict(help="variety spec file (JSON)"),
     "mmax": dict(type=int, help="largest moment/expansion order"),
     "degree": dict(type=int, help="degree cap D"),
-    "eps": dict(type=float, help="tail budget for the truncation radius, and refinement "
-                                 "budget of " + _EXACT_GRAM),
-    "nodes": dict(type=int, help="nodes per dimension (None: quadrature.DEFAULT_NODES by "
-                                 "domain kind), and the pinned rung of " + _EXACT_GRAM),
+    "eps": dict(type=float, help="tail budget of a truncated rule, and refinement budget "
+                                 "of a euclidean target's rule (quadrature.study_rules)"),
+    "nodes": dict(type=int, help="nodes per dimension of a truncated rule (None: "
+                                 "quadrature.DEFAULT_NODES by domain kind), and pinned rung "
+                                 "of a euclidean target's rule (quadrature.study_rules)"),
     "weight": dict(choices=("gauss", "none"), help="inner-product weight"),
     "alpha": dict(type=float, help="exponent of the target e^{alpha r^2}"),
     "k": dict(help="comma-separated wavevector lengths"),
@@ -124,47 +120,25 @@ def _weighted_chart(args):
     return chart
 
 
-def _basis(args, chart, rule):
-    """The basis to --degree, its Gram matrix integrated on ``rule``."""
-    return orthobasis.orthonormalize(
-        orthobasis.gram_matrix(chart, args.degree, rule, weight=args.weight))
-
-
-def _truncated(args, chart):
-    """The study's truncated rule, for orders up to 2 --degree."""
-    return quadrature.truncated_rule(chart, 2 * args.degree, args.eps, args.nodes)[1]
+def _study(args, chart, target=None):
+    """The basis to --degree on the Gram rule of :func:`quadrature.study_rules`, and
+    the rule for ``target``."""
+    gram_rule, rule = quadrature.study_rules(chart, args.degree, args.weight, target,
+                                             args.eps, args.nodes)
+    gram = orthobasis.gram_matrix(chart, args.degree, gram_rule, weight=args.weight)
+    return orthobasis.orthonormalize(gram), rule
 
 
 def cmd_basis(args, out: Path) -> None:
-    """The Gram matrix on the exact :func:`quadrature.gauss_rule` when the chart
-    has one under --weight gauss, and on the truncated rule otherwise."""
-    chart = _weighted_chart(args)
-    rule = None
-    if args.weight == "gauss":  # the exact rules are for e^{-r^2} dmu
-        try:
-            rule = quadrature.gauss_rule(chart, args.degree)
-        except quadrature.NoExactRuleError:
-            pass
-    if rule is None:
-        rule = _truncated(args, chart)
-    gb = _basis(args, chart, rule)
+    gb, _ = _study(args, _weighted_chart(args))
     orthobasis.gram_to_csv(gb, out / "gram.csv")
     orthobasis.basis_to_csv(gb, out / "basis.csv")
 
 
 def cmd_project(args, out: Path) -> None:
-    """A euclidean chart's Gram matrix is exact on :func:`quadrature.gauss_rule`, and its
-    target is integrated on :func:`quadrature.hermite_target_rule`; every other
-    chart's Gram matrix and target share one truncated rule."""
     chart = _weighted_chart(args)
     target = _exp_target(chart, args.alpha)
-    if chart.kind == "euclidean":
-        gb = _basis(args, chart, quadrature.gauss_rule(chart, args.degree))
-        rule, _ = quadrature.hermite_target_rule(chart, target, args.degree, args.eps,
-                                                 args.nodes)
-    else:
-        rule = _truncated(args, chart)
-        gb = _basis(args, chart, rule)
+    gb, rule = _study(args, chart, target)
     reports = orthobasis.project(gb, target, rule)
     orthobasis.projections_to_csv(reports[2::2], out / "projection.csv")
 

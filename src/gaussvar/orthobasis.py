@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .polyring import MultiPoly, monomial_values, monomials_up_to_degree
-from .quadrature import QuadRule, QuadratureError, discretize, gauss_rule, truncated_rule
+from .quadrature import QuadRule, QuadratureError, discretize, study_rules
 from .variety import VarietyChart, chart_euclidean, chart_graph
 
 __all__ = [
@@ -360,23 +360,23 @@ class RecoveryReport:
 def classic_recovery(kind: str, degree_cap: int = 6) -> RecoveryReport:
     """Recover the Hermite or Legendre family from the generic machinery.
 
-    ``hermite``: euclidean chart on R with the Gaussian weight, on the exact
-    :func:`gauss_rule`; ``legendre``: the interval [-1, 1] (a graph chart
-    with no components) with the weight switched off, on the rule of
-    :func:`truncated_rule`, which for a bounded interval does not depend on R.
+    ``hermite``: euclidean chart on R with the Gaussian weight; ``legendre``:
+    the interval [-1, 1] (a graph chart with no components) with the weight
+    switched off.  :func:`study_rules` chooses the rule: the exact Gauss-Hermite
+    rule for ``hermite``, a truncated rule for ``legendre``, which for a
+    bounded interval does not depend on R.
     Rows are sign-fixed so the leading coefficient is positive before comparing.
     """
     if kind == "hermite":
         chart, weight = chart_euclidean(1), "gauss"
         to_power, sq_norm = np.polynomial.hermite.herm2poly, lambda k: (
             2.0 ** k * math.factorial(k) * math.sqrt(math.pi))
-        rule = gauss_rule(chart, degree_cap)
     elif kind == "legendre":
         chart, weight = chart_graph([], domain=(-1.0, 1.0)), "none"
         to_power, sq_norm = np.polynomial.legendre.leg2poly, lambda k: 2.0 / (2.0 * k + 1.0)
-        _, rule = truncated_rule(chart, 2 * degree_cap)
     else:
         raise ValueError(f"kind must be 'hermite' or 'legendre', got {kind!r}")
+    rule, _ = study_rules(chart, degree_cap, weight)
     gb = orthonormalize(gram_matrix(chart, degree_cap, rule, weight=weight))
     reference = np.zeros((degree_cap + 1, degree_cap + 1))
     for k in range(degree_cap + 1):  # the degree-k member divided by its norm

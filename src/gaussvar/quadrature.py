@@ -22,12 +22,7 @@ revolutions and the modulus graph of c z^k a Gauss rule for the weight
 e^{-r^2} density in u1 or in rho = |u|, built by Lanczos and Golub-Welsch
 and certified against a finer discretization.  The polar rule of the
 modulus graph is given by points and weights, not as a tensor product.
-The CLI's ``basis`` uses it whenever the chart has one, whatever ``--eps``
-and ``--nodes`` say; ``project`` keeps one truncated rule off euclidean
-charts.  A target f is not a polynomial, so :func:`hermite_target_rule`
-refines the Gauss-Hermite rule by 8 nodes per dimension until two
-integrals of f move by at most eps: there eps is a refinement budget, not
-a tail budget.
+:func:`study_rules` is the one place that chooses a study's rules.
 
 :func:`discretize` samples a chart on a rule once -- the embedded points
 X, r^2 = |X|^2 and the measure weights dmu = rule weights x density, or
@@ -65,6 +60,7 @@ __all__ = [
     "gauss_rule",
     "hermite_target_rule",
     "truncated_rule",
+    "study_rules",
     "discretize",
     "integrate",
     "gaussian_moment",
@@ -369,7 +365,7 @@ def gauss_rule(chart: VarietyChart, degree: int) -> QuadRule:
     node or weight by more than ``GAUSS_DELTA``.  Any other chart, one
     whose parameter degree is not known, and a one-parameter rule that
     cannot be built or certified raise :class:`NoExactRuleError`, naming
-    the chart; the caller then keeps :func:`truncated_rule`.  Gauss-Hermite
+    the chart; :func:`study_rules` then falls back.  Gauss-Hermite
     weights that are not normal doubles raise :class:`QuadratureError`
     naming the degree.
     """
@@ -616,6 +612,35 @@ def truncated_rule(chart: VarietyChart, m_max: int, eps: float = DEFAULT_EPS,
     :func:`choose_truncation` radius for orders up to ``m_max``: every study's rule."""
     growth = estimate_growth(chart, _FIT_RADII)
     return growth, build_rule(chart, choose_truncation(growth, m_max, eps), nodes_per_dim)
+
+
+def study_rules(chart: VarietyChart, degree: int, weight: str = "gauss", target=None,
+                eps: float = DEFAULT_EPS, nodes=None) -> tuple[QuadRule, QuadRule]:
+    """The rules for the degree-``degree`` Gram matrix under ``weight`` and for
+    ``target``: the one place a study's rules are chosen.
+
+    - Under ``weight="gauss"``, with no target or on a euclidean chart, the
+      Gram rule is the exact :func:`gauss_rule`; ``eps`` and ``nodes`` do not
+      change it.  Only :class:`NoExactRuleError` falls back.
+    - A target on a euclidean chart gets :func:`hermite_target_rule`: ``eps``
+      is its refinement budget, not a tail budget, and ``nodes`` pins its rung.
+    - Otherwise the Gram matrix and the target share one :func:`truncated_rule`
+      for orders up to 2 ``degree``, with tail budget ``eps`` and ``nodes``.
+
+    With no target the target rule is the Gram rule.  Any other
+    :class:`QuadratureError` propagates.
+    """
+    rule = None
+    if weight == "gauss" and (target is None or chart.kind == "euclidean"):
+        try:
+            rule = gauss_rule(chart, degree)
+        except NoExactRuleError:
+            pass
+    if rule is None:
+        rule = truncated_rule(chart, 2 * degree, eps, nodes)[1]
+    elif target is not None:
+        return rule, hermite_target_rule(chart, target, degree, eps, nodes)[0]
+    return rule, rule
 
 
 # ------------------------------------------------------------------ moment tables

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from gaussvar import (
     GAUSS_DELTA, MultiPoly, NoExactRuleError, QuadratureError, QuadRule,
-    build_rule, chart_circle, chart_graph, chart_modulus_graph,
-    chart_revolution, discretize, gauss_rule, gram_matrix, load_chart, parse_poly,
-    quadrature,
+    build_rule, chart_circle, chart_euclidean, chart_graph, chart_modulus_graph,
+    chart_revolution, discretize, gauss_rule, gram_matrix, hermite_target_rule,
+    load_chart, parse_poly, quadrature, study_rules, truncated_rule,
 )
 from gaussvar.cli import EXIT_OK, main
+from gaussvar.polyring import squared_norms
 from gaussvar.variety import VarietyChart
 from test_bench_contract import load_bench_modules
 
@@ -191,22 +192,23 @@ class TestNoExactRule:
         assert len(calls) == 1
 
 
+@pytest.fixture
+def stubbed(monkeypatch):
+    """Make _lanczos_gauss scale the weights of the calls named by ``which``."""
+    original = quadrature._lanczos_gauss
+
+    def stub(which):
+        calls = []
+
+        def lanczos(t, w, n):
+            x, lam = original(t, w, n)
+            calls.append(n)
+            return x, lam * (1.0 + 1e-9) if which(len(calls) - 1) else lam
+        monkeypatch.setattr(quadrature, "_lanczos_gauss", lanczos)
+    return stub
+
+
 class TestCertificate:
-    @pytest.fixture
-    def stubbed(self, monkeypatch):
-        """Make _lanczos_gauss scale the weights of the calls named by ``which``."""
-        original = quadrature._lanczos_gauss
-
-        def stub(which):
-            calls = []
-
-            def lanczos(t, w, n):
-                x, lam = original(t, w, n)
-                calls.append(n)
-                return x, lam * (1.0 + 1e-9) if which(len(calls) - 1) else lam
-            monkeypatch.setattr(quadrature, "_lanczos_gauss", lanczos)
-        return stub
-
     def test_moments_off_the_discretization_raise(self, stubbed, cylinder):
         stubbed(lambda call: True)
         with pytest.raises(NoExactRuleError, match="misses moment 0 of its weight"):
@@ -259,3 +261,58 @@ def test_untruncated_rules_carry_the_measure(spec, mass):
         disc.weights("none")
     if mass is not None:  # the Gaussian mass in closed form
         assert disc.integrate(1.0) == pytest.approx(mass, rel=1e-14)
+
+
+def exp_target(alpha):
+    return lambda X: np.exp(alpha * squared_norms(X))
+
+
+def exact(chart, degree):
+    rule = gauss_rule(chart, degree)
+    return rule, rule
+
+
+def hermite(chart, degree):
+    return (gauss_rule(chart, degree),
+            hermite_target_rule(chart, exp_target(0.25), degree)[0])
+
+
+def truncated(chart, degree):
+    rule = truncated_rule(chart, 2 * degree)[1]
+    return rule, rule
+
+
+EUCLID3 = chart_euclidean(3)
+
+
+class TestStudyRules:
+    @pytest.mark.parametrize("chart,weight,alpha,direct,uncertified", [
+        (EUCLID3, "gauss", None, exact, False),
+        (EUCLID3, "gauss", 0.25, hermite, False),
+        (CYLINDER, "gauss", None, exact, False),
+        (CYLINDER, "gauss", 0.25, truncated, False),
+        (chart_modulus_graph(parse_poly("1+1*x1^2", 1)), "gauss", None, truncated, False),
+        (chart_circle(), "none", None, truncated, False),
+        (CYLINDER, "gauss", None, truncated, True),
+    ], ids=["euclid3", "euclid3-target", "cylinder", "cylinder-target",
+            "general-modulus-graph", "circle-weight-none", "uncertified-cylinder"])
+    def test_the_rules_are_the_direct_calls(self, chart, weight, alpha, direct,
+                                            uncertified, stubbed):
+        if uncertified:
+            stubbed(lambda call: True)
+        target = None if alpha is None else exp_target(alpha)
+        rules = study_rules(chart, 4, weight, target)
+        for rule, ref in zip(rules, direct(chart, 4), strict=True):
+            np.testing.assert_array_equal(rule.points, ref.points)
+            np.testing.assert_array_equal(rule.weights, ref.weights)
+        # only a euclidean target gets a rule of its own
+        assert (rules[0] is rules[1]) == (direct is not hermite)
+
+    def test_a_target_ladder_that_misses_eps_raises(self):
+        with pytest.raises(QuadratureError, match="no Gauss-Hermite target rule meets"):
+            study_rules(EUCLID3, 8, target=exp_target(0.45))
+
+    def test_hermite_underflow_does_not_fall_back(self):
+        with pytest.raises(QuadratureError, match="degree 400") as err:
+            study_rules(chart_euclidean(1), 400)
+        assert not isinstance(err.value, NoExactRuleError)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gaussvar import orthobasis
+from gaussvar import orthobasis, quadrature
 from gaussvar.orthobasis import (
     GramBasis,
     basis_inner_products,
@@ -679,7 +679,8 @@ class TestClassicRecovery:
         assert report.max_rel_coeff_err <= 1e-9
 
     def test_one_truncated_rule_per_kind(self, monkeypatch):
-        # hermite's one rule is the exact gauss_rule, legendre's the truncated rule
+        # hermite's one rule is the exact gauss_rule, legendre's the truncated rule;
+        # quadrature.study_rules calls both through the quadrature module
         calls = []
 
         def spy(chart, *args):
@@ -691,8 +692,8 @@ class TestClassicRecovery:
             calls.append(("gauss_rule", degree))
             return gauss_rule(chart, degree)
 
-        monkeypatch.setattr(orthobasis, "truncated_rule", spy)
-        monkeypatch.setattr(orthobasis, "gauss_rule", gauss_spy)
+        monkeypatch.setattr(quadrature, "truncated_rule", spy)
+        monkeypatch.setattr(quadrature, "gauss_rule", gauss_spy)
         classic_recovery("hermite")
         assert calls == [("gauss_rule", 6)]
         calls.clear()

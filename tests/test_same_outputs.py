@@ -1,0 +1,54 @@
+"""tools/same_outputs.py measures a moved cell against the size of its entry."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
+_SPEC = importlib.util.spec_from_file_location("same_outputs", _PATH)
+same_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(same_outputs)
+
+
+def differences(tmp_path, name, parent, change):
+    """The column lines of ``numeric_differences`` for one file pair, by column."""
+    a, b = tmp_path / "parent" / name, tmp_path / "this" / name
+    for path, text in ((a, parent), (b, change)):
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text)
+    lines = same_outputs.numeric_differences(a, b)
+    return {line.split(":")[0].strip(): line for line in lines}
+
+
+def figure(line):
+    return float(line.rsplit(" ", 1)[1])
+
+
+def test_a_gram_cell_zero_by_symmetry_is_scaled_by_its_diagonal(tmp_path):
+    lines = differences(tmp_path, "gram.csv",
+                        "i,j,value\n0,0,2\n0,1,0\n1,0,0\n1,1,8\n",
+                        "i,j,value\n0,0,2\n0,1,1e-15\n1,0,0\n1,1,8\n")
+    assert "max abs 1e-15" in lines["value"]
+    assert "sqrt(G_ii G_jj)" in lines["value"]
+    assert figure(lines["value"]) == pytest.approx(1e-15 / 4.0)  # sqrt(2 * 8)
+    assert figure(lines["i"]) == figure(lines["j"]) == 0.0
+
+
+def test_a_basis_coefficient_is_scaled_by_its_basis_element(tmp_path):
+    lines = differences(tmp_path, "basis.csv",
+                        "basis_index,monomial_exponents,coefficient\n"
+                        "0,0 0,1\n1,1 0,2\n1,0 1,-4\n",
+                        "basis_index,monomial_exponents,coefficient\n"
+                        "0,0 0,1\n1,1 0,2.000000000000004\n1,0 1,-4\n")
+    assert figure(lines["coefficient"]) == pytest.approx(4e-15 / 4.0, rel=0.1)
+
+
+def test_a_residual_is_scaled_by_f_norm_and_other_columns_by_their_cell(tmp_path):
+    lines = differences(tmp_path, "projection.csv",
+                        "D,residual_norm,f_norm,rel_residual\n2,0,3,0\n4,0.5,3,0.25\n",
+                        "D,residual_norm,f_norm,rel_residual\n2,3e-16,3,1e-16\n4,0.5,3,0.25\n")
+    assert figure(lines["residual_norm"]) == pytest.approx(1e-16)
+    assert "max rel inf" in lines["rel_residual"]  # a zero cell scaled by itself
+    assert math.isinf(figure(lines["rel_residual"]))

@@ -17,7 +17,12 @@ compared byte for byte.  The differing files are listed, and the exit code
 is 1 when there is one, or when a study's exit code differs.  Under a
 differing file with the same shape on both sides (rows, and cells per row),
 each numeric column gets one line: its largest absolute difference, and its
-largest difference relative to the parent's value.
+largest difference relative to a scale taken from the parent's file.  The
+columns in ``SCALES`` are scaled per row by the size of their entry --
+sqrt(G_ii G_jj) for a Gram entry, the largest |coefficient| of its basis
+element for a basis coefficient, f_norm for a residual norm -- so that a
+cell that is zero by symmetry or cancellation does not read inf; every
+other cell is scaled by its own value.
 """
 
 from __future__ import annotations
@@ -84,22 +89,50 @@ def as_checkout(arg: str, tmp: Path) -> Path | None:
     return tmp / "checkout"
 
 
+def _gram_scales(rows):
+    diag = {r["i"]: abs(float(r["value"])) for r in rows if r["i"] == r["j"]}
+    return [math.sqrt(diag[r["i"]] * diag[r["j"]]) for r in rows]
+
+
+def _basis_scales(rows):
+    top = {}
+    for r in rows:
+        k = r["basis_index"]
+        top[k] = max(top.get(k, 0.0), abs(float(r["coefficient"])))
+    return [top[r["basis_index"]] for r in rows]
+
+
+# file name -> (column, what its scale is, the scale of each row from the parent's rows)
+SCALES = {
+    "gram.csv": ("value", "sqrt(G_ii G_jj)", _gram_scales),
+    "basis.csv": ("coefficient", "max |coefficient| of its basis_index", _basis_scales),
+    "projection.csv": ("residual_norm", "f_norm",
+                       lambda rows: [abs(float(r["f_norm"])) for r in rows]),
+}
+
+
 def numeric_differences(a: Path, b: Path) -> list[str]:
     """One line per column of numbers, when ``a`` and ``b`` have the same shape:
-    its largest absolute and relative difference (relative to ``a``)."""
+    its largest absolute difference, and its largest one relative to the scale
+    ``SCALES`` gives the column, or else to ``a``'s own cell."""
     ra, rb = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
     if [len(r) for r in ra] != [len(r) for r in rb] or not ra:
         return []
+    scaled, what, scales_of = SCALES.get(a.name, (None, "", None))
     out = []
     for c, name in enumerate(ra[0]):
         try:
             pairs = [(float(x[c]), float(y[c])) for x, y in zip(ra[1:], rb[1:])]
         except ValueError:
             continue
-        diffs = [(abs(x - y), abs(x - y) / abs(x) if x else math.inf)
-                 for x, y in pairs if x != y]
+        if name == scaled:
+            scales, label = scales_of([dict(zip(ra[0], r)) for r in ra[1:]]), f"to {what} "
+        else:
+            scales, label = [abs(x) for x, _ in pairs], ""
+        diffs = [(abs(x - y), abs(x - y) / s if s else math.inf)
+                 for (x, y), s in zip(pairs, scales) if x != y]
         most = [max(d) for d in zip(*diffs)] or [0.0, 0.0]
-        out.append(f"  {name}: max abs {most[0]:.3g}, max rel {most[1]:.3g}")
+        out.append(f"  {name}: max abs {most[0]:.3g}, max rel {label}{most[1]:.3g}")
     return out
 
 
