@@ -77,6 +77,19 @@ _FLAGS = {  # flag -> argparse settings; each command in _COMMANDS sets the defa
     "alpha": dict(type=float, help="exponent of the target e^{alpha r^2}"),
     "k": dict(help="comma-separated wavevector lengths"),
 }
+_OWN_HELP = {  # command -> {flag: help} where the shared help is not true of it
+    "moments": {"eps": "tail budget of the truncated rule",
+                "nodes": "nodes per dimension of the truncated rule (None: "
+                         "quadrature.DEFAULT_NODES by domain kind)"},
+    "equivalence": {"eps": "tail budget of the truncated rules of both sides",
+                    "nodes": "nodes per dimension of the left side's truncated rule (None: "
+                             "quadrature.DEFAULT_NODES by domain kind); the right side's "
+                             "rule has 16 more per dimension"},
+    "basis": {"eps": "tail budget of the truncated rule, used under --weight none or "
+                     "where the chart has no exact Gram rule (quadrature.study_rules)",
+              "nodes": "nodes per dimension of that truncated rule (None: "
+                       "quadrature.DEFAULT_NODES by domain kind)"},
+}
 _SPEC = (None, _need(bool, "given"))
 _EPS = (quadrature.DEFAULT_EPS, _need(lambda v: v > 0, "positive"))  # v > 0 is False for NaN
 _NODES = (None, _at_least(4))
@@ -200,8 +213,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text,
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        own_help = _OWN_HELP.get(name, {})
         for flag, (default, _) in flags.items():
-            p.add_argument(f"--{flag}", default=default, **_FLAGS[flag])
+            settings = dict(_FLAGS[flag], help=own_help.get(flag, _FLAGS[flag]["help"]))
+            p.add_argument(f"--{flag}", default=default, **settings)
         p.add_argument("--out", default="out", help="output directory")
     return parser
 

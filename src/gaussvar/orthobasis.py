@@ -24,7 +24,7 @@ Gram matrix and one elimination at D_max serve a whole degree sweep, and
 :func:`project` reports every D <= D_max at once.  It never forms the basis
 values: the coefficients come from the target's moment vector against the
 monomials, and each degree's projection is one polynomial in the monomials,
-evaluated once per node block.
+evaluated once per block of :func:`quadrature.node_blocks`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .polyring import MultiPoly, monomial_values, monomials_up_to_degree
-from .quadrature import QuadRule, QuadratureError, discretize, study_rules
+from .quadrature import QuadRule, QuadratureError, _block_sum, node_blocks, study_rules
 from .variety import VarietyChart, chart_euclidean, chart_graph
 
 __all__ = [
@@ -93,25 +93,17 @@ class GramBasis:
         return out
 
 
-_NODE_BLOCK = 2 ** 13  # quadrature nodes whose monomial values are held at once
-
-
-def _node_blocks(count: int):
-    """Consecutive slices of at most ``_NODE_BLOCK`` of ``count`` nodes."""
-    return (slice(a, a + _NODE_BLOCK) for a in range(0, count, _NODE_BLOCK))
-
-
-def _weighted_gram(disc, weight: str, rows, size: int) -> np.ndarray:
-    """Sum over node blocks s of R R^T, R = rows(X_s) * sqrt(w_s), from zeros.
+def _weighted_gram(chart: VarietyChart, rule: QuadRule, weight: str, rows,
+                   size: int) -> np.ndarray:
+    """Sum over the node blocks s of R R^T, R = rows(X_s) * sqrt(w_s), from zeros.
 
     ``rows`` maps a block of embedded nodes to one row of values per
     function; every block's update R R^T is exactly symmetric.
     """
-    sqrt_w = np.sqrt(disc.weights(weight))
     G = np.zeros((size, size))
-    for s in _node_blocks(disc.X.shape[0]):
-        R = rows(disc.X[s])
-        R *= sqrt_w[s]
+    for block in node_blocks(chart, rule):
+        R = rows(block.X)
+        R *= np.sqrt(block.weights(weight))
         G += R @ R.T
     return G
 
@@ -142,16 +134,14 @@ def gram_matrix(chart: VarietyChart, degree_cap: int, rule: QuadRule,
                 weight: str = "gauss") -> GramBasis:
     """Pairwise inner products of all restricted monomials of degree <= D.
 
-    Summed over blocks of ``_NODE_BLOCK`` nodes, one block of values at a time.
     G is a moment matrix, <x^a, x^b> = integral x^(a+b), so after the sums are
     checked for non-finite values every entry is set to the sum of the first
     pair, in row-major order, with its exponent sum a + b.  Equal moments are
     then one double, and G stays exactly symmetric (that pair has i <= j).
     """
     monomials = tuple(monomials_up_to_degree(chart.ambient_dim, degree_cap))
-    disc = discretize(chart, rule)
     with np.errstate(over="ignore", invalid="ignore"):  # G is checked below
-        G = _weighted_gram(disc, weight, lambda X: monomial_values(monomials, X),
+        G = _weighted_gram(chart, rule, weight, lambda X: monomial_values(monomials, X),
                            len(monomials))
     if not np.all(np.isfinite(G)):
         i, j = np.argwhere(~np.isfinite(G))[0]
@@ -275,32 +265,36 @@ def project(gb: GramBasis, f, rule: QuadRule) -> list[ProjectionReport]:
     ``ValueError``; a non-finite target sample, squared norm of f or squared
     residual raises :class:`QuadratureError`.
 
-    The monomial values E are formed for ``_NODE_BLOCK`` nodes at a time, in
-    two forward passes over the blocks.  The first sums the moment vector
-    m = E (W f) and sets c = C m, C being ``gb.ortho_coeffs``.  p_D is one
+    The chart and f are sampled once, block by block, and the monomial
+    values E of each block are formed in two forward passes over the
+    blocks.  The first sums the moment vector m = E (W f) and the squared
+    norm of f, and sets c = C m, C being ``gb.ortho_coeffs``.  p_D is one
     polynomial, with monomial coefficients A_D = c[:end_D] C[:end_D]; the
     second forms f - A E for all D at once and adds each block's squares,
     weighted by W, into the squared residuals.
     """
     C = gb.basis_coeffs()
-    disc = discretize(gb.chart, rule)
-    W, X, fvals = disc.weights(gb.weight), disc.X, disc.sample(f)
-    if np.iscomplexobj(fvals):
-        raise ValueError(f"project needs a real target, not samples of dtype {fvals.dtype}")
+    blocks = []  # (X, W, f) of each node block, read by both passes
+    for block in node_blocks(gb.chart, rule):
+        fvals = block.sample(f)
+        if np.iscomplexobj(fvals):
+            raise ValueError(f"project needs a real target, not samples of dtype "
+                             f"{fvals.dtype}")
+        blocks.append((block.X, block.weights(gb.weight), fvals))
     kept_degrees = [sum(gb.monomials[i]) for i in gb.kept_indices]
     ends = np.searchsorted(kept_degrees, np.arange(gb.degree_cap + 1), side="right")
     with np.errstate(over="ignore", invalid="ignore"):  # both norms are checked below
-        Wf = W * fvals
-        moments = np.zeros(len(gb.monomials))
-        for s in _node_blocks(X.shape[0]):
-            moments += monomial_values(gb.monomials, X[s]) @ Wf[s]
+        moments, f_norm2 = np.zeros(len(gb.monomials)), 0.0
+        for X, W, fvals in blocks:
+            Wf = W * fvals
+            moments += monomial_values(gb.monomials, X) @ Wf
+            f_norm2 += float(np.sum(Wf * fvals))
         coeffs = C @ moments
-        f_norm2 = float(np.sum(Wf * fvals))
         A = np.array([coeffs[:end] @ C[:end] for end in ends])
         res2 = np.zeros(gb.degree_cap + 1)
-        for s in _node_blocks(X.shape[0]):
-            diff = fvals[s] - A @ monomial_values(gb.monomials, X[s])
-            res2 += (diff * diff) @ W[s]
+        for X, W, fvals in blocks:
+            diff = fvals - A @ monomial_values(gb.monomials, X)
+            res2 += (diff * diff) @ W
     if not math.isfinite(f_norm2):
         raise QuadratureError(f"non-finite squared target norm {f_norm2}")
     if not np.all(np.isfinite(res2)):
@@ -315,7 +309,7 @@ def project(gb: GramBasis, f, rule: QuadRule) -> list[ProjectionReport]:
 def basis_inner_products(gb: GramBasis, rule: QuadRule) -> np.ndarray:
     """Re-integrate <b_i, b_j> with an independent rule (verification aid)."""
     C = gb.basis_coeffs()
-    return _weighted_gram(discretize(gb.chart, rule), gb.weight,
+    return _weighted_gram(gb.chart, rule, gb.weight,
                           lambda X: C @ monomial_values(gb.monomials, X), gb.rank)
 
 
@@ -330,15 +324,18 @@ def weighted_equivalence_check(chart: VarietyChart, pairs, rule: QuadRule,
     X (N, n), the left side is integral |f e^{-r^2/4} - p e^{-r^2/4}|^2
     e^{-r^2/2} dmu on ``rule`` and the right side integral |f - p|^2 e^{-r^2}
     dmu on ``rule_rhs`` (default ``rule``).  Each side samples the chart once
-    for all pairs and drops that sample before the other side takes its own.
+    per node for all pairs, and forms each node block's weights once.
     """
     def side(rule, damped):
-        disc = discretize(chart, rule)
-        damp = np.exp(-0.25 * disc.r2) if damped else 1.0  # x * 1.0 is exact
-        return [float(disc.integrate(
-                    lambda X: np.square(f(X) * damp - np.real(p.eval(X)) * damp),
-                    scale=0.5 if damped else 1.0))
-                for f, p in pairs]
+        def partial(block):
+            weights = block.weights(scale=0.5 if damped else 1.0)
+            damp = np.exp(-0.25 * block.r2) if damped else 1.0  # x * 1.0 is exact
+            return np.array([
+                np.sum(weights * block.sample(
+                    lambda X: np.square(f(X) * damp - np.real(p.eval(X)) * damp)))
+                for f, p in pairs])
+
+        return _block_sum(chart, rule, partial).tolist()
 
     return list(zip(side(rule, True), side(rule_rhs or rule, False)))
 

@@ -24,23 +24,28 @@ and certified against a finer discretization.  The polar rule of the
 modulus graph is given by points and weights, not as a tensor product.
 :func:`study_rules` is the one place that chooses a study's rules.
 
-:func:`discretize` samples a chart on a rule once -- the embedded points
-X, r^2 = |X|^2 and the measure weights dmu = rule weights x density, or
-the rule's weights where they carry the measure already -- and
-every integral, Gram matrix and projection works from that sample.  It
-rejects a non-finite r^2 or volume density, naming the node, so the weights
+:func:`node_blocks` samples a chart on a rule once per node, one block of
+``_NODE_BLOCK`` nodes at a time -- the embedded points X, r^2 = |X|^2 and
+the measure weights dmu = rule weights x density, or the rule's weights
+where they carry the measure already -- and every integral, Gram matrix
+and projection is summed over those blocks, so no study holds a whole
+rule's sample; :func:`discretize` is the sample of the whole rule.  A
+non-finite r^2 or volume density raises, naming the node, so the weights
 are finite.  Integrands are functions of the ambient point x, and
 :meth:`Discretization.sample` is the one place they are evaluated: it calls
-them on X and names the first node whose value is non-finite.  An integral
-is the weighted sum of those values, and only its total is checked.
-Every sum runs in a fixed order, over the nodes or over node blocks of a
-fixed size, so every result is reproducible bit for bit for a fixed rule.
+them on X and names the first node whose value is non-finite.  Node
+indices are those of the whole rule.  An integral is the weighted sum of
+those values, and only its total is checked.  Every sum runs in a fixed
+order, over the nodes of a block and then over the blocks, so every result
+is reproducible bit for bit for a fixed rule, and a rule of one block sums
+as one array.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +67,7 @@ __all__ = [
     "truncated_rule",
     "study_rules",
     "discretize",
+    "node_blocks",
     "integrate",
     "gaussian_moment",
     "moment_table",
@@ -78,6 +84,7 @@ DEFAULT_NODES = {"unbounded": 64, "periodic": 64, "bounded": 48}  # by domain ki
 DEFAULT_EPS = 1e-12  # the tail budget a truncation radius must meet by default
 
 _TERM_FLOOR = 1e-300
+_NODE_BLOCK = 2 ** 13  # quadrature nodes sampled at once; see node_blocks
 
 
 class QuadratureError(RuntimeError):
@@ -125,13 +132,17 @@ class QuadRule:
         dims = tuple(self.dims)
         values = dict(dims=dims, truncation_radius=float(self.truncation_radius))
         if dims:
-            mesh = np.meshgrid(*[d.nodes for d in dims], indexing="ij")
+            shape = tuple(d.nodes.size for d in dims)
+            points = np.empty(shape + (len(dims),))  # filled in place, one axis at a time
+            for i, d in enumerate(dims):
+                axis = [1] * len(dims)
+                axis[i] = -1
+                points[..., i] = d.nodes.reshape(axis)
             w = dims[0].weights
             for d in dims[1:]:
                 w = np.multiply.outer(w, d.weights)
-            values.update(kinds=tuple(d.kind for d in dims),
-                          nodes_per_dim=tuple(d.nodes.size for d in dims),
-                          points=np.stack([m.ravel() for m in mesh], axis=1),
+            values.update(kinds=tuple(d.kind for d in dims), nodes_per_dim=shape,
+                          points=points.reshape(-1, len(dims)),
                           weights=np.asarray(w).ravel())
         elif not (self.carries_measure and self.points is not None
                   and self.weights is not None and self.kinds):
@@ -435,14 +446,14 @@ def hermite_target_rule(chart: VarietyChart, f, degree: int, eps: float = DEFAUL
     else:
         rungs = [nodes]
 
+    def partial(block):
+        fvals = block.sample(f)
+        wf = block.weights() * fvals
+        return np.array([np.sum(wf * fvals), np.sum(wf * (1.0 + block.r2) ** degree)])
+
     def integrals(n):
         rule = gauss_rule(chart, n - 1)
-        disc = discretize(chart, rule)
-        fvals = disc.sample(f)
-        wf = disc.weights() * fvals
-        with np.errstate(over="ignore", invalid="ignore"):  # the totals are checked
-            totals = [np.sum(wf * fvals), np.sum(wf * (1.0 + disc.r2) ** degree)]
-        return rule, np.array([_checked_total(t) for t in totals])
+        return rule, _block_sum(chart, rule, partial)
 
     rule, coarse = integrals(rungs[0])
     for n in rungs:
@@ -456,34 +467,41 @@ def hermite_target_rule(chart: VarietyChart, f, degree: int, eps: float = DEFAUL
                           f"against {n + _RUNG}")
 
 
-def _check_nodes(U: np.ndarray, vals: np.ndarray, what: str) -> None:
-    """Raise naming the first node, and its parameters, where ``vals`` is non-finite."""
+def _check_nodes(U: np.ndarray, vals: np.ndarray, what: str, start: int = 0) -> None:
+    """Raise naming the first node, and its parameters, where ``vals`` is non-finite;
+    ``U`` holds the parameters of nodes ``start``, ``start + 1``, ... of a rule."""
     bad = ~np.isfinite(vals)
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
-        raise QuadratureError(f"non-finite {what} at node {i}, parameters {U[i].tolist()}")
+        raise QuadratureError(f"non-finite {what} at node {start + i}, "
+                              f"parameters {U[i].tolist()}")
 
 
 def _checked_total(total):
-    if not np.isfinite(total):
+    """``total``, a scalar or one value per integral, if every value is finite."""
+    if not np.all(np.isfinite(total)):
         raise QuadratureError(f"non-finite integral {total} of finite samples")
     return total
 
 
 @dataclass(frozen=True, eq=False)
 class Discretization:
-    """A chart sampled once on a rule's nodes.
+    """A chart sampled on the nodes ``nodes`` of a rule: all of them
+    (:func:`discretize`) or one block (:func:`node_blocks`).
 
     ``X`` holds the embedded nodes (N, n), ``r2`` the squared radii |X|^2
     and ``dmu`` the rule weights times the volume density, all finite;
     ``dmu`` is None when the rule's weights carry e^{-r^2} dmu.
     Integrands are evaluated and checked by :meth:`sample` only.
+    :meth:`weights` and :meth:`sample` cover ``nodes`` only, and errors
+    name a node by its index in the whole rule.
     """
 
     rule: QuadRule
     X: np.ndarray
     r2: np.ndarray
     dmu: np.ndarray | None
+    nodes: slice
 
     def weights(self, weight: str = "gauss", scale: float = 1.0) -> np.ndarray:
         """Node weights of e^{-scale * r^2} dmu, or of plain dmu for "none".
@@ -497,9 +515,10 @@ class Discretization:
             if weight == "none":
                 raise QuadratureError("weight 'none' needs plain dmu weights, and this "
                                       "rule's weights carry e^{-r^2} dmu")
+            weights = self.rule.weights[self.nodes]
             if scale == 1.0:
-                return self.rule.weights
-            return self.rule.weights * np.exp((1.0 - scale) * self.r2)
+                return weights
+            return weights * np.exp((1.0 - scale) * self.r2)
         if weight == "gauss":
             return self.dmu * np.exp(-scale * self.r2)
         return self.dmu
@@ -513,7 +532,8 @@ class Discretization:
         with np.errstate(all="ignore"):  # checked right below
             vals = g(self.X) if callable(g) else g
             vals = np.broadcast_to(vals, self.r2.shape)
-        _check_nodes(self.rule.points, vals, "integrand sample")
+        _check_nodes(self.rule.points[self.nodes], vals, "integrand sample",
+                     self.nodes.start)
         return vals
 
     def integrate(self, g, weight: str = "gauss", scale: float = 1.0):
@@ -523,25 +543,53 @@ class Discretization:
             return _checked_total(np.sum(self.weights(weight, scale) * vals))
 
 
+def _check_kinds(chart: VarietyChart, rule: QuadRule) -> None:
+    kinds, domains = list(rule.kinds), [d.kind for d in chart.domains]
+    if kinds != domains:
+        raise QuadratureError(f"rule kinds {kinds} do not fit chart domains {domains}")
+
+
+def _sample(chart: VarietyChart, rule: QuadRule, nodes: slice) -> Discretization:
+    """The chart on the rule nodes ``nodes``, checked; see :func:`discretize`."""
+    U, weights = rule.points[nodes], rule.weights[nodes]
+    with np.errstate(all="ignore"):  # checked right below
+        X = chart.embed(U)
+        r2 = squared_norms(X)
+        dmu = None if rule.carries_measure else weights * chart.volume_density(U)
+    _check_nodes(U, r2, "|x|^2", nodes.start)
+    if dmu is not None:
+        _check_nodes(U, dmu, "volume density", nodes.start)
+    return Discretization(rule=rule, X=X, r2=r2, dmu=dmu, nodes=nodes)
+
+
 def discretize(chart: VarietyChart, rule: QuadRule) -> Discretization:
-    """Sample ``chart`` on the nodes of ``rule``, whose kinds must match its domains.
+    """Sample ``chart`` on all nodes of ``rule``, whose kinds must match its domains.
 
     A non-finite |x|^2 or volume density raises, naming the first such node.
     The density is not evaluated for an untruncated rule, whose weights carry
     the measure.
     """
-    kinds, domains = list(rule.kinds), [d.kind for d in chart.domains]
-    if kinds != domains:
-        raise QuadratureError(f"rule kinds {kinds} do not fit chart domains {domains}")
-    U = rule.points
-    with np.errstate(all="ignore"):  # checked right below
-        X = chart.embed(U)
-        r2 = squared_norms(X)
-        dmu = None if rule.carries_measure else rule.weights * chart.volume_density(U)
-    _check_nodes(U, r2, "|x|^2")
-    if dmu is not None:
-        _check_nodes(U, dmu, "volume density")
-    return Discretization(rule=rule, X=X, r2=r2, dmu=dmu)
+    _check_kinds(chart, rule)
+    return _sample(chart, rule, slice(0, rule.weights.size))
+
+
+def node_blocks(chart: VarietyChart, rule: QuadRule):
+    """The :func:`discretize` sample of each consecutive block of at most
+    ``_NODE_BLOCK`` nodes of ``rule``, in node order; an empty rule is one
+    empty block.  A block is sampled when it is reached, so a pass over the
+    blocks holds one block's sample at a time.
+    """
+    _check_kinds(chart, rule)
+    size, step = rule.weights.size, _NODE_BLOCK
+    return (_sample(chart, rule, slice(a, min(a + step, size)))
+            for a in range(0, size or 1, step))
+
+
+def _block_sum(chart: VarietyChart, rule: QuadRule, partial, add=operator.add):
+    """The sum of ``partial(block)``, a scalar or an array, over the node blocks
+    of ``rule`` in node order, checked; a rule of one block gives its partial."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the total is checked
+        return _checked_total(functools.reduce(add, map(partial, node_blocks(chart, rule))))
 
 
 def integrate(chart: VarietyChart, g, rule: QuadRule, weight: str = "gauss"):
@@ -552,7 +600,7 @@ def integrate(chart: VarietyChart, g, rule: QuadRule, weight: str = "gauss"):
     constant.  Raises :class:`QuadratureError` naming the parameters of the
     first node whose sample is non-finite.
     """
-    return discretize(chart, rule).integrate(g, weight)
+    return _block_sum(chart, rule, lambda block: block.integrate(g, weight))
 
 
 def gaussian_moment(chart: VarietyChart, m: int, rule: QuadRule) -> float:
@@ -666,16 +714,23 @@ class MomentTable:
 
 def moment_table(chart: VarietyChart, m_values, rule: QuadRule,
                  growth: GrowthEstimate | None = None) -> MomentTable:
-    """Compute I_m for each m, recording the tail budget when growth is known."""
-    disc = discretize(chart, rule)
-    r2, weights = disc.r2, disc.weights()  # what disc.integrate forms per order
-    rows = []
+    """Compute I_m for each m, recording the tail budget when growth is known.
+
+    Each I_m is summed as :func:`integrate` sums it, bit for bit, in one
+    pass over the node blocks for all orders.
+    """
+    m_values = list(m_values)
     for m in m_values:
         if m < 0:
             raise ValueError(f"moment order must be >= 0, got {m}")
-        vals = disc.sample(lambda _: r2 ** (m / 2.0))
-        with np.errstate(over="ignore", invalid="ignore"):  # the total is checked
-            value = float(_checked_total(np.sum(weights * vals)))
+
+    def partial(block):
+        r2, weights = block.r2, block.weights()  # what block.integrate forms per order
+        return np.array([np.sum(weights * block.sample(lambda _: r2 ** (m / 2.0)))
+                         for m in m_values])
+
+    rows = []
+    for m, value in zip(m_values, _block_sum(chart, rule, partial).tolist()):
         if growth is not None:
             bound = tail_budget(growth.C, growth.l, m, rule.truncation_radius)
         else:
@@ -712,10 +767,10 @@ def integrability_scan(chart: VarietyChart, alpha: float,
     radii = tuple(int(R) for R in radii)
     if len(radii) < 4:
         raise ValueError("need at least 4 radii to judge divergence")
-    values = []
-    for R in radii:
-        disc = discretize(chart, build_rule(chart, R))
-        values.append(float(disc.integrate(lambda _: np.exp(2.0 * alpha * disc.r2))))
+    def partial(block):
+        return block.integrate(lambda _: np.exp(2.0 * alpha * block.r2))
+
+    values = [float(_block_sum(chart, build_rule(chart, R), partial)) for R in radii]
     divergent = any(
         values[i + 3] > 10.0 * values[i] for i in range(len(values) - 3)
     )
@@ -732,9 +787,20 @@ def shell_moment_sum(chart: VarietyChart, m: int, rule: QuadRule):
     the nodes, so the total must agree with the direct moment up to
     summation reordering.  A non-finite sample or total raises.
     """
-    disc = discretize(chart, rule)
-    r = np.sqrt(disc.r2)
-    vals = disc.sample(lambda _: r ** m)
-    with np.errstate(over="ignore", invalid="ignore"):  # the total is checked
-        shells = np.bincount(np.floor(r).astype(int), weights=disc.weights() * vals)
+    def partial(block):
+        r = np.sqrt(block.r2)
+        vals = block.sample(lambda _: r ** m)
+        return np.bincount(np.floor(r).astype(int), weights=block.weights() * vals)
+
+    shells = _block_sum(chart, rule, partial, _add_padded)
+    with np.errstate(over="ignore"):  # the total is checked
         return shells, float(_checked_total(np.sum(shells)))
+
+
+def _add_padded(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b, the shorter one padded with zeros at its end."""
+    if a.size < b.size:
+        a, b = b, a
+    total = a.copy()
+    total[:b.size] += b
+    return total

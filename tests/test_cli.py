@@ -487,18 +487,24 @@ class TestEquivalence:
                 assert float(r[3]) <= 1e-8
 
     def test_one_sample_per_rule(self, cylinder_spec, tmp_path, monkeypatch):
-        # three pairs, two rules: the chart is sampled once per rule
+        # three pairs, two rules: each node of each rule is sampled exactly once
         calls = []
-        original = orthobasis.discretize
+        original = quadrature.node_blocks
 
         def counting(chart, rule):
-            calls.append(rule)
-            return original(chart, rule)
+            sampled = []
+            calls.append((rule, sampled))
+            for block in original(chart, rule):
+                sampled.append(block.nodes)
+                yield block
 
-        monkeypatch.setattr(orthobasis, "discretize", counting)
+        monkeypatch.setattr(quadrature, "node_blocks", counting)
         assert main(["equivalence", "--spec", str(cylinder_spec),
                      "--out", str(tmp_path / "o")]) == EXIT_OK
-        assert len(calls) == 2 and calls[0] is not calls[1]
+        assert len(calls) == 2 and calls[0][0] is not calls[1][0]
+        for rule, sampled in calls:
+            nodes = np.concatenate([np.arange(s.start, s.stop) for s in sampled])
+            np.testing.assert_array_equal(nodes, np.arange(rule.weights.size))
 
 
 class TestDeterminism:
@@ -565,6 +571,17 @@ class TestEntryPoint:
         text = " ".join(capsys.readouterr().out.split("options:")[1].split())
         shown = re.search(rf"{flag} \S+ [^(]*\(default: ([^)]*)\)", text)
         assert shown and shown.group(1) == default
+
+    @pytest.mark.parametrize("command", ["moments", "equivalence", "basis"])
+    def test_rule_flags_help_names_no_target(self, command, capsys):
+        # these commands build no target rule, so --eps and --nodes say nothing of one
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split("options:")[1].split())
+        for flag in ("--eps", "--nodes"):
+            shown = re.search(rf"{flag} \S+ (.*?) \(default:", text)
+            assert shown and "truncated rule" in shown.group(1)
+            assert "target" not in shown.group(1) and "rung" not in shown.group(1)
 
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as err:

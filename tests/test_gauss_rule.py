@@ -98,7 +98,9 @@ class TestShape:
         rule = gauss_rule(cylinder, 2)
         disc = discretize(cylinder, rule)
         assert rule.carries_measure and disc.dmu is None
-        assert disc.weights() is rule.weights
+        # unscaled and uncopied: a view of the rule's own weights
+        assert np.shares_memory(disc.weights(), rule.weights)
+        np.testing.assert_array_equal(disc.weights(), rule.weights)
         np.testing.assert_allclose(disc.weights(scale=0.5),
                                    rule.weights * np.exp(0.5 * disc.r2), rtol=1e-15)
         with pytest.raises(QuadratureError, match="plain dmu"):

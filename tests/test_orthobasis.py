@@ -229,7 +229,7 @@ class TestMomentMatrix:
     def test_moment_matrix_matches_raw_sums(self, chart_rules, case, D, weight, block):
         chart, rule = chart_rules[case]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(orthobasis, "_NODE_BLOCK", block)
+            mp.setattr(quadrature, "_NODE_BLOCK", block)
             gb = gram_matrix(chart, D, rule, weight=weight)
         ref = reference_gram(chart, D, rule, weight=weight)
         # a rule of one block sums exactly as the whole-array reference does
@@ -493,11 +493,13 @@ class TestAmbientIntegrands:
 
     @staticmethod
     def assert_bit_equal(seen, chart, rules):
-        expected = [discretize(chart, rule).X for rule in rules]
-        assert len(seen) == len(expected)
-        for got, X in zip(seen, expected):
-            assert got.shape == X.shape and got.dtype == X.dtype
-            assert got.tobytes() == X.tobytes()
+        # one call per node block, and the blocks concatenate, in node order,
+        # to each rule's embedded nodes in turn
+        assert all(0 < got.shape[0] <= quadrature._NODE_BLOCK for got in seen)
+        got = np.concatenate(seen)
+        X = np.concatenate([discretize(chart, rule).X for rule in rules])
+        assert got.shape == X.shape and got.dtype == X.dtype
+        assert got.tobytes() == X.tobytes()
 
     @pytest.mark.parametrize("fixture,rule_fixture", CHARTS)
     def test_called_on_embedded_nodes(self, fixture, rule_fixture, request):
@@ -544,7 +546,7 @@ class TestNodeBlocks:
 
     @pytest.fixture(params=[27, 1000], ids=lambda b: f"block{b}")
     def small_blocks(self, request, monkeypatch):
-        monkeypatch.setattr(orthobasis, "_NODE_BLOCK", request.param)
+        monkeypatch.setattr(quadrature, "_NODE_BLOCK", request.param)
 
     @staticmethod
     def target(chart):
@@ -594,7 +596,7 @@ class TestNodeBlocks:
         # then three blocks of at most 5000 nodes, then a single block
         rule = build_rule(cylinder, cylinder_rule.truncation_radius, (128, 100))
         X = discretize(cylinder, rule).X
-        assert orthobasis._NODE_BLOCK < X.shape[0] < 2 * orthobasis._NODE_BLOCK
+        assert quadrature._NODE_BLOCK < X.shape[0] < 2 * quadrature._NODE_BLOCK
         calls = []
 
         def spy(monomials, points):
@@ -602,8 +604,8 @@ class TestNodeBlocks:
             return monomial_values(monomials, points)
 
         monkeypatch.setattr(orthobasis, "monomial_values", spy)
-        for size in (orthobasis._NODE_BLOCK, 5000, 2 * X.shape[0]):
-            monkeypatch.setattr(orthobasis, "_NODE_BLOCK", size)
+        for size in (quadrature._NODE_BLOCK, 5000, 2 * X.shape[0]):
+            monkeypatch.setattr(quadrature, "_NODE_BLOCK", size)
             blocks = [X[a:a + size] for a in range(0, X.shape[0], size)]
             calls[:] = []
             gb = orthonormalize(gram_matrix(cylinder, 4, rule))

@@ -1,12 +1,17 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gaussvar import quadrature
+from gaussvar.orthobasis import weighted_equivalence_check
+from gaussvar.polyring import MultiPoly
 from gaussvar.quadrature import (
     DEFAULT_NODES,
+    DimRule,
     QuadRule,
     QuadratureError,
     build_rule,
@@ -23,7 +28,7 @@ from gaussvar.quadrature import (
     truncated_rule,
 )
 from gaussvar.polyring import squared_norms
-from gaussvar.variety import chart_euclidean, chart_graph, estimate_growth
+from gaussvar.variety import VarietyChart, chart_euclidean, chart_graph, estimate_growth
 
 
 class TestRuleInvariants:
@@ -345,9 +350,9 @@ class TestMoments:
         chart = chart_euclidean(3) if chart_name == "euclid3" else cylinder
         growth, rule = truncated_rule(chart, 12)
         table = moment_table(chart, range(13), rule, growth)
-        disc = discretize(chart, rule)
-        for m, value, _ in table.rows:
-            assert value == float(disc.integrate(lambda _: disc.r2 ** (m / 2.0)))
+        for m, value, _ in table.rows:  # squared_norms is how the sample forms r^2
+            assert value == float(integrate(chart, lambda X: squared_norms(X) ** (m / 2.0),
+                                            rule))
 
     def test_moment_table_csv(self, euclid1, euclid1_growth, euclid1_rule, tmp_path):
         table = moment_table(euclid1, range(3), euclid1_rule, euclid1_growth)
@@ -501,3 +506,157 @@ class TestDeterminism:
         r2 = build_rule(euclid1, 7, 48)
         assert np.array_equal(r1.points, r2.points)
         assert np.array_equal(r1.weights, r2.weights)
+
+
+class TestTensorPoints:
+    def test_points_are_the_meshgrid_rows(self):
+        # filled in place, the points are bit for bit the stacked ij meshgrid
+        dims = [DimRule("unbounded", -1.0, 1.0, *np.polynomial.legendre.leggauss(n))
+                for n in (80, 64, 48)]
+        rule = QuadRule(dims, 5.0)
+        mesh = np.meshgrid(*[d.nodes for d in dims], indexing="ij")
+        expected = np.stack([m.ravel() for m in mesh], axis=1)
+        assert rule.points.shape == expected.shape and rule.points.flags.c_contiguous
+        assert rule.points.tobytes() == expected.tobytes()
+        weights = np.multiply.outer(np.multiply.outer(dims[0].weights, dims[1].weights),
+                                    dims[2].weights).ravel()
+        assert rule.weights.tobytes() == weights.tobytes()
+
+
+def _pairs(n):
+    """The three (f, p) pairs of the CLI's equivalence study."""
+    x1 = MultiPoly.variable(n, 0)
+    return [(x1 * x1, MultiPoly.zero(n)),
+            (lambda X: np.exp(0.25 * squared_norms(X)), MultiPoly.constant(n, 1.0)),
+            (x1 * x1, x1 * x1)]
+
+
+class TestNodeBlockStreaming:
+    """Every node-sized sum is streamed over blocks of ``_NODE_BLOCK`` nodes."""
+
+    BLOCK = 1000  # splits the 4096-node cylinder rule into five blocks
+
+    @pytest.fixture()
+    def embedded(self, monkeypatch):
+        """The parameter points of every ``embed`` call, under ``BLOCK``-node blocks."""
+        monkeypatch.setattr(quadrature, "_NODE_BLOCK", self.BLOCK)
+        seen, original = [], VarietyChart.embed
+
+        def spy(chart, u):
+            seen.append(np.array(u, copy=True))
+            return original(chart, u)
+
+        monkeypatch.setattr(VarietyChart, "embed", spy)
+        return seen
+
+    def assert_streamed(self, seen, rules):
+        # one call per block, every node once per pass, in node order
+        blocks = [rule.points[a:a + self.BLOCK]
+                  for rule in rules for a in range(0, rule.weights.size, self.BLOCK)]
+        assert max(rule.weights.size for rule in rules) > 2 * self.BLOCK
+        assert all(U.shape[0] <= self.BLOCK for U in seen)
+        assert len(seen) == len(blocks)
+        assert all(np.array_equal(U, P) for U, P in zip(seen, blocks))
+
+    def test_integrate(self, cylinder, cylinder_rule, embedded):
+        integrate(cylinder, lambda X: X[:, 2] ** 2, cylinder_rule)
+        self.assert_streamed(embedded, [cylinder_rule])
+
+    def test_moment_table_is_one_pass_for_all_orders(self, cylinder, cylinder_rule,
+                                                     embedded):
+        moment_table(cylinder, range(9), cylinder_rule)
+        self.assert_streamed(embedded, [cylinder_rule])
+
+    def test_shell_moment_sum(self, cylinder, cylinder_rule, embedded):
+        shell_moment_sum(cylinder, 3, cylinder_rule)
+        self.assert_streamed(embedded, [cylinder_rule])
+
+    def test_weighted_equivalence_is_one_pass_per_side(self, cylinder, cylinder_rule,
+                                                       embedded):
+        rule_rhs = build_rule(cylinder, cylinder_rule.truncation_radius,
+                              [n + 16 for n in cylinder_rule.nodes_per_dim])
+        weighted_equivalence_check(cylinder, _pairs(3), cylinder_rule, rule_rhs)
+        self.assert_streamed(embedded, [cylinder_rule, rule_rhs])
+
+    def test_integrability_scan_is_one_pass_per_radius(self, cylinder, embedded):
+        integrability_scan(cylinder, 0.25, radii=(3, 4, 5, 6))
+        self.assert_streamed(embedded, [build_rule(cylinder, R) for R in (3, 4, 5, 6)])
+
+    def test_hermite_target_rule_is_one_pass_per_rung(self, embedded):
+        chart = chart_euclidean(3)
+        rule, _ = hermite_target_rule(chart, _exp_target(0.25), 4)
+        n = rule.nodes_per_dim[0]  # rungs 8, 16, ..., n and its check rung n + 8
+        self.assert_streamed(embedded, [gauss_rule(chart, k - 1)
+                                        for k in range(8, n + 9, 8)])
+
+    @pytest.mark.parametrize("run", [
+        lambda chart, rule: integrate(chart, lambda X: X[:, 2] ** 2, rule),
+        lambda chart, rule: np.array([row[1] for row in
+                                      moment_table(chart, range(9), rule).rows]),
+        lambda chart, rule: shell_moment_sum(chart, 3, rule)[1],
+        lambda chart, rule: np.array(weighted_equivalence_check(chart, _pairs(3), rule)),
+    ], ids=["integrate", "moment_table", "shell_moment_sum", "equivalence"])
+    def test_blocks_sum_to_the_one_block_value(self, run, cylinder, cylinder_rule,
+                                               monkeypatch):
+        whole = run(cylinder, cylinder_rule)
+        monkeypatch.setattr(quadrature, "_NODE_BLOCK", self.BLOCK)
+        np.testing.assert_allclose(run(cylinder, cylinder_rule), whole, rtol=1e-14)
+
+    def test_empty_rule_is_one_empty_block(self):
+        chart = chart_euclidean(2)
+        rule = QuadRule((), math.inf, np.empty((0, 2)), np.empty(0), ("unbounded",) * 2)
+        assert [block.X.shape for block in quadrature.node_blocks(chart, rule)] == [(0, 2)]
+        assert integrate(chart, 1.0, rule) == 0.0
+
+    @pytest.mark.parametrize("where", ["integrand sample", "|x|^2"])
+    def test_non_finite_node_is_named_by_its_index_in_the_rule(self, where, cylinder):
+        # node _NODE_BLOCK + 5 lies in the second block of the default size
+        rule = build_rule(cylinder, 6, (128, 100))
+        i = quadrature._NODE_BLOCK + 5
+        bad = discretize(cylinder, rule).X[i]
+
+        def poisoned(X):
+            return np.where(np.all(X == bad, axis=1)[:, None], np.nan, X)
+
+        if where == "|x|^2":
+            chart, g = dataclasses.replace(cylinder, _embed=lambda U: poisoned(
+                cylinder._embed(U))), 1.0
+        else:
+            chart, g = cylinder, lambda X: poisoned(X)[:, 0]
+        message = f"non-finite {where} at node {i}, parameters {rule.points[i].tolist()}"
+        with pytest.raises(QuadratureError, match=re.escape(message)):
+            integrate(chart, g, rule)
+
+
+class TestStreamingMemory:
+    """The sums hold one node block at a time, not a whole rule's sample."""
+
+    LIMIT = 2e6  # bytes; a whole 64^3 sample is 16 MB, the 64^3/80^3 pair 39 MB
+
+    @staticmethod
+    def peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def euclid3_rules(self):
+        chart = chart_euclidean(3)
+        growth, rule = truncated_rule(chart, 4)
+        rule_rhs = build_rule(chart, rule.truncation_radius,
+                              [n + 16 for n in rule.nodes_per_dim])
+        assert rule.nodes_per_dim == (64,) * 3 and rule_rhs.nodes_per_dim == (80,) * 3
+        return chart, growth, rule, rule_rhs
+
+    def test_weighted_equivalence_check(self, euclid3_rules):
+        chart, _, rule, rule_rhs = euclid3_rules
+        pairs = _pairs(3)
+        assert self.peak(lambda: weighted_equivalence_check(chart, pairs, rule,
+                                                            rule_rhs)) < self.LIMIT
+
+    def test_moment_table(self, euclid3_rules):
+        chart, growth, rule, _ = euclid3_rules
+        assert self.peak(lambda: moment_table(chart, range(7), rule, growth)) < self.LIMIT
