@@ -83,17 +83,20 @@ def cm_brute(k: float, m: int) -> float:
 
     The stationarity condition m/y + 1 - 2y/k^2 = 0 gives
     y* = (k^2/4)(1 + sqrt(1 + 8m/k^2)); a log-spaced grid confirms that
-    y* is the global maximum before exp(g(y*)) is returned.
+    y* is the global maximum before exp(g(y*)) is returned.  The grid is
+    evaluated in log space: y = e^t on an even grid of t = ln y, so each
+    point costs one exp, not a power and a log.
     """
     _check_km(k, m)
     ystar = (k * k / 4.0) * (1.0 + math.sqrt(1.0 + 8.0 * m / (k * k)))
 
-    def g(y):
-        return m * np.log(y) - math.lgamma(m + 1.0) + y - y * y / (k * k)
+    def g(y, log_y):
+        return m * log_y - math.lgamma(m + 1.0) + y - y * y / (k * k)
 
-    grid = np.logspace(-3.0, math.log10(max(ystar * 20.0, 10.0)), 2001)
-    gmax = float(np.max(g(grid)))
-    gstar = float(g(np.array([ystar]))[0])
+    t = np.linspace(-3.0, math.log10(max(ystar * 20.0, 10.0)), 2001) * math.log(10.0)
+    gmax = float(np.max(g(np.exp(t), t)))
+    y = np.array([ystar])
+    gstar = float(g(y, np.log(y))[0])
     if gstar < gmax - 1e-9:
         raise RuntimeError(
             f"stationary point y*={ystar:g} is not the maximum "

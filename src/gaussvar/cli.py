@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 numerical failure, 2 I/O or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -204,7 +205,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process, built at the first :func:`main` call, not at
+    import; parsing reads it and leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="gaussvar",
         description="Gaussian-measure studies on parametrized varieties",

@@ -164,37 +164,51 @@ class QuadRule:
                 f"{size})")
 
 
-def _gauss_legendre(n: int, lo: float, hi: float):
+@functools.cache
+def _legendre(n: int):
+    """The n-node Gauss-Legendre nodes and weights on [-1, 1], read-only: every
+    rule of n nodes maps the same table, and leggauss solves an eigenproblem."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_legendre(n: int, lo: float, hi: float):
+    x, w = _legendre(n)
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
 def build_rule(chart: VarietyChart, radius: float, nodes_per_dim=None) -> QuadRule:
     """Construct the tensor rule for a chart truncated at the finite radius ``radius``.
 
-    ``nodes_per_dim`` may be a single int for every dimension, a sequence
-    with one entry per dimension, or None for :data:`DEFAULT_NODES` of each
-    dimension's domain kind.  Its weights are plain; an untruncated rule is
-    :func:`gauss_rule`'s.
+    ``nodes_per_dim`` may be a single integer (NumPy's too) for every
+    dimension, a sequence with one entry per dimension, or None for
+    :data:`DEFAULT_NODES` of each dimension's domain kind.  Its weights are
+    plain; an untruncated rule is :func:`gauss_rule`'s.
     """
     if not math.isfinite(radius):
         raise QuadratureError(f"a truncated rule needs a finite radius, got {radius}")
     d = chart.intrinsic_dim
     if nodes_per_dim is None:
         counts = [None] * d
-    elif isinstance(nodes_per_dim, int):
-        counts = [nodes_per_dim] * d
     else:
-        counts = list(nodes_per_dim)
+        try:
+            counts = list(nodes_per_dim)
+        except TypeError:  # not a sequence: one count for every dimension
+            counts = [nodes_per_dim] * d
         if len(counts) != d:
             raise QuadratureError(
                 f"nodes_per_dim has {len(counts)} entries for a {d}-parameter chart"
             )
     dims = []
     for dim, dom in enumerate(chart.domains):
-        n = counts[dim] if counts[dim] is not None else DEFAULT_NODES[dom.kind]
-        if not isinstance(n, int) or n < 4:
-            raise QuadratureError(f"nodes_per_dim must be integers >= 4, got {n!r}")
+        given = counts[dim] if counts[dim] is not None else DEFAULT_NODES[dom.kind]
+        try:
+            n = operator.index(given)  # any integer type, NumPy's too, as a Python int
+        except TypeError:  # a float or other non-integer
+            n = 0
+        if n < 4:  # a bool too: its index is 0 or 1
+            raise QuadratureError(f"nodes_per_dim must be integers >= 4, got {given!r}")
         lo, hi = param_interval(chart, dim, radius)
         if dom.kind == "periodic":
             nodes = lo + (hi - lo) * np.arange(n) / n
@@ -222,15 +236,10 @@ def _trapezoid(n: int) -> DimRule:
                    np.full(n, 2.0 * math.pi / n))
 
 
-@functools.cache
-def _legendre_panel():
-    return np.polynomial.legendre.leggauss(_PANEL_NODES)
-
-
 def _panels(lo: float, hi: float, panels: int):
     """Nodes and weights of ``panels`` equal Gauss-Legendre panels on [lo, hi],
     with 0 made a panel edge, where a density such as |u| sqrt(4 + 9u^2) may kink."""
-    x, w = _legendre_panel()
+    x, w = _legendre(_PANEL_NODES)
     edges = np.linspace(lo, hi, panels + 1)
     if lo < 0.0 < hi:
         edges = np.union1d(edges, [0.0])

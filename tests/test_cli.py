@@ -529,6 +529,62 @@ class TestDeterminism:
                 assert b"\r" not in data and data.endswith(b"\n")
 
 
+class TestOneParser:
+    """The parser is built once per process; no call leaves a trace on the next."""
+
+    def test_in_process_sequence_matches_fresh_interpreters(self, euclid_spec, tmp_path,
+                                                            src_env, capsys):
+        spec = ["--spec", str(euclid_spec)]
+        studies = {  # output directory -> argv without --out
+            "basis3": ["basis", *spec, "--degree", "3"],
+            "basis": ["basis", *spec],
+            "lemma_k": ["lemma", "--k", "0.5,2", "--mmax", "5"],
+            "lemma": ["lemma"],
+        }
+        assert main(["moments", *spec, "--nodes", "3", "--mmax", "9",
+                     "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
+        with pytest.raises(SystemExit) as err:
+            main(["basis", "--help"])
+        assert err.value.code == 0
+        with pytest.raises(SystemExit) as err:
+            main(["basis", *spec, "--weight", "uniform"])
+        assert err.value.code == 2
+        capsys.readouterr()
+        for name, argv in studies.items():
+            assert main(argv + ["--out", str(tmp_path / "one" / name)]) == EXIT_OK
+        for name, argv in studies.items():
+            out = tmp_path / "fresh" / name
+            proc = subprocess.run([sys.executable, "-m", "gaussvar.cli", *argv,
+                                   "--out", str(out)], env=src_env, capture_output=True)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            one = tmp_path / "one" / name
+            files = sorted(p.name for p in out.iterdir())
+            assert files == sorted(p.name for p in one.iterdir())
+            for file in files:
+                assert (out / file).read_bytes() == (one / file).read_bytes()
+        # the defaults came back after --degree 3 and --k 0.5,2
+        assert (tmp_path / "one" / "basis3" / "basis.csv").read_bytes() != (
+            tmp_path / "one" / "basis" / "basis.csv").read_bytes()
+        assert {r[0] for r in read_rows(tmp_path / "one" / "lemma" / "cm.csv")[1]} == {"1"}
+        for command, (_, _, flags) in cli._COMMANDS.items():
+            args = cli._build_parser().parse_args([command])
+            assert {flag: getattr(args, flag) for flag in flags} == {
+                flag: default for flag, (default, _) in flags.items()}
+            assert args.out == "out"
+
+    def test_built_once_and_not_at_import(self, tmp_path, src_env):
+        code = ("import sys\n"
+                "import gaussvar.cli as cli\n"
+                "print(cli._build_parser.cache_info().currsize)\n"
+                "for mmax in ('1', '2'):\n"
+                "    cli.main(['lemma', '--mmax', mmax, '--out', sys.argv[1]])\n"
+                "print(cli._build_parser.cache_info().misses)\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")],
+                              env=src_env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1"]
+
+
 class TestEntryPoint:
     def test_module_invocation(self, euclid_spec, tmp_path, src_env):
         out = tmp_path / "out"

@@ -81,6 +81,25 @@ class TestRuleInvariants:
         with pytest.raises(QuadratureError):
             build_rule(euclid1, 5, 3)
 
+    @pytest.mark.parametrize("counts", [np.int64(8), np.array([8, 8]),
+                                        [np.int32(8), np.uint8(8)]])
+    def test_numpy_integer_counts_are_int_counts(self, cylinder, counts):
+        rule, expected = build_rule(cylinder, 5.0, counts), build_rule(cylinder, 5.0, 8)
+        assert rule.nodes_per_dim == (8, 8)
+        assert all(type(n) is int for n in rule.nodes_per_dim)
+        for got, want in zip(rule.dims, expected.dims):
+            assert got.nodes.tobytes() == want.nodes.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+        assert rule.points.tobytes() == expected.points.tobytes()
+        assert rule.weights.tobytes() == expected.weights.tobytes()
+
+    @pytest.mark.parametrize("count", [True, np.True_, 8.0, np.float64(8.0), np.array(8.0),
+                                       np.int64(3), 3])
+    def test_non_integer_or_small_counts_are_named(self, cylinder, count):
+        for counts in (count, [count, 8]):
+            with pytest.raises(QuadratureError, match=re.escape(f"got {count!r}")):
+                build_rule(cylinder, 5.0, counts)
+
     def test_mismatched_node_tuple(self, cylinder):
         with pytest.raises(QuadratureError):
             build_rule(cylinder, 5, (16,))
@@ -506,6 +525,66 @@ class TestDeterminism:
         r2 = build_rule(euclid1, 7, 48)
         assert np.array_equal(r1.points, r2.points)
         assert np.array_equal(r1.weights, r2.weights)
+
+
+class TestLegendreCache:
+    """One Gauss-Legendre table per node count, shared by every rule."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        quadrature._legendre.cache_clear()
+        yield
+        quadrature._legendre.cache_clear()
+
+    @staticmethod
+    def mapped(n, lo, hi):
+        x, w = np.polynomial.legendre.leggauss(n)
+        return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
+
+    def test_table_is_read_only(self):
+        x, w = quadrature._legendre(12)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        assert quadrature._legendre(12)[0] is x
+
+    def test_rules_get_their_own_writable_arrays(self, euclid1):
+        bounded = chart_graph([], domain=(-1.0, 2.0))
+        for chart, n in ((euclid1, 20), (euclid1, 21), (bounded, 9)):
+            first, second = (build_rule(chart, 4.0, n).dims[0] for _ in range(2))
+            for name in ("nodes", "weights"):
+                a, b = getattr(first, name), getattr(second, name)
+                assert a.flags.writeable and b.flags.writeable
+                assert not np.shares_memory(a, b)
+            if chart is bounded:
+                x, w = self.mapped(n, first.lo, first.hi)
+            else:
+                halves = [self.mapped(n // 2, first.lo, 0.0),
+                          self.mapped(n - n // 2, 0.0, first.hi)]
+                x, w = (np.concatenate(part) for part in zip(*halves))
+            assert first.nodes.tobytes() == second.nodes.tobytes() == x.tobytes()
+            assert first.weights.tobytes() == second.weights.tobytes() == w.tobytes()
+
+    def test_one_leggauss_call_per_node_count(self, tmp_path, monkeypatch):
+        from gaussvar import cli
+
+        calls = []
+        original = np.polynomial.legendre.leggauss
+
+        def spy(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", spy)
+        spec = tmp_path / "euclid3.json"
+        spec.write_text('{"kind": "euclidean", "n": 3}')
+        for out in ("a", "b"):
+            assert cli.main(["equivalence", "--spec", str(spec),
+                             "--out", str(tmp_path / out)]) == cli.EXIT_OK
+        # the 64^3 and 80^3 rules split each axis at 0: halves of 32 and 40 nodes
+        assert sorted(calls) == [32, 40]
+        assert (tmp_path / "a" / "equivalence.csv").read_bytes() == (
+            tmp_path / "b" / "equivalence.csv").read_bytes()
 
 
 class TestTensorPoints:

@@ -52,3 +52,16 @@ def test_a_residual_is_scaled_by_f_norm_and_other_columns_by_their_cell(tmp_path
     assert figure(lines["residual_norm"]) == pytest.approx(1e-16)
     assert "max rel inf" in lines["rel_residual"]  # a zero cell scaled by itself
     assert math.isinf(figure(lines["rel_residual"]))
+
+
+def test_a_rel_gap_is_compared_by_its_absolute_difference(tmp_path):
+    lines = differences(tmp_path, "equivalence.csv",
+                        "pair,lhs,rhs,rel_gap\n"
+                        "coord1_sq_vs_itself,0.5,0.5,6.6e-15\n"
+                        "exp_target_vs_one,1,1.5,0.33\n",
+                        "pair,lhs,rhs,rel_gap\n"
+                        "coord1_sq_vs_itself,0.5,0.5,7.12e-15\n"
+                        "exp_target_vs_one,1,1.5,0.33\n")
+    assert "max rel to 1 " in lines["rel_gap"]
+    assert figure(lines["rel_gap"]) == pytest.approx(5.2e-16)
+    assert "max abs 5.2e-16" in lines["rel_gap"]

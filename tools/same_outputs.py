@@ -20,9 +20,11 @@ each numeric column gets one line: its largest absolute difference, and its
 largest difference relative to a scale taken from the parent's file.  The
 columns in ``SCALES`` are scaled per row by the size of their entry --
 sqrt(G_ii G_jj) for a Gram entry, the largest |coefficient| of its basis
-element for a basis coefficient, f_norm for a residual norm -- so that a
-cell that is zero by symmetry or cancellation does not read inf; every
-other cell is scaled by its own value.
+element for a basis coefficient, f_norm for a residual norm, and 1 for
+the weighted equivalence's rel_gap, which is a relative number already --
+so that a cell that is zero by symmetry or cancellation, or a gap at the
+rounding level, does not read inf or O(1); every other cell is scaled by
+its own value.
 """
 
 from __future__ import annotations
@@ -108,6 +110,7 @@ SCALES = {
     "basis.csv": ("coefficient", "max |coefficient| of its basis_index", _basis_scales),
     "projection.csv": ("residual_norm", "f_norm",
                        lambda rows: [abs(float(r["f_norm"])) for r in rows]),
+    "equivalence.csv": ("rel_gap", "1", lambda rows: [1.0] * len(rows)),
 }
 
 
