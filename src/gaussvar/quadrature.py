@@ -193,6 +193,8 @@ def build_rule(chart: VarietyChart, radius: float, nodes_per_dim=None) -> QuadRu
         counts = [None] * d
     else:
         try:
+            if isinstance(nodes_per_dim, (str, bytes)):
+                raise TypeError("text is one count, not a sequence of counts")
             counts = list(nodes_per_dim)
         except TypeError:  # not a sequence: one count for every dimension
             counts = [nodes_per_dim] * d

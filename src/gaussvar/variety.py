@@ -429,6 +429,18 @@ def _count_euclidean(axes, radii: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _shell_weights(chart: VarietyChart, U: np.ndarray, radii: np.ndarray, mult=1.0):
+    """Density times ``mult`` of the nodes ``U``, summed into the shell of the
+    first radius whose ball holds each node; the last shell is outside them all."""
+    dens = chart.volume_density(U)
+    if not np.all(np.isfinite(dens)):
+        raise GrowthError("non-finite volume density sample")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: outside
+        r2 = chart.radial_sq(U)
+    shell = np.searchsorted(radii * radii, r2, side="left")
+    return np.bincount(shell, weights=dens * mult, minlength=radii.size + 1)
+
+
 def _measure_volumes(chart: VarietyChart, radii: np.ndarray) -> np.ndarray:
     """Riemannian volume of M cap B_r for each r, on one fixed grid.
 
@@ -439,16 +451,30 @@ def _measure_volumes(chart: VarietyChart, radii: np.ndarray) -> np.ndarray:
       sorted partial sums of squares, with no chart evaluation.
     * ``revolution``: density and radius do not depend on the angle, so
       the grid is one-dimensional, times one cell of the whole angle.
+    * a ``radial`` chart: density and radius depend on rho = |u| alone, so
+      the square grid (one interval, symmetric about 0, on both axes) is
+      sampled on one octant, the nodes (a_i, a_j) with j <= i of its
+      non-negative half a, each weighted by the number of grid nodes its 8
+      symmetries map it to.  This is exact up to the rounding of mirrored
+      node coordinates.
     * every other kind: the grid is sampled in slabs of about
-      ``_GROWTH_BLOCK`` nodes along its first axis.  Each node's weight goes
-      into the shell of the first radius whose ball holds it, and the
-      volumes are the running sums of the shells.
+      ``_GROWTH_BLOCK`` nodes along its first axis.
 
-    A node lies in B_r when r^2 <= r * r on every path, so the volumes
-    never decrease, and the euclidean counts equal the sampled ones bit for
-    bit.
+    Each node's weight goes into the shell of the first radius whose ball
+    holds it, and the volumes are the running sums of the shells.  A node
+    lies in B_r when r^2 <= r * r on every path, so the volumes never
+    decrease, and the euclidean counts equal the sampled ones bit for bit.
     """
     r_max = float(radii[-1])
+    if chart.radial:
+        nodes, h = _growth_axis(chart, 0, r_max, _GROWTH_GRID[2])
+        half = nodes[nodes.size // 2:]  # the grid size is odd: the centre node, then the rest
+        i, j = np.tril_indices(half.size)
+        U = np.stack([half[i], half[j]], axis=1)
+        mult = 2.0 ** (np.sign(i) + np.sign(j) + (i > j))  # mirrored axes, then the diagonal
+        shells = sum(_shell_weights(chart, U[s:s + _GROWTH_BLOCK], radii, mult[s:s + _GROWTH_BLOCK])
+                     for s in range(0, U.shape[0], _GROWTH_BLOCK))
+        return np.cumsum(shells[:-1]) * (h * h)
     if chart.kind == "revolution":
         lo, hi = param_interval(chart, 1, r_max)
         axes = [_growth_axis(chart, 0, r_max, _GROWTH_GRID[1]), (np.full(1, lo), hi - lo)]
@@ -464,18 +490,12 @@ def _measure_volumes(chart: VarietyChart, radii: np.ndarray) -> np.ndarray:
     mesh = np.meshgrid(np.zeros(1), *[a[0] for a in axes[1:]], indexing="ij")
     base = np.stack([m.ravel() for m in mesh], axis=1)
     step = max(1, _GROWTH_BLOCK // base.shape[0])
-    shells = np.zeros(radii.size + 1)  # the last shell lies outside every ball
+    shells = np.zeros(radii.size + 1)
     for start in range(0, first.size, step):
         lead = first[start:start + step]
         U = np.tile(base, (lead.size, 1))
         U[:, 0] = np.repeat(lead, base.shape[0])
-        dens = chart.volume_density(U)
-        if not np.all(np.isfinite(dens)):
-            raise GrowthError("non-finite volume density sample")
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: outside
-            r2 = chart.radial_sq(U)
-        shell = np.searchsorted(radii * radii, r2, side="left")
-        shells += np.bincount(shell, weights=dens, minlength=radii.size + 1)
+        shells += _shell_weights(chart, U, radii)
     return np.cumsum(shells[:-1]) * cell
 
 

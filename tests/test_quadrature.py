@@ -94,11 +94,13 @@ class TestRuleInvariants:
         assert rule.weights.tobytes() == expected.weights.tobytes()
 
     @pytest.mark.parametrize("count", [True, np.True_, 8.0, np.float64(8.0), np.array(8.0),
-                                       np.int64(3), 3])
-    def test_non_integer_or_small_counts_are_named(self, cylinder, count):
-        for counts in (count, [count, 8]):
+                                       np.int64(3), 3, "8"])
+    def test_non_integer_or_small_counts_are_named(self, euclid1, cylinder, count):
+        # text is one count, not a sequence of one-character counts
+        for chart, counts in ((cylinder, count), (cylinder, [count, 8]),
+                              (euclid1, count), (euclid1, [count])):
             with pytest.raises(QuadratureError, match=re.escape(f"got {count!r}")):
-                build_rule(cylinder, 5.0, counts)
+                build_rule(chart, 5.0, counts)
 
     def test_mismatched_node_tuple(self, cylinder):
         with pytest.raises(QuadratureError):

@@ -105,6 +105,16 @@ def tie_radii(chart):
 
 GROWTH_CHARTS = ["euclid1", "identity1", "cylinder", "graph_x2", "modgraph_z2", "circle"]
 
+# the modulus coefficients c of c z^2 that the benchmark's workloads draw
+SCALE_LEVELS = (0.5, 2.0 ** -0.5, 1.0, 2.0 ** 0.5, 2.0)
+
+# radial charts, whose growth grid is sampled on one octant: c z^2 at every
+# level, an odd power, a complex coefficient, and a constant F (k = 0)
+RADIAL_SPECS = [pytest.param({"kind": "modulus_graph", "F": f"{c!r}*x1^2"}, id=f"modgraph-c{c:.4g}")
+                for c in SCALE_LEVELS] + [
+    pytest.param({"kind": "modulus_graph", "F": F}, id=f"modgraph-{F}")
+    for F in ("1*x1^3", "(1+2j)*x1^2", "2")]
+
 
 class TestEuclidean:
     def test_density_is_one(self, euclid1):
@@ -345,6 +355,32 @@ class TestParamDegree:
                                    rtol=1e-13)
 
 
+@settings(max_examples=60, deadline=None)
+@given(terms=st.lists(st.tuples(st.integers(0, 4),
+                                st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0)),
+                      min_size=1, max_size=2, unique_by=lambda t: t[0]),
+       rho=st.just(0.0) | st.floats(1e-3, 3.0), phi=st.floats(0.0, 2.0 * math.pi),
+       theta=st.floats(0.0, 2.0 * math.pi))
+def test_radial_flag_means_rotation_invariant_fields(terms, rho, phi, theta):
+    chart = chart_modulus_graph(MultiPoly(1, {(k,): c for k, c in terms}))
+    if not chart.radial:
+        # c1 z^k1 + c2 z^k2: |F|^2 on the unit circle swings by 4 |c1| |c2|
+        assert len(terms) == 2
+        t = np.linspace(0.0, 2.0 * math.pi, 64)
+        r2 = chart.radial_sq(np.stack([np.cos(t), np.sin(t)], axis=1))
+        assert np.ptp(r2) > 1e-13 * np.max(r2)
+        return
+    assert len(terms) == 1
+    u1, u2 = rho * math.cos(phi), rho * math.sin(phi)
+    U = np.array([[u1, u2],
+                  [math.cos(theta) * u1 - math.sin(theta) * u2,
+                   math.sin(theta) * u1 + math.cos(theta) * u2],
+                  [-u1, u2], [u1, -u2], [u2, u1]])
+    for field in (chart.radial_sq, chart.volume_density):
+        vals = field(U)
+        np.testing.assert_allclose(vals[1:], vals[0], rtol=1e-13, atol=0)
+
+
 class TestGrowth:
     def test_euclidean_interval_length(self, euclid1):
         g = estimate_growth(euclid1, np.linspace(2.0, 10.0, 9))
@@ -381,15 +417,15 @@ class TestGrowth:
     # slabs and a one-row last slab.  Either way the 20001-node line ends on
     # a partial slab.
     @pytest.mark.parametrize("block", [1000, 1500])
-    @pytest.mark.parametrize("fixture", GROWTH_CHARTS)
+    @pytest.mark.parametrize("fixture", GROWTH_CHARTS + RADIAL_SPECS)
     def test_slabs_match_whole_grid(self, fixture, block, request, monkeypatch):
-        chart = request.getfixturevalue(fixture)
-        radii = np.linspace(2.0, 10.0, 9)
-        ref = reference_measure_volumes(chart, radii)
+        chart = request.getfixturevalue(fixture) if isinstance(fixture, str) else load_chart(fixture)
         monkeypatch.setattr(variety, "_GROWTH_BLOCK", block)
-        vols = estimate_growth(chart, radii).volumes
-        assert np.all(np.diff(vols) >= 0)
-        assert np.all(np.abs(vols - ref) <= 1e-12 * ref)
+        for radii in (_FIT_RADII, _GROWTH_RADII):
+            ref = reference_measure_volumes(chart, radii)
+            vols = estimate_growth(chart, radii).volumes
+            assert np.all(np.diff(vols) >= 0)
+            assert np.all(np.abs(vols - ref) <= 1e-12 * ref)
 
     def test_ball_boundary_counts(self, circle, monkeypatch):
         # on the circle r^2 rounds to 1 exactly at some nodes and to 1 +- eps
@@ -431,6 +467,31 @@ class TestGrowth:
         chart = dataclasses.replace(chart, _embed=spy(chart._embed), _density=spy(chart._density))
         estimate_growth(chart, _FIT_RADII)
         assert sum(seen) < 129 ** 3 // 20
+
+    @pytest.mark.parametrize("F,nodes,solves", [
+        ("1*x1^2", 321 * 322 // 2, 1),  # radial: one octant of one axis's grid
+        ("1*x1^2+1*x1^1", 641 ** 2, 2),  # not radial: the whole grid
+    ])
+    def test_radial_growth_evaluates_one_octant(self, F, nodes, solves, monkeypatch):
+        plain = load_chart({"kind": "modulus_graph", "F": F})
+        seen, solved = {"embed": 0, "density": 0}, []
+
+        def spy(name, field):
+            def call(U):
+                seen[name] += U.shape[0]
+                return field(U)
+            return call
+
+        def solve(chart, dim, radius):  # on the plain chart, so the spies see only the grid
+            solved.append(dim)
+            return solve_param_bound(plain, dim, radius)
+
+        chart = dataclasses.replace(plain, _embed=spy("embed", plain._embed),
+                                    _density=spy("density", plain._density))
+        monkeypatch.setattr(variety, "solve_param_bound", solve)
+        estimate_growth(chart, _FIT_RADII)
+        assert seen == {"embed": nodes, "density": nodes}
+        assert len(solved) == solves
 
     def test_non_finite_density_in_last_slab(self):
         # only nodes with u1 > 0.99 have an infinite density, and they all
