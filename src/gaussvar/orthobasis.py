@@ -3,8 +3,10 @@
 The inner product is <p, q> = integral p * q * e^{-r^2} dmu (or plain dmu
 with the Gaussian weight switched off).  The Gram matrix of the monomials is
 a moment matrix, <x^a, x^b> = integral x^(a+b), and is stored as one: every
-pair with the same exponent sum holds the same double, so ``gram.csv``
-formats each of its few distinct values once.  Restricted monomials can become
+pair with the same exponent sum a + b holds the same double.  The pairs'
+exponent-sum classes depend on the monomials alone and are computed once per
+monomial tuple; :func:`gram_matrix` canonicalizes G through them, and
+``gram.csv`` formats each class's value once.  Restricted monomials can become
 linearly dependent through the relations of the variety -- on the unit
 circle x^2 + y^2 = 1 kills one of the six degree-2 monomials -- so the
 basis is extracted by a threshold elimination on the Gram matrix that
@@ -29,6 +31,7 @@ evaluated once per block of :func:`quadrature.node_blocks`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -108,16 +111,21 @@ def _weighted_gram(chart: VarietyChart, rule: QuadRule, weight: str, rows,
     return G
 
 
-def _first_pair_of_sum(monomials, degree_cap: int) -> np.ndarray:
-    """Flat index of the first pair, in row-major order, with each pair's exponent sum.
+@functools.lru_cache(maxsize=4)
+def _sum_classes(monomials: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The exponent-sum classes of the pairs of ``monomials``, read-only: (classes, reps).
 
-    Exponent sums have entries <= 2D, so the codes ``label * (2D+1) + a_c + b_c``
-    built one coordinate at a time number them exactly; when the code range
-    outgrows N^2 the codes are renumbered densely, so the table of first
-    indices is never larger than G.  One ``np.minimum.at`` fills that table.
+    ``classes[i * N + j]`` numbers the class of a_i + a_j, and ``reps[c]`` is
+    the flat index of class c's first pair in row-major order, so
+    ``reps[classes]`` maps each cell of G to its class's first pair.  With E
+    the largest exponent, sums have entries <= 2E, so the codes
+    ``label * (2E+1) + a_c + b_c`` built one coordinate at a time number them
+    exactly; when the code range outgrows N^2 the codes are renumbered
+    densely, so the table of first indices is never larger than G.  One
+    ``np.minimum.at`` fills that table.
     """
     A = np.array(monomials, dtype=np.int64)
-    N, base = A.shape[0], 2 * degree_cap + 1
+    N, base = A.shape[0], 2 * int(A.max(initial=0)) + 1
     label, size = np.zeros(N * N, dtype=np.int64), 1
     for a in A.T:
         label = label * base + (a[:, None] + a).ravel()
@@ -127,7 +135,11 @@ def _first_pair_of_sum(monomials, degree_cap: int) -> np.ndarray:
             size = int(label.max()) + 1
     first = np.full(size, N * N)
     np.minimum.at(first, label, np.arange(N * N))
-    return first[label]
+    present = first < N * N
+    classes = (np.cumsum(present, dtype=np.int32) - 1)[label]
+    reps = first[present]
+    classes.flags.writeable = reps.flags.writeable = False
+    return classes, reps
 
 
 def gram_matrix(chart: VarietyChart, degree_cap: int, rule: QuadRule,
@@ -136,8 +148,9 @@ def gram_matrix(chart: VarietyChart, degree_cap: int, rule: QuadRule,
 
     G is a moment matrix, <x^a, x^b> = integral x^(a+b), so after the sums are
     checked for non-finite values every entry is set to the sum of the first
-    pair, in row-major order, with its exponent sum a + b.  Equal moments are
-    then one double, and G stays exactly symmetric (that pair has i <= j).
+    pair, in row-major order, of its exponent-sum class (:func:`_sum_classes`).
+    Equal moments are then one double, and G stays exactly symmetric (that
+    pair has i <= j).
     """
     monomials = tuple(monomials_up_to_degree(chart.ambient_dim, degree_cap))
     with np.errstate(over="ignore", invalid="ignore"):  # G is checked below
@@ -149,20 +162,27 @@ def gram_matrix(chart: VarietyChart, degree_cap: int, rule: QuadRule,
             f"non-finite Gram entry for monomial pair "
             f"({monomials[i]}, {monomials[j]})"
         )
-    G = G.ravel()[_first_pair_of_sum(monomials, degree_cap)].reshape(G.shape)
+    classes, reps = _sum_classes(monomials)
+    G = G.ravel()[reps][classes].reshape(G.shape)
     return GramBasis(
         chart=chart, degree_cap=degree_cap, monomials=monomials,
         gram=G, weight=weight,
     )
 
 
-def _divisor_table(monomials) -> np.ndarray:
-    """Row i: for each coordinate p, the index of x^a / x_p, or N where a_p = 0."""
+@functools.lru_cache(maxsize=4)
+def _divisor_table(monomials: tuple) -> np.ndarray:
+    """Row i: for each coordinate p, the index of x^a / x_p, or N where a_p = 0.
+
+    Read-only, built once per monomial tuple.
+    """
     index = {m: i for i, m in enumerate(monomials)}
     N = len(monomials)
-    return np.array([[index[m[:p] + (e - 1,) + m[p + 1:]] if e else N
-                      for p, e in enumerate(m)] for m in monomials],
-                    dtype=np.intp).reshape(N, -1)
+    table = np.array([[index[m[:p] + (e - 1,) + m[p + 1:]] if e else N
+                       for p, e in enumerate(m)] for m in monomials],
+                     dtype=np.intp).reshape(N, -1)
+    table.flags.writeable = False
+    return table
 
 
 def _threshold_steps(H: np.ndarray, diag, rank_tol: float) -> tuple[list[int], np.ndarray]:
@@ -213,13 +233,15 @@ def orthonormalize(gb: GramBasis, rank_tol: float = 1e-9) -> GramBasis:
     its squared residual exceeds ``rank_tol`` times G_ii.  The kept
     combinations Y of the block's columns append C = Y V^T and
     GC = Y (G V)^T.  Coefficients outside ``kept_indices`` stay exactly 0.
+    ``rank_tol`` outside (0, 1), NaN included, raises ``ValueError``: a
+    residual is never larger than its diagonal, so at 1 nothing is kept.
     """
-    if rank_tol <= 0:
-        raise ValueError(f"rank_tol must be positive, got {rank_tol}")
+    if not 0 < rank_tol < 1:
+        raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol}")
     G = gb.gram
     N = len(gb.monomials)
     C, GC = np.empty((N, N)), np.empty((N, N))
-    divisors = _divisor_table(gb.monomials)
+    divisors = _divisor_table(tuple(gb.monomials))
     degrees = np.array([sum(m) for m in gb.monomials])
     is_kept = np.zeros(N + 1, dtype=bool)
     is_kept[N] = True  # stands in for the divisor along a coordinate the monomial lacks
@@ -416,18 +438,28 @@ def gram_to_csv(gb: GramBasis, path) -> None:
     """One row per Gram entry, ``i,j,value`` in row-major order.
 
     Values are ``%.17g`` text, which reads back to the same double.  Each
-    distinct bit pattern is formatted once (+0.0 and -0.0 stay apart): a
-    moment matrix holds one double per exponent sum, far fewer than its N^2
-    cells.  The row template is built once per call, with ``@`` for the row
-    index, so each matrix row is filled by one ``%`` call and written at once.
+    distinct bit pattern is formatted once (+0.0 and -0.0 stay apart), found
+    by exponent-sum class (:func:`_sum_classes`): the bit patterns sorted are
+    those of each class's first pair, plus those of any cell whose bits differ
+    from its class's first pair.  A moment matrix has no such cell, so only
+    its classes, far fewer than its N^2 cells, are sorted; any other matrix
+    takes the same path and gets the same bytes.  The row template is built
+    once per call, with ``@`` for the row index, so each matrix row is filled
+    by one ``%`` call and written at once.
     """
     N = len(gb.monomials)
-    bits, inverse = np.unique(gb.gram.view(np.int64), return_inverse=True)
-    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    classes, reps = _sum_classes(tuple(gb.monomials))
+    bits = gb.gram.view(np.int64).ravel()
+    first = bits[reps]
+    odd = np.flatnonzero(bits != first[classes])
+    patterns, inverse = np.unique(np.concatenate([first, bits[odd]]), return_inverse=True)
+    cells = inverse[classes]
+    cells[odd] = inverse[reps.size:]
+    text = np.array(["%.17g" % v for v in patterns.view(np.float64).tolist()], dtype=object)
     template = "".join([f"@,{j},%s\n" for j in range(N)])
     with open(path, "w", newline="") as fh:
         fh.write("i,j,value\n")
-        for i, row in enumerate(text[inverse].reshape(N, N).tolist()):
+        for i, row in enumerate(text[cells].reshape(N, N).tolist()):
             fh.write(template.replace("@", str(i)) % tuple(row))
 
 

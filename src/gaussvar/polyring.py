@@ -49,15 +49,23 @@ def monomials_up_to_degree(n: int, degree_cap: int) -> list[tuple]:
     """All exponent tuples in ``n`` variables of total degree <= ``degree_cap``.
 
     A degree-d tuple counts, per variable, one multiset of d variables; the
-    tuples are sorted by ``_graded_lex``.  The count is C(n + D, D).
+    tuples are sorted by ``_graded_lex``.  The count is C(n + D, D).  Each
+    (n, D) is sorted once per process; every call returns a fresh list.
     """
     if n < 1:
         raise ValueError(f"need at least one variable, got n={n}")
     if degree_cap < 0:
         raise ValueError(f"degree cap must be non-negative, got {degree_cap}")
-    return sorted((tuple(map(vs.count, range(n))) for d in range(degree_cap + 1)
-                   for vs in itertools.combinations_with_replacement(range(n), d)),
-                  key=_graded_lex)
+    return list(_sorted_monomials(operator.index(n), operator.index(degree_cap)))
+
+
+@functools.lru_cache(maxsize=16)
+def _sorted_monomials(n: int, degree_cap: int) -> tuple:
+    """:func:`monomials_up_to_degree` as a tuple, keyed by int arguments only, so
+    a float never reaches the cache under its equal int."""
+    return tuple(sorted((tuple(map(vs.count, range(n))) for d in range(degree_cap + 1)
+                         for vs in itertools.combinations_with_replacement(range(n), d)),
+                        key=_graded_lex))
 
 
 @dataclass(frozen=True, repr=False)

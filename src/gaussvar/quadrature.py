@@ -173,6 +173,22 @@ def _legendre(n: int):
     return x, w
 
 
+@functools.cache
+def _hermite(n: int):
+    """The n-node Gauss-Hermite nodes and weights, read-only, solved once per n.
+
+    Weights that are not normal doubles raise :class:`QuadratureError` naming
+    the degree n - 1; a failure is not cached, so each call raises anew.
+    """
+    with np.errstate(all="ignore"):  # checked right below
+        x, w = np.polynomial.hermite.hermgauss(n)
+    if not np.all(w >= np.finfo(float).tiny):
+        raise QuadratureError(f"no Gauss-Hermite rule for degree {n - 1}: the weights "
+                              f"of {n} nodes underflow or overflow a double")
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gauss_legendre(n: int, lo: float, hi: float):
     x, w = _legendre(n)
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
@@ -394,12 +410,8 @@ def gauss_rule(chart: VarietyChart, degree: int) -> QuadRule:
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     if chart.kind == "euclidean":
-        with np.errstate(all="ignore"):  # checked right below
-            x, w = np.polynomial.hermite.hermgauss(degree + 1)
-        if not np.all(w >= np.finfo(float).tiny):
-            raise QuadratureError(f"no Gauss-Hermite rule for degree {degree}: the weights "
-                                  f"of {degree + 1} nodes underflow or overflow a double")
-        dim = DimRule("unbounded", -math.inf, math.inf, x, w)
+        x, w = _hermite(degree + 1)
+        dim = DimRule("unbounded", -math.inf, math.inf, x.copy(), w.copy())
         return QuadRule((dim,) * chart.intrinsic_dim, math.inf)
     trig = _trapezoid(2 * degree + 1)
     if chart.kind == "circle":  # w density e^{-r^2}, as discretize forms it at finite R

@@ -323,6 +323,23 @@ class TestBasis:
         # bit for bit, so -0.0 and 0.0 count as different
         assert np.array_equal(values.view(np.int64), G.ravel().view(np.int64))
 
+    def test_surface_studies_build_the_class_tables_once(self, cylinder_spec, tmp_path):
+        # basis and project at degree 12 on both surface charts, as a
+        # surface-sweep pass runs them: every Gram matrix, gram.csv and
+        # elimination reads the tables of the same 455 monomials in 3 variables
+        modgraph_spec = tmp_path / "modgraph.json"
+        modgraph_spec.write_text(json.dumps({"kind": "modulus_graph", "F": "1*x1^2"}))
+        tables = (orthobasis._sum_classes, orthobasis._divisor_table)
+        for table in tables:
+            table.cache_clear()
+        for spec in (cylinder_spec, modgraph_spec):
+            for command in ("basis", "project"):
+                assert main([command, "--spec", str(spec), "--degree", "12",
+                             "--out", str(tmp_path / command / spec.stem)]) == EXIT_OK
+        classes, divisors = (table.cache_info() for table in tables)
+        assert (classes.misses, classes.hits) == (1, 5)  # 4 gram_matrix + 2 gram_to_csv
+        assert (divisors.misses, divisors.hits) == (1, 3)  # 4 orthonormalize
+
     def test_huge_degree_writes_one_stderr_line(self, euclid_spec, tmp_path, src_env):
         # hermgauss warns of overflow at 401 nodes; in a child interpreter under
         # -W error, a warning that escaped would be a second stderr line

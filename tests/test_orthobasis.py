@@ -252,6 +252,55 @@ class TestMomentMatrix:
         assert np.all(np.abs(gb.gram - ref) <= 1e-13 * scale)
 
 
+class TestSumClasses:
+    """The exponent-sum class table, built once per monomial tuple."""
+
+    def test_tables_are_read_only(self):
+        monomials = tuple(monomials_up_to_degree(3, 4))
+        for table in (*orthobasis._sum_classes(monomials),
+                      orthobasis._divisor_table(monomials)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+
+    @pytest.fixture(scope="class")
+    def surface_grams(self, cylinder, modgraph_z2):
+        # the four Gram matrices of a surface-sweep pass at seed 0: basis studies
+        # on gauss_rule, project studies on the shared 64 x 64 truncated rule
+        target = lambda X: np.exp(0.25 * squared_norms(X))  # noqa: E731
+        out = {}
+        for name, chart in (("cylinder", cylinder), ("modgraph", modgraph_z2)):
+            truncated, _ = quadrature.study_rules(chart, 12, "gauss", target)
+            assert truncated.nodes_per_dim == (64, 64)
+            for label, rule in (("gauss", gauss_rule(chart, 12)),
+                                ("truncated", truncated)):
+                out[f"{name}-{label}"] = gram_matrix(chart, 12, rule)
+        return out
+
+    @pytest.mark.parametrize("case", ["cylinder-gauss", "cylinder-truncated",
+                                      "modgraph-gauss", "modgraph-truncated"])
+    def test_gram_csv_matches_reference_at_degree_twelve(self, surface_grams, case,
+                                                         tmp_path):
+        gb = surface_grams[case]
+        assert len(gb.monomials) == 455
+        gram_to_csv(gb, tmp_path / "new.csv")
+        reference_gram_csv(gb, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("cell", [(0, 2), (2, 0)], ids=["first-pair", "later-pair"])
+    def test_gram_csv_matches_reference_with_one_cell_perturbed(self, surface_grams,
+                                                                cell, tmp_path):
+        # (0, 2) is the first pair of the class of x2, so (2, 0) then differs
+        # from it; perturbed itself, (2, 0) differs from (0, 2)
+        gb = surface_grams["cylinder-gauss"]
+        gram = gb.gram.copy()
+        gram[cell] = np.nextafter(gram[cell], np.inf)
+        perturbed = dataclasses.replace(gb, gram=gram)
+        gram_to_csv(perturbed, tmp_path / "new.csv")
+        reference_gram_csv(perturbed, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 class TestRuleCheck:
     # a cylinder rule (unbounded x periodic) does not fit the modulus graph
     # (unbounded x unbounded); every caller must say so
@@ -351,8 +400,17 @@ class TestOrthonormalize:
 
     def test_invalid_tolerance(self, euclid1, euclid1_rule):
         gb = gram_matrix(euclid1, 2, euclid1_rule)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rank_tol"):
             orthonormalize(gb, rank_tol=0.0)
+
+    @pytest.mark.parametrize("rank_tol", [math.nan, 1.0, 2.0, math.inf])
+    def test_tolerance_outside_the_unit_interval_is_named(self, rank_tol, circle,
+                                                          circle_rule):
+        # NaN used to fail in math.sqrt, and 1 or more kept nothing: a residual
+        # is never larger than its diagonal
+        gb = gram_matrix(circle, 4, circle_rule)
+        with pytest.raises(ValueError, match="rank_tol"):
+            orthonormalize(gb, rank_tol=rank_tol)
 
     def test_zero_measure_chart_yields_empty_basis(self):
         # constant profile and height: the revolution map degenerates and

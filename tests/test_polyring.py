@@ -52,6 +52,26 @@ class TestMonomialEnumeration:
         assert all(_graded_lex(a) < _graded_lex(b) for a, b in zip(mons, mons[1:]))
         assert len(set(mons)) == len(mons)
 
+    def test_each_call_returns_an_equal_fresh_list(self):
+        first, second = monomials_up_to_degree(3, 4), monomials_up_to_degree(3, 4)
+        assert first == second == brute_monomials(3, 4) and first is not second
+        first.append((9, 9, 9))
+        first[0] = (7, 0, 0)
+        assert monomials_up_to_degree(3, 4) == brute_monomials(3, 4)
+
+    @pytest.mark.parametrize("n,D", [(3, 12.0), (3.0, 12), (np.float64(3), 12)])
+    def test_float_argument_raises_before_and_after_the_int_is_cached(self, n, D):
+        polyring._sorted_monomials.cache_clear()
+        with pytest.raises(TypeError):
+            monomials_up_to_degree(n, D)
+        assert len(monomials_up_to_degree(3, 12)) == 455
+        with pytest.raises(TypeError):
+            monomials_up_to_degree(n, D)
+
+    def test_bool_and_numpy_int_arguments_count_as_ints(self):
+        assert monomials_up_to_degree(True, True) == [(0,), (1,)]
+        assert monomials_up_to_degree(np.int64(2), np.int32(3)) == brute_monomials(2, 3)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             monomials_up_to_degree(0, 3)

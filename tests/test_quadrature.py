@@ -150,6 +150,34 @@ class TestHermiteRule:
             with pytest.raises(QuadratureError, match="degree 400"):
                 gauss_rule(chart_euclidean(1), 400)
 
+    def test_table_solved_once_per_node_count(self, monkeypatch):
+        calls = []
+        hermgauss = np.polynomial.hermite.hermgauss
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss",
+                            lambda n: calls.append(n) or hermgauss(n))
+        quadrature._hermite.cache_clear()
+        first, second = (gauss_rule(chart_euclidean(3), 6) for _ in range(2))
+        gauss_rule(chart_euclidean(1), 6)
+        assert calls == [7]
+        x, w = hermgauss(7)
+        for a, b in ((first.dims[0].nodes, x), (first.dims[0].weights, w)):
+            assert a.tobytes() == b.tobytes()
+        # each rule has its own arrays; the shared table rejects writes
+        assert first.dims[0].nodes is not second.dims[0].nodes
+        assert first.dims[0].weights is not second.dims[0].weights
+        for table in quadrature._hermite(7):
+            assert not table.flags.writeable
+
+    def test_failure_is_not_cached(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss",
+                            lambda n: calls.append(n) or (np.zeros(n), np.zeros(n)))
+        quadrature._hermite.cache_clear()
+        for _ in range(2):
+            with pytest.raises(QuadratureError, match="degree 9"):
+                gauss_rule(chart_euclidean(1), 9)
+        assert calls == [10, 10]
+
     def test_underflowed_weights_name_the_degree(self, monkeypatch):
         # numpy 2.4's hermgauss returns 371 zero weights, without a warning
         monkeypatch.setattr(np.polynomial.hermite, "hermgauss",
