@@ -60,9 +60,12 @@ def _wavevectors(flag, text):
         ks = [float(s) for s in text.split(",") if s]
     except ValueError as exc:
         raise ConfigError(f"cannot parse {flag} {text!r}: {exc}") from exc
-    if not ks or not all(0 < k < math.inf for k in ks):
-        raise ConfigError(f"{flag} needs positive finite wavevector lengths, got {text!r}")
-    return ks
+    if not ks:
+        raise ConfigError(f"{flag} needs at least one wavevector length, got {text!r}")
+    try:  # the lemma's own domain for k
+        return [approxlemma.check_k(k) for k in ks]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} {text!r}: {exc}") from None
 
 
 _FLAGS = {  # flag -> argparse settings; each command in _COMMANDS sets the default

@@ -1,8 +1,13 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gaussvar import approxlemma
 from gaussvar.approxlemma import (
     alpha_gap,
     cm_brute,
@@ -10,6 +15,7 @@ from gaussvar.approxlemma import (
     cm_record,
     cm_table,
     cstar,
+    check_k,
     default_error_grid,
     log_cm,
     records_to_csv,
@@ -67,6 +73,99 @@ class TestClosedForm:
             cm_closed_form(0.0, 3)
         with pytest.raises(ValueError):
             cm_closed_form(1.0, 0)
+
+
+def exact_slope(k, m, y):
+    """g'(y) = m/y + 1 - 2y/k^2 in exact rational arithmetic."""
+    k, y = Fraction(k), Fraction(y)
+    return m / y + 1 - 2 * y / (k * k)
+
+
+class TestNewtonPeak:
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.floats(0.05, 50.0), m=st.integers(1, 2000))
+    def test_is_the_root_of_g_prime_and_matches_the_closed_form(self, k, m):
+        y, log = approxlemma._newton_peak(k, m)
+        # g' is decreasing, so it is positive below its root and negative above
+        few = 4 * Fraction(math.ulp(y))
+        assert exact_slope(k, m, y - few) > 0 > exact_slope(k, m, y + few)
+        # ln C_m sums terms of up to ~1e4 that cancel where C_m crosses 1, so
+        # the agreement is relative to the largest term, not to the sum
+        terms = (m * math.log(y), math.lgamma(m + 1.0), y, y * y / (k * k))
+        assert abs(log - log_cm(k, m)) <= 1e-12 * max(map(abs, terms))
+
+    @pytest.mark.parametrize("k", K_VALUES)
+    def test_agrees_with_the_closed_form_to_rounding(self, k):
+        for m in range(1, 201):
+            assert cm_brute(k, m) == pytest.approx(cm_closed_form(k, m), rel=1e-12)
+
+    def test_a_run_that_does_not_converge_raises(self, monkeypatch):
+        monkeypatch.setattr(approxlemma, "_NEWTON_STEPS", 1)
+        with pytest.raises(RuntimeError, match=r"did not converge .* k=2, m=5$"):
+            cm_brute(2.0, 5)
+
+
+LEMMA_FUNCTIONS = (log_cm, cm_closed_form, cm_brute, cstar, alpha_gap, cm_record)
+
+
+class TestDomain:
+    @pytest.mark.parametrize("fn", LEMMA_FUNCTIONS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 0.0, -1.0,
+                                   1e200, 1e154, 1e78, 1e-78, 1e-160, 1e-300])
+    def test_a_k_outside_the_domain_is_named(self, fn, k):
+        with pytest.raises(ValueError, match=re.escape(f"k={k}, m=3") + "$"):
+            fn(k, 3)
+
+    @pytest.mark.parametrize("fn", LEMMA_FUNCTIONS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("m", [2.5, 3.0, True, np.float64(3.0), "3", 2 ** 53])
+    def test_an_order_outside_the_domain_is_named(self, fn, m):
+        # cm_record once applied int(m), labelling C_2.5's values as m=2
+        with pytest.raises(ValueError, match=r"order m must be .* at k=1\.0$"):
+            fn(1.0, m)
+
+    @pytest.mark.parametrize("fn", LEMMA_FUNCTIONS, ids=lambda f: f.__name__)
+    def test_numpy_ints_are_orders(self, fn):
+        assert fn(1.0, np.int64(3)) == fn(1.0, 3)
+        assert fn(np.float64(1.0), np.int32(3)) == fn(1.0, 3)
+
+    def test_a_record_holds_python_numbers(self):
+        rec = cm_record(np.float64(2.0), np.int64(3))
+        assert type(rec.k) is float and type(rec.m) is int and rec.m == 3
+
+    @pytest.mark.parametrize("fn", LEMMA_FUNCTIONS[:-1], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("k", [2e-77, 1e-20, 1e20, 1e77])  # 2e-77**4 is 1.6e-307
+    @pytest.mark.parametrize("m", [2, 7, 10 ** 6, 2 ** 53 - 1])
+    def test_the_edges_of_the_domain_are_finite_or_overflow(self, fn, k, m):
+        assert math.isfinite(log_cm(k, m))
+        try:
+            value = fn(k, m)
+        except OverflowError as exc:
+            assert f"k={k:g}, m={m}:" in str(exc) and log_cm(k, m) > 709.0
+        else:
+            assert math.isfinite(value)
+            if value == 0.0:  # an underflow of a finite ln C_m, not an overflow
+                assert log_cm(k, m) < -700.0
+
+    @pytest.mark.parametrize("m", [2.5, True, np.float64(3.0), 0])
+    def test_the_grid_error_names_a_bad_order(self, m):
+        grid = default_error_grid((1.0, 0.0), num=50)
+        for fn in (weighted_error, uniform_error):
+            with pytest.raises(ValueError, match=r"order m must be .* at k=\[1\.0, 0\.0\]$"):
+                fn((1.0, 0.0), m, grid)
+
+    @pytest.mark.parametrize("k", [(math.nan, 0.0), (1.0, math.inf), (1e200, 1.0)])
+    def test_the_error_grid_needs_a_finite_length(self, k):
+        # (1e200, 1) has an infinite length: it gave a grid along the zero vector
+        with pytest.raises(ValueError, match="wavevector must have a finite length"):
+            default_error_grid(k)
+
+    @pytest.mark.parametrize("k", [(math.nan, 0.0), (1.0, math.inf)])
+    def test_the_weighted_error_needs_a_finite_wavevector(self, k):
+        with pytest.raises(ValueError, match=r"wavevector must be finite, got k=.*, m=3$"):
+            weighted_error(k, 3, np.ones((4, 2)))
+
+    def test_check_k_returns_a_float(self):
+        assert check_k(np.float64(2.0)) == 2.0 and type(check_k(2)) is float
 
 
 class TestAsymptotics:

@@ -274,6 +274,21 @@ class TestLemma:
         assert "--k" in capsys.readouterr().err
         assert not (out / "cm.csv").exists()
 
+    @pytest.mark.parametrize("k", ["1e200", "1e154", "1e-160", "1e-300", "1,1e-300"])
+    def test_k_outside_the_lemmas_domain_exits_2(self, k, tmp_path, capsys):
+        # these wrote NaN, or a 0 from an overflowed w*w, or raised ZeroDivisionError
+        out = tmp_path / "o"
+        assert main(["lemma", "--k", k, "--mmax", "3", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--k" in err and f"k={float(k.split(',')[-1])}" in err
+        assert not (out / "cm.csv").exists()
+
+    def test_k_inside_the_domain_writes_finite_rows(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["lemma", "--k", "1e-70,0.05", "--mmax", "3", "--out", str(out)]) == EXIT_OK
+        _, rows = read_rows(out / "cm.csv")
+        assert len(rows) == 6 and all(math.isfinite(float(c)) for r in rows for c in r[:4])
+
 
 class TestGrowth:
     def test_graph_slope_column(self, graph_spec, tmp_path):
