@@ -25,6 +25,7 @@ EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
 _GROWTH_RADII = np.geomspace(2.0, 100.0, 18)
+_MAX_MONOMIALS = 4096  # a study's largest basis; room for D = 24 on a surface (2925)
 
 
 class ConfigError(ValueError):
@@ -139,7 +140,13 @@ def _weighted_chart(args):
 
 def _study(args, chart, target=None):
     """The basis to --degree on the Gram rule of :func:`quadrature.study_rules`, and
-    the rule for ``target``."""
+    the rule for ``target``.  A --degree with more than ``_MAX_MONOMIALS``
+    monomials in the chart's ambient coordinates is refused before any rule."""
+    count = math.comb(chart.ambient_dim + args.degree, args.degree)
+    if count > _MAX_MONOMIALS:
+        raise ConfigError(f"--degree {args.degree} gives {count} monomials in "
+                          f"{chart.ambient_dim} variables, more than the limit "
+                          f"{_MAX_MONOMIALS}")
     gram_rule, rule = quadrature.study_rules(chart, args.degree, args.weight, target,
                                              args.eps, args.nodes)
     gram = orthobasis.gram_matrix(chart, args.degree, gram_rule, weight=args.weight)

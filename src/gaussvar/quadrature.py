@@ -227,11 +227,11 @@ def build_rule(chart: VarietyChart, radius: float, nodes_per_dim=None) -> QuadRu
             n = 0
         if n < 4:  # a bool too: its index is 0 or 1
             raise QuadratureError(f"nodes_per_dim must be integers >= 4, got {given!r}")
-        lo, hi = param_interval(chart, dim, radius)
         if dom.kind == "periodic":
-            nodes = lo + (hi - lo) * np.arange(n) / n
-            weights = np.full(n, (hi - lo) / n)
-        elif dom.kind == "unbounded" and lo < 0.0 < hi:
+            dims.append(_trapezoid(n))
+            continue
+        lo, hi = param_interval(chart, dim, radius)
+        if dom.kind == "unbounded" and lo < 0.0 < hi:
             x1, w1 = _gauss_legendre(n // 2, lo, 0.0)
             x2, w2 = _gauss_legendre(n - n // 2, 0.0, hi)
             nodes = np.concatenate([x1, x2])
@@ -243,7 +243,6 @@ def build_rule(chart: VarietyChart, radius: float, nodes_per_dim=None) -> QuadRu
 
 
 _PANELS, _PANEL_NODES = 32, 40  # composite Gauss-Legendre discretization of a weight
-_SUPPORT_SAMPLES = 4097  # grid on which the support of a weight is found
 _WEIGHT_CAP = 745.0  # r^2 past which e^{-r^2} underflows a double
 GAUSS_DELTA = 1e-11  # the largest certified move of a Lanczos-built rule; see gauss_rule
 
@@ -329,18 +328,17 @@ def _weight_rule(chart: VarietyChart, n: int, polar: bool):
     """Nodes and weights of the n-node Gauss rule in the first parameter t for
     w(t) = e^{-r^2} density at (t, 0, ...), times t on [0, inf) when ``polar``.
 
-    The weight is discretized on ``_PANELS`` panels of its support.  On an
-    unbounded domain that is where r^2 < ``_WEIGHT_CAP`` (past which
-    e^{-r^2} is 0 in a double) on a grid of ``_SUPPORT_SAMPLES`` points over
-    [-L, L], padded by one grid step; L is the first sqrt(``_WEIGHT_CAP``)
-    2^j with r^2 >= ``_WEIGHT_CAP`` at both ends.  That L bounds the support
-    on a graph or a polar plane, where |t| <= r; on a revolution, as in
-    :func:`variety.solve_param_bound`, r^2 is taken to stay above the cap
-    past it.  A second discretization, on twice the interval about the same
-    centre (not below 0 when ``polar``) with panels half as wide (a bounded
-    domain: twice the panels),
-    builds the rule again, and :func:`_certify` compares the two; the finer
-    rule is returned.
+    The weight is discretized on ``_PANELS`` panels of its support and on
+    twice as many, and :func:`_certify` compares the rules built on the
+    two; the finer one is returned.  On an unbounded domain r^2(t) is a
+    polynomial of degree 2k (k = ``chart.param_degree``), so the support,
+    where r^2 < ``_WEIGHT_CAP`` (past which e^{-r^2} is 0 in a double), ends
+    at the outermost real roots of r^2(t) - ``_WEIGHT_CAP``.  r^2 is
+    interpolated at 2k + 1 Chebyshev points on [-sqrt(cap), sqrt(cap)], and
+    again between the roots found, so that the final roots are not
+    extrapolated; the chart's r^2 there must be the cap within
+    ``GAUSS_DELTA`` relative, which fails where k understates r^2's degree.
+    A polar support starts at t = 0.
     """
     dom = chart.domains[0]
 
@@ -353,26 +351,23 @@ def _weight_rule(chart: VarietyChart, n: int, polar: bool):
         _check_nodes(U, w, "Gram weight")
         return r2, w
 
-    if dom.kind == "bounded":
-        grids = [_panels(dom.lo, dom.hi, _PANELS), _panels(dom.lo, dom.hi, 2 * _PANELS)]
-    else:
-        L = math.sqrt(_WEIGHT_CAP)
-        while not np.all(weight(np.array([L] if polar else [-L, L]))[0] >= _WEIGHT_CAP):
-            L *= 2.0
-            if L > 2.0 ** 60:
-                raise QuadratureError(f"|x|^2 stays below {_WEIGHT_CAP:g} out to "
-                                      f"parameter {L:g}")
-        grid = np.linspace(0.0 if polar else -L, L, _SUPPORT_SAMPLES)
-        inside = grid[weight(grid)[0] < _WEIGHT_CAP]
-        if not inside.size:
-            raise QuadratureError(f"|x|^2 >= {_WEIGHT_CAP:g} on the whole support grid")
-        step = grid[1] - grid[0]
-        lo, hi = max(grid[0], inside[0] - step), min(L, inside[-1] + step)
-        pad = 0.5 * (hi - lo)
-        grids = [_panels(lo, hi, _PANELS),
-                 _panels(max(lo - pad, 0.0) if polar else lo - pad, hi + pad, 4 * _PANELS)]
+    lo, hi, deg = dom.lo, dom.hi, 2 * chart.param_degree
+    if dom.kind == "unbounded":
+        lo, hi = -math.sqrt(_WEIGHT_CAP), math.sqrt(_WEIGHT_CAP)
+        for _ in range(2):  # the second fit is on the support the first one found
+            roots = (np.polynomial.Chebyshev.interpolate(lambda t: weight(t)[0], deg, (lo, hi))
+                     - _WEIGHT_CAP).roots()
+            ends = roots.real[roots.imag == 0]
+            if not (ends.size and ends.min() < ends.max()):
+                raise QuadratureError(f"|x|^2 >= {_WEIGHT_CAP:g} along the weight's parameter")
+            lo, hi = ends.min(), ends.max()
+        miss = np.max(np.abs(weight(np.array([lo, hi]))[0] / _WEIGHT_CAP - 1.0))
+        if not miss <= GAUSS_DELTA:
+            raise QuadratureError(f"|x|^2 is off {_WEIGHT_CAP:g} by {miss:.3g} relative at the "
+                                  f"ends of the support its degree-{deg} interpolant gives")
+        lo = max(lo, 0.0) if polar else lo
     discs = []
-    for t, plain in grids:
+    for t, plain in (_panels(lo, hi, _PANELS), _panels(lo, hi, 2 * _PANELS)):
         w = plain * weight(t)[1]
         discs.append((t[w > 0], w[w > 0]))  # past the cap e^{-r^2} is 0
     coarse, fine = (_lanczos_gauss(t, w, n) for t, w in discs)
@@ -397,15 +392,15 @@ def gauss_rule(chart: VarietyChart, degree: int) -> QuadRule:
       rho e^{-r^2} density times the (2D + 1)-node trapezoid in theta.
 
     The Gauss rules in one parameter are built by Lanczos on a composite
-    Gauss-Legendre discretization of the weight and Golub-Welsch
-    (:func:`_weight_rule`), and certified: they match the discretization's
-    moments below degree 2(kD + 1), and a finer discretization moves no
-    node or weight by more than ``GAUSS_DELTA``.  Any other chart, one
-    whose parameter degree is not known, and a one-parameter rule that
-    cannot be built or certified raise :class:`NoExactRuleError`, naming
-    the chart; :func:`study_rules` then falls back.  Gauss-Hermite
-    weights that are not normal doubles raise :class:`QuadratureError`
-    naming the degree.
+    Gauss-Legendre discretization of the weight's support, found from the
+    roots of r^2(t) - 745 (:func:`_weight_rule`), and Golub-Welsch, and
+    certified: they match the discretization's moments below degree
+    2(kD + 1), and a finer discretization moves no node or weight by more
+    than ``GAUSS_DELTA``.  Any other chart, one whose parameter degree is
+    not known, and a one-parameter rule that cannot be built or certified
+    raise :class:`NoExactRuleError`, naming the chart; :func:`study_rules`
+    then falls back.  Gauss-Hermite weights that are not normal doubles
+    raise :class:`QuadratureError` naming the degree.
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")

@@ -328,7 +328,9 @@ def solve_param_bound(chart: VarietyChart, dim: int, radius: float):
     domain baselines), takes the outermost crossing of radius^2 on each
     side and pads it by ``_BOUND_PAD``.  The chart's r^2 eventually
     grows along any unbounded direction, so a doubling search finds a
-    bracket.
+    bracket.  A side with no sample inside the ball raises
+    :class:`GrowthError` naming the interval sampled there, also where the
+    chart meets the ball past the bracket.
     """
     if chart.domains[dim].kind != "unbounded":
         raise ValueError("parameter bounds are only solved for unbounded dimensions")
@@ -355,8 +357,11 @@ def solve_param_bound(chart: VarietyChart, dim: int, radius: float):
     for sign in (1.0, -1.0):
         inside = np.nonzero(radial_along(sign * ts) <= r2cap)[0]
         if inside.size == 0:
+            side = sorted((0.0, sign * span))
             raise GrowthError(
-                f"chart misses the ball of radius {radius:g} along parameter {dim}"
+                f"chart misses the ball of radius {radius:g} along parameter {dim}: "
+                f"no sample of [{side[0]:g}, {side[1]:g}], on one side of its baseline "
+                f"{base[dim]:g}, has r^2 <= {r2cap:g}"
             )
         out.append(sign * ts[inside[-1]] * (1.0 + _BOUND_PAD))
     hi, lo = out

@@ -28,6 +28,14 @@ def cylinder_spec(tmp_path):
 
 
 @pytest.fixture()
+def shifted_cylinder_spec(tmp_path):
+    # the unit cylinder with its weight about u1 = 60, past the box solver's bracket
+    path = tmp_path / "shifted_cylinder.json"
+    path.write_text(json.dumps({"kind": "revolution", "f": "1", "h": "1*x1^1-60"}))
+    return path
+
+
+@pytest.fixture()
 def graph_spec(tmp_path):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps({"kind": "graph", "components": ["1*x1^2"]}))
@@ -170,6 +178,19 @@ class TestMoments:
         lines = capsys.readouterr().err.splitlines()
         assert code == EXIT_NUMERICAL
         assert len(lines) == 1 and lines[0].startswith(f"gaussvar {command}: ")
+
+    @pytest.mark.parametrize("command", ["moments", "project", "equivalence"])
+    def test_a_chart_past_the_sampled_bracket_names_the_interval(self, command,
+                                                                 shifted_cylinder_spec,
+                                                                 tmp_path, capsys):
+        # every u1 in [50.05, 69.95] lies in the ball, but the box solver samples
+        # only [-20, 20]; the message names the side it found empty
+        code = main([command, "--spec", str(shifted_cylinder_spec),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err.splitlines() == [
+            f"gaussvar {command}: chart misses the ball of radius 10 along parameter 0: "
+            f"no sample of [0, 20], on one side of its baseline 0, has r^2 <= 100"]
 
     @pytest.mark.parametrize("spec,field", [
         ({"kind": ["graph"]}, "kind must be one of"),
@@ -354,6 +375,32 @@ class TestBasis:
         classes, divisors = (table.cache_info() for table in tables)
         assert (classes.misses, classes.hits) == (1, 5)  # 4 gram_matrix + 2 gram_to_csv
         assert (divisors.misses, divisors.hits) == (1, 3)  # 4 orthonormalize
+
+    def test_a_cylinder_shifted_in_its_parameter_gets_the_cylinders_gram(
+            self, cylinder_spec, shifted_cylinder_spec, tmp_path):
+        grams = []
+        for spec in (cylinder_spec, shifted_cylinder_spec):
+            out = tmp_path / spec.stem
+            assert main(["basis", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
+            grams.append(np.array([float(r[2]) for r in read_rows(out / "gram.csv")[1]]))
+        G, ref = (g.reshape(84, 84) for g in grams)  # degree 6: 84 monomials
+        d = np.sqrt(np.diag(ref))
+        assert np.max(np.abs(G - ref) / np.outer(d, d)) <= 1e-12
+
+    @pytest.mark.parametrize("command", ["basis", "project"])
+    @pytest.mark.parametrize("degree,count", [(28, 4495), (200, 1373701)])
+    def test_a_degree_past_the_monomial_limit_exits_2(self, command, degree, count,
+                                                      cylinder_spec, tmp_path, capsys,
+                                                      monkeypatch):
+        # refused before a rule is chosen, let alone a Gram matrix allocated
+        monkeypatch.setattr(quadrature, "study_rules",
+                            lambda *a, **k: pytest.fail("a rule was chosen"))
+        code = main([command, "--spec", str(cylinder_spec), "--degree", str(degree),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"gaussvar {command}: --degree {degree} gives {count} monomials in 3 "
+            f"variables, more than the limit 4096"]
 
     def test_huge_degree_writes_one_stderr_line(self, euclid_spec, tmp_path, src_env):
         # hermgauss warns of overflow at 401 nodes; in a child interpreter under

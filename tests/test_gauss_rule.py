@@ -12,7 +12,7 @@ from gaussvar import (
     GAUSS_DELTA, MultiPoly, NoExactRuleError, QuadratureError, QuadRule,
     build_rule, chart_circle, chart_euclidean, chart_graph, chart_modulus_graph,
     chart_revolution, discretize, gauss_rule, gram_matrix, hermite_target_rule,
-    load_chart, parse_poly, quadrature, study_rules, truncated_rule,
+    load_chart, orthonormalize, parse_poly, quadrature, study_rules, truncated_rule,
 )
 from gaussvar.cli import EXIT_OK, main
 from gaussvar.polyring import squared_norms
@@ -161,6 +161,14 @@ class TestExactness:
         ref = gram_matrix(chart, degree, gauss_rule(chart, degree + 4)).gram
         assert gram_error(G, ref) <= TOL
 
+    @pytest.mark.parametrize("shift", [60, 200, 1000])
+    def test_a_cylinder_shifted_in_its_parameter_is_the_cylinder(self, shift):
+        # the same surface, with its weight about u1 = shift: past sqrt(745) from 0
+        chart = chart_revolution(parse_poly("1", 1), parse_poly(f"1*x1^1-{shift}", 1))
+        gb = gram_matrix(chart, 6, gauss_rule(chart, 6))
+        assert gram_error(gb.gram, exact_gram(CYLINDER, 6)) <= 1e-12
+        assert orthonormalize(gb).rank == 49  # the cylinder's Hilbert function at D = 6
+
     def test_bounded_graph(self):
         chart = chart_graph([parse_poly("1*x1^2", 1)], domain=(-1.0, 2.0))
         ref = gram_matrix(chart, 5, build_rule(chart, 2.0, 200)).gram
@@ -177,6 +185,17 @@ class TestNoExactRule:
         with pytest.raises(NoExactRuleError, match="no exact Gram rule"):
             gauss_rule(chart, 2)
 
+    @pytest.mark.parametrize("chart,k", [
+        (chart_graph([parse_poly("1*x1^3", 1)]), 2),
+        (chart_graph([parse_poly("1*x1^3", 1)]), 1),
+        (chart_revolution(parse_poly("2+1*x1^2", 1), parse_poly("1*x1^1", 1)), 1),
+        (chart_modulus_graph(parse_poly("1*x1^3", 1)), 2),
+    ], ids=["graph-x3-k2", "graph-x3-k1", "revolution-2+u2-k1", "modgraph-z3-k2"])
+    def test_a_parameter_degree_below_that_of_r2_raises(self, chart, k):
+        # r^2 interpolated at too low a degree misses the chart at its roots
+        with pytest.raises(NoExactRuleError, match=f"off 745 .* degree-{2 * k} interpolant"):
+            gauss_rule(dataclasses.replace(chart, param_degree=k), 4)
+
     @pytest.mark.parametrize("spec,weight", [
         ('{"kind": "modulus_graph", "F": "1+1*x1^2"}', "gauss"),
         ('{"kind": "circle"}', "none"),
@@ -192,6 +211,72 @@ class TestNoExactRule:
         assert main(["basis", "--spec", str(path), "--degree", "3", "--weight", weight,
                      "--out", str(tmp_path / "o")]) == EXIT_OK
         assert len(calls) == 1
+
+
+def poly(coeffs):
+    """The univariate polynomial sum_j coeffs[j] u^j."""
+    return MultiPoly(1, {(j,): c for j, c in enumerate(coeffs) if c})
+
+
+def shifted(coeffs, s):
+    """The polynomial sum_j coeffs[j] (u - s)^j, expanded."""
+    P = np.polynomial.Polynomial
+    return poly(P(coeffs)(P([-s, 1.0])).coef.tolist())
+
+
+HALVES = st.integers(-6, 6).map(lambda i: i / 2.0)
+WEIGHT_CHARTS = st.one_of(
+    st.lists(st.lists(HALVES, min_size=1, max_size=5), min_size=1, max_size=2).map(
+        lambda comps: chart_graph([poly(c) for c in comps])),
+    st.builds(  # f = a + b v^2 > 0, h = c v + d v^2 + e v^3, v = u - s: no kink
+        lambda a, b, c, d, e, s: chart_revolution(shifted([a, 0.0, b], s),
+                                                  shifted([0.0, c, d, e], s)),
+        st.floats(0.5, 4.0), st.sampled_from([0.5, 1.0]),  # f' = 0 only where h' = c
+        st.sampled_from([-2.0, -0.5, 0.5, 1.0, 3.0]), HALVES, HALVES,
+        st.floats(-10.0, 10.0)),
+    st.builds(lambda c, k: chart_modulus_graph(poly([0.0] * k + [c])),
+              st.floats(0.01, 100.0) | st.complex_numbers(min_magnitude=0.01,
+                                                          max_magnitude=100.0),
+              st.integers(1, 4)),
+)
+
+
+class TestWeightSupport:
+    """On an unbounded parameter the weight's support is where r^2 < 745, found
+    from the roots of r^2(t) - 745; a dense scan of r^2 is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(chart=WEIGHT_CHARTS)
+    @example(chart=chart_revolution(poly([1.0]), poly([-1000.0, 1.0])))
+    @example(chart=chart_graph([poly([0.0, 0.0, 0.0, 0.0, 0.0, 3.0])]))
+    def test_the_support_is_where_r2_is_below_745(self, chart):
+        spans = []
+        original = quadrature._panels
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "_panels",
+                       lambda lo, hi, panels: spans.append((lo, hi)) or original(lo, hi, panels))
+            try:
+                gauss_rule(chart, 2)
+            except NoExactRuleError as exc:  # a density too rough for the panels
+                assert "finer discretization moves" in str(exc)
+        (lo, hi), polar = spans[0], chart.kind == "modulus_graph"
+        assert spans[1] == (lo, hi)  # the finer discretization: same support, more panels
+
+        def r2(t):
+            U = np.zeros((t.size, chart.intrinsic_dim))
+            U[:, 0] = t
+            return chart.radial_sq(U)
+
+        ends = r2(np.array([hi] if polar else [lo, hi]))
+        np.testing.assert_allclose(ends, 745.0, rtol=1e-9)
+        assert lo == 0.0 if polar else lo < hi
+        # the 4097-point scan the roots replaced, on a window twice the support's
+        half = max(0.5 * (hi - lo), math.sqrt(745.0))
+        grid = np.linspace(0.5 * (lo + hi) - 2.0 * half, 0.5 * (lo + hi) + 2.0 * half, 4097)
+        outside = grid[(grid < lo) | (grid > hi)]
+        if polar:
+            outside = outside[outside >= 0.0]
+        assert np.all(r2(outside) >= 745.0 * (1.0 - 1e-9))
 
 
 @pytest.fixture

@@ -65,3 +65,27 @@ def test_a_rel_gap_is_compared_by_its_absolute_difference(tmp_path):
     assert "max rel to 1 " in lines["rel_gap"]
     assert figure(lines["rel_gap"]) == pytest.approx(5.2e-16)
     assert "max abs 5.2e-16" in lines["rel_gap"]
+
+
+def test_nan_beside_nan_is_no_difference(tmp_path):
+    # the lemma's cstar column is NaN where the closed form does not apply
+    lines = differences(tmp_path, "cm.csv",
+                        "m,cstar,cbrute\n1,nan,2\n2,nan,3\n",
+                        "m,cstar,cbrute\n1,nan,2\n2,nan,3.5\n")
+    assert lines["cstar"] == "  cstar: max abs 0, max rel 0"
+    assert figure(lines["cbrute"]) == pytest.approx(0.5 / 3.0, rel=1e-2)  # printed to 3 digits
+
+
+def test_a_leading_nan_does_not_hide_a_later_gap(tmp_path):
+    lines = differences(tmp_path, "cm.csv",
+                        "m,cstar\n1,nan\n2,4\n3,5\n",
+                        "m,cstar\n1,nan\n2,4\n3,6\n")
+    assert "max abs 1," in lines["cstar"]
+    assert figure(lines["cstar"]) == pytest.approx(0.2)
+
+
+def test_nan_beside_a_number_reads_inf(tmp_path):
+    lines = differences(tmp_path, "cm.csv",
+                        "m,cstar\n1,nan\n2,4\n",
+                        "m,cstar\n1,1\n2,5\n")
+    assert lines["cstar"] == "  cstar: max abs inf, max rel inf"

@@ -24,7 +24,8 @@ element for a basis coefficient, f_norm for a residual norm, and 1 for
 the weighted equivalence's rel_gap, which is a relative number already --
 so that a cell that is zero by symmetry or cancellation, or a gap at the
 rounding level, does not read inf or O(1); every other cell is scaled by
-its own value.
+its own value.  Equal cells, NaN beside NaN too, differ by 0, and NaN
+beside a number differs by inf.
 """
 
 from __future__ import annotations
@@ -132,8 +133,12 @@ def numeric_differences(a: Path, b: Path) -> list[str]:
             scales, label = scales_of([dict(zip(ra[0], r)) for r in ra[1:]]), f"to {what} "
         else:
             scales, label = [abs(x) for x, _ in pairs], ""
-        diffs = [(abs(x - y), abs(x - y) / s if s else math.inf)
-                 for (x, y), s in zip(pairs, scales) if x != y]
+        diffs = []
+        for (x, y), s in zip(pairs, scales):
+            if x == y or math.isnan(x) and math.isnan(y):  # NaN beside NaN is equal
+                continue
+            d = (abs(x - y), abs(x - y) / s if s else math.inf)
+            diffs.append([math.inf if math.isnan(v) else v for v in d])  # NaN beside a number
         most = [max(d) for d in zip(*diffs)] or [0.0, 0.0]
         out.append(f"  {name}: max abs {most[0]:.3g}, max rel {label}{most[1]:.3g}")
     return out
