@@ -73,19 +73,14 @@ _FLAGS = {  # flag -> argparse settings; each command in _COMMANDS sets the defa
     "spec": dict(help="variety spec file (JSON)"),
     "mmax": dict(type=int, help="largest moment/expansion order"),
     "degree": dict(type=int, help="degree cap D"),
-    "eps": dict(type=float, help="tail budget of a truncated rule, and refinement budget "
-                                 "of a euclidean target's rule (quadrature.study_rules)"),
-    "nodes": dict(type=int, help="nodes per dimension of a truncated rule (None: "
-                                 "quadrature.DEFAULT_NODES by domain kind), and pinned rung "
-                                 "of a euclidean target's rule (quadrature.study_rules)"),
+    "eps": dict(type=float, help="tail budget of the truncated rule"),
+    "nodes": dict(type=int, help="nodes per dimension of the truncated rule (None: "
+                                 "quadrature.DEFAULT_NODES by domain kind)"),
     "weight": dict(choices=("gauss", "none"), help="inner-product weight"),
     "alpha": dict(type=float, help="exponent of the target e^{alpha r^2}"),
     "k": dict(help="comma-separated wavevector lengths"),
 }
 _OWN_HELP = {  # command -> {flag: help} where the shared help is not true of it
-    "moments": {"eps": "tail budget of the truncated rule",
-                "nodes": "nodes per dimension of the truncated rule (None: "
-                         "quadrature.DEFAULT_NODES by domain kind)"},
     "equivalence": {"eps": "tail budget of the truncated rules of both sides",
                     "nodes": "nodes per dimension of the left side's truncated rule (None: "
                              "quadrature.DEFAULT_NODES by domain kind); the right side's "
@@ -94,6 +89,10 @@ _OWN_HELP = {  # command -> {flag: help} where the shared help is not true of it
                      "where the chart has no exact Gram rule (quadrature.study_rules)",
               "nodes": "nodes per dimension of that truncated rule (None: "
                        "quadrature.DEFAULT_NODES by domain kind)"},
+    "project": {"eps": "budget of the 1-D projection's panel certificate "
+                       "(orthobasis.project_radial), else tail budget of the truncated rule",
+                "nodes": "nodes per dimension of the truncated rule of charts without a "
+                         "1-D projection, as for basis (None: quadrature.DEFAULT_NODES)"},
 }
 _SPEC = (None, _need(bool, "given"))
 _EPS = (quadrature.DEFAULT_EPS, _need(lambda v: v > 0, "positive"))  # v > 0 is False for NaN
@@ -131,22 +130,22 @@ def cmd_growth(args, out: Path) -> None:
 
 
 def _weighted_chart(args):
-    """The spec's chart, with --weight checked: none needs finite volume."""
+    """The spec's chart, with --weight checked (none needs finite volume), and --degree:
+    more than ``_MAX_MONOMIALS`` monomials in its ambient coordinates are refused."""
     chart = load_chart(args.spec)
     if args.weight == "none" and not _compact(chart):
         raise ConfigError(f"--weight none needs a compact chart, got {chart.chart_id}")
-    return chart
-
-
-def _study(args, chart, target=None):
-    """The basis to --degree on the Gram rule of :func:`quadrature.study_rules`, and
-    the rule for ``target``.  A --degree with more than ``_MAX_MONOMIALS``
-    monomials in the chart's ambient coordinates is refused before any rule."""
     count = math.comb(chart.ambient_dim + args.degree, args.degree)
     if count > _MAX_MONOMIALS:
         raise ConfigError(f"--degree {args.degree} gives {count} monomials in "
                           f"{chart.ambient_dim} variables, more than the limit "
                           f"{_MAX_MONOMIALS}")
+    return chart
+
+
+def _study(args, chart, target=None):
+    """The basis to --degree on the Gram rule of :func:`quadrature.study_rules`, and
+    the rule for ``target``."""
     gram_rule, rule = quadrature.study_rules(chart, args.degree, args.weight, target,
                                              args.eps, args.nodes)
     gram = orthobasis.gram_matrix(chart, args.degree, gram_rule, weight=args.weight)
@@ -162,8 +161,13 @@ def cmd_basis(args, out: Path) -> None:
 def cmd_project(args, out: Path) -> None:
     chart = _weighted_chart(args)
     target = _exp_target(chart, args.alpha)
-    gb, rule = _study(args, chart, target)
-    reports = orthobasis.project(gb, target, rule)
+    # the modulus graph of c z^k is rotation invariant too, but its reference.json
+    # values were recorded on the truncated rule: it moves with ROADMAP item 22
+    if args.weight == "gauss" and chart.kind in ("euclidean", "revolution"):
+        reports = orthobasis.project_radial(chart, args.alpha, args.degree, args.eps)
+    else:
+        gb, rule = _study(args, chart, target)
+        reports = orthobasis.project(gb, target, rule)
     orthobasis.projections_to_csv(reports[2::2], out / "projection.csv")
 
 

@@ -26,7 +26,9 @@ Gram matrix and one elimination at D_max serve a whole degree sweep, and
 :func:`project` reports every D <= D_max at once.  It never forms the basis
 values: the coefficients come from the target's moment vector against the
 monomials, and each degree's projection is one polynomial in the monomials,
-evaluated once per block of :func:`quadrature.node_blocks`.
+evaluated once per block of :func:`quadrature.node_blocks`.  On R^n and on a
+revolution :func:`project_radial` projects e^{alpha r^2} in one parameter
+instead, on the rotation invariants, and forms no Gram matrix.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .polyring import MultiPoly, monomial_values, monomials_up_to_degree
-from .quadrature import QuadRule, QuadratureError, _block_sum, node_blocks, study_rules
+from .quadrature import (DEFAULT_EPS, QuadRule, QuadratureError, _block_sum,
+                         _profile_panels, node_blocks, study_rules)
 from .variety import VarietyChart, chart_euclidean, chart_graph
 
 __all__ = [
@@ -48,6 +51,7 @@ __all__ = [
     "gram_matrix",
     "orthonormalize",
     "project",
+    "project_radial",
     "basis_inner_products",
     "weighted_equivalence_check",
     "classic_recovery",
@@ -326,6 +330,84 @@ def project(gb: GramBasis, f, rule: QuadRule) -> list[ProjectionReport]:
     return [ProjectionReport(degree_cap=D, coefficients=coeffs[:end],
                              residual_norm=math.sqrt(max(float(r2), 0.0)), f_norm=f_norm)
             for D, (end, r2) in enumerate(zip(ends, res2))]
+
+
+_KEEP = 1e-8  # least fraction of its norm a kept 1-D candidate leaves after CGS2
+
+
+def _radial_norms(chart: VarietyChart, alpha: float, degree: int, U, X, r2, plain):
+    """[f_norm, residual norms for D = 0..degree], the coefficients and the kept
+    count per degree, on one discretization of t; see :func:`project_radial`."""
+    t, n = U[:, 0], chart.ambient_dim
+    if chart.kind == "euclidean":  # |S^{n-1}| t^{n-1} dt; the invariant |x|^2
+        root = np.sqrt(plain * 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n) * t ** (n - 1))
+        s, z, top = r2, None, 0
+    else:  # 2 pi density(t, 0) dt; the invariants x^2 + y^2 and z
+        root = np.sqrt(plain * 2.0 * math.pi * chart.volume_density(U))
+        s, z, top = X[:, 0] * X[:, 0], X[:, 2], degree
+    layers = [[((d - j) // 2, j) for j in range(d, -1, -2) if j <= top]
+              for d in range(degree + 1)]
+    Q, rows, coeffs, ends = np.empty((sum(map(len, layers)), len(U))), {}, [], []
+    with np.errstate(over="ignore", invalid="ignore"):  # the norms are checked below
+        rest = root * np.exp((alpha - 0.5) * r2)  # sqrt(W) f, as one exponential
+        norms = [math.sqrt(rest @ rest)]
+        for layer in layers:
+            for i, j in layer:
+                parent = (i, j - 1) if j else (i - 1, 0)
+                if parent in rows:
+                    v = Q[rows[parent]] * (z if j else s)
+                elif (i, j) == (0, 0):
+                    v = root * np.exp(-0.5 * r2)  # sqrt(W)
+                else:  # the parent lies in the span of earlier candidates, and so does v
+                    continue
+                k, size = len(coeffs), math.sqrt(v @ v)
+                for _ in range(2):
+                    v = v - (Q[:k] @ v) @ Q[:k]
+                if math.sqrt(v @ v) > _KEEP * size:
+                    Q[k], rows[(i, j)] = v / math.sqrt(v @ v), k
+                    coeffs.append(Q[k] @ rest)
+                    rest -= coeffs[-1] * Q[k]
+            norms.append(math.sqrt(rest @ rest))
+            ends.append(len(coeffs))
+    if not all(map(math.isfinite, norms)):
+        raise QuadratureError(f"non-finite squared target norm {norms[0] ** 2} or residual")
+    return norms, coeffs, ends
+
+
+def project_radial(chart: VarietyChart, alpha: float, degree: int,
+                   eps: float = DEFAULT_EPS) -> list[ProjectionReport]:
+    """Project f = e^{alpha r^2} onto every degree slice D <= ``degree``, in 1-D.
+
+    On R^n and on a revolution the chart, e^{-r^2} dmu and f are invariant
+    under rotations, so the best approximation is too (the Reynolds operator):
+    it lies in the span of the invariants s^i z^j, 2i + j <= D, with s = |x|^2
+    (j = 0) on R^n and s = x^2 + y^2 on a revolution.  These are functions of
+    the first parameter t, under |S^{n-1}| t^{n-1} e^{-t^2} dt on t >= 0, or
+    2 pi e^{-r^2} density(t, 0) dt.  The candidates go by degree, z's exponent
+    falling; each is z or s times its parent's orthonormal vector (Arnoldi),
+    orthogonalized twice (CGS2), and dropped, with every later candidate made
+    from it, when it keeps at most ``_KEEP`` of its norm.  Both discretizations
+    of :func:`quadrature._profile_panels` are used, on the support where
+    min(1, 1 - 2 alpha) r^2 < 745, and the finer is reported; a move of f_norm or
+    a residual above ``eps`` f_norm between them raises :class:`QuadratureError`
+    naming D.  Other charts, and alpha >= 1/2 on a non-compact one, raise ValueError.
+    """
+    if chart.kind not in ("euclidean", "revolution"):
+        raise ValueError(f"no 1-D projection on {chart.chart_id}")
+    if chart.domains[0].kind == "unbounded" and not alpha < 0.5:
+        raise ValueError(f"e^(alpha r^2) is in L^2 for alpha < 1/2 only, got {alpha}")
+    samples = _profile_panels(chart, min(1.0, 1.0 - 2.0 * alpha), chart.kind == "euclidean")
+    (coarse, *_), (norms, coeffs, ends) = (_radial_norms(chart, alpha, degree, *sample)
+                                           for sample in samples)
+    moves = np.abs(np.subtract(norms, coarse)) / norms[0]
+    worst = int(np.argmax(moves))
+    if not moves[worst] <= eps:
+        what = f"the residual at D = {worst - 1}" if worst else "f_norm"
+        raise QuadratureError(f"twice the panels move {what} by {moves[worst]:.3g} f_norm, "
+                              f"more than eps={eps:g}")
+    return [ProjectionReport(degree_cap=D, coefficients=np.array(coeffs[:end]),
+                             residual_norm=r, f_norm=norms[0])
+            for D, (end, r) in enumerate(zip(ends, norms[1:]))]
 
 
 def basis_inner_products(gb: GramBasis, rule: QuadRule) -> np.ndarray:

@@ -20,8 +20,9 @@ parameter: Gauss-Hermite on a euclidean chart, whose weight e^{-|u|^2}
 splits per coordinate; the trapezoid on the circle; and on graphs,
 revolutions and the modulus graph of c z^k a Gauss rule for the weight
 e^{-r^2} density in u1 or in rho = |u|, built by Lanczos and Golub-Welsch
-and certified against a finer discretization.  The polar rule of the
-modulus graph is given by points and weights, not as a tensor product.
+on the two panel discretizations of :func:`_profile_panels`, which
+``orthobasis.project_radial`` reads too, and certified by comparing them.
+The polar rule of the modulus graph is given by points and weights.
 :func:`study_rules` is the one place that chooses a study's rules.
 
 :func:`node_blocks` samples a chart on a rule once per node, one block of
@@ -63,7 +64,6 @@ __all__ = [
     "IntegrabilityScan",
     "build_rule",
     "gauss_rule",
-    "hermite_target_rule",
     "truncated_rule",
     "study_rules",
     "discretize",
@@ -324,55 +324,45 @@ def _certify(rule, coarse, t, w) -> None:
                               f"rule by {moved:.3g}, more than {GAUSS_DELTA:g}")
 
 
-def _weight_rule(chart: VarietyChart, n: int, polar: bool):
-    """Nodes and weights of the n-node Gauss rule in the first parameter t for
-    w(t) = e^{-r^2} density at (t, 0, ...), times t on [0, inf) when ``polar``.
+def _profile_panels(chart: VarietyChart, decay: float = 1.0, half: bool = False):
+    """The chart at (t, 0, ...) on P Gauss-Legendre panels of a weight's support in
+    its first parameter t, and on 2P: (U, X = embed(U), r^2 = |X|^2, plain weights).
 
-    The weight is discretized on ``_PANELS`` panels of its support and on
-    twice as many, and :func:`_certify` compares the rules built on the
-    two; the finer one is returned.  On an unbounded domain r^2(t) is a
-    polynomial of degree 2k (k = ``chart.param_degree``), so the support,
-    where r^2 < ``_WEIGHT_CAP`` (past which e^{-r^2} is 0 in a double), ends
-    at the outermost real roots of r^2(t) - ``_WEIGHT_CAP``.  r^2 is
-    interpolated at 2k + 1 Chebyshev points on [-sqrt(cap), sqrt(cap)], and
-    again between the roots found, so that the final roots are not
-    extrapolated; the chart's r^2 there must be the cap within
-    ``GAUSS_DELTA`` relative, which fails where k understates r^2's degree.
-    A polar support starts at t = 0.
+    A bounded support is the domain, with P = ``_PANELS``.  An unbounded one,
+    where decay r^2 < ``_WEIGHT_CAP`` (past which e^{-decay r^2} is 0 in a
+    double), ends at the outermost real roots of r^2(t) - cap, cap =
+    ``_WEIGHT_CAP`` / decay: r^2 is a polynomial of degree 2k (k =
+    ``chart.param_degree``), interpolated at Chebyshev points on [-sqrt(cap),
+    sqrt(cap)] and again between the roots found, and must be the cap at the
+    ends within ``GAUSS_DELTA`` relative.  A ``half`` support starts at t = 0.
+    It is up to 1 / sqrt(decay) as wide as where r^2 < ``_WEIGHT_CAP``, and P
+    is ``_PANELS`` / sqrt(decay), rounded up.
     """
-    dom = chart.domains[0]
-
-    def weight(t):
+    def along(t):
         U = np.zeros((t.size, chart.intrinsic_dim))
         U[:, 0] = t
-        with np.errstate(all="ignore"):  # checked right below
-            r2 = squared_norms(chart.embed(U))
-            w = np.exp(-r2) * chart.volume_density(U) * (t if polar else 1.0)
-        _check_nodes(U, w, "Gram weight")
-        return r2, w
+        with np.errstate(all="ignore"):  # the callers check what they form from r^2
+            X = chart.embed(U)
+            return U, X, squared_norms(X)
 
-    lo, hi, deg = dom.lo, dom.hi, 2 * chart.param_degree
+    dom = chart.domains[0]
+    lo, hi, deg, panels = dom.lo, dom.hi, 2 * chart.param_degree, _PANELS
     if dom.kind == "unbounded":
-        lo, hi = -math.sqrt(_WEIGHT_CAP), math.sqrt(_WEIGHT_CAP)
+        cap, panels = _WEIGHT_CAP / decay, math.ceil(_PANELS / math.sqrt(decay))
+        lo, hi = -math.sqrt(cap), math.sqrt(cap)
         for _ in range(2):  # the second fit is on the support the first one found
-            roots = (np.polynomial.Chebyshev.interpolate(lambda t: weight(t)[0], deg, (lo, hi))
-                     - _WEIGHT_CAP).roots()
+            roots = (np.polynomial.Chebyshev.interpolate(lambda t: along(t)[2], deg, (lo, hi))
+                     - cap).roots()
             ends = roots.real[roots.imag == 0]
             if not (ends.size and ends.min() < ends.max()):
-                raise QuadratureError(f"|x|^2 >= {_WEIGHT_CAP:g} along the weight's parameter")
+                raise QuadratureError(f"|x|^2 >= {cap:g} along the weight's parameter")
             lo, hi = ends.min(), ends.max()
-        miss = np.max(np.abs(weight(np.array([lo, hi]))[0] / _WEIGHT_CAP - 1.0))
+        miss = np.max(np.abs(along(np.array([lo, hi]))[2] / cap - 1.0))
         if not miss <= GAUSS_DELTA:
-            raise QuadratureError(f"|x|^2 is off {_WEIGHT_CAP:g} by {miss:.3g} relative at the "
+            raise QuadratureError(f"|x|^2 is off {cap:g} by {miss:.3g} relative at the "
                                   f"ends of the support its degree-{deg} interpolant gives")
-        lo = max(lo, 0.0) if polar else lo
-    discs = []
-    for t, plain in (_panels(lo, hi, _PANELS), _panels(lo, hi, 2 * _PANELS)):
-        w = plain * weight(t)[1]
-        discs.append((t[w > 0], w[w > 0]))  # past the cap e^{-r^2} is 0
-    coarse, fine = (_lanczos_gauss(t, w, n) for t, w in discs)
-    _certify(fine, coarse, *discs[1])
-    return fine
+        lo = max(lo, 0.0) if half else lo
+    return [(*along(t), plain) for t, plain in (_panels(lo, hi, p) for p in (panels, 2 * panels))]
 
 
 def gauss_rule(chart: VarietyChart, degree: int) -> QuadRule:
@@ -393,7 +383,7 @@ def gauss_rule(chart: VarietyChart, degree: int) -> QuadRule:
 
     The Gauss rules in one parameter are built by Lanczos on a composite
     Gauss-Legendre discretization of the weight's support, found from the
-    roots of r^2(t) - 745 (:func:`_weight_rule`), and Golub-Welsch, and
+    roots of r^2(t) - 745 (:func:`_profile_panels`), and Golub-Welsch, and
     certified: they match the discretization's moments below degree
     2(kD + 1), and a finer discretization moves no node or weight by more
     than ``GAUSS_DELTA``.  Any other chart, one whose parameter degree is
@@ -416,8 +406,15 @@ def gauss_rule(chart: VarietyChart, degree: int) -> QuadRule:
     k, polar = chart.param_degree, chart.kind == "modulus_graph" and chart.radial
     if k is None or not (polar or chart.kind in ("graph", "revolution")):
         raise NoExactRuleError(f"no exact Gram rule for {chart.chart_id}")
-    try:
-        t, w = _weight_rule(chart, k * degree + 1, polar)
+    try:  # the weight e^{-r^2} density, times t when polar, on both discretizations
+        discs = []
+        for U, _, r2, plain in _profile_panels(chart, half=polar):
+            with np.errstate(all="ignore"):  # checked right below
+                w = plain * (np.exp(-r2) * chart.volume_density(U) * (U[:, 0] if polar else 1.0))
+            _check_nodes(U, w, "Gram weight")
+            discs.append((U[w > 0, 0], w[w > 0]))  # past the cap e^{-r^2} is 0
+        coarse, (t, w) = (_lanczos_gauss(t, w, k * degree + 1) for t, w in discs)
+        _certify((t, w), coarse, *discs[1])
     except QuadratureError as exc:
         raise NoExactRuleError(f"no certified Gram rule for {chart.chart_id}: {exc}") from exc
     if polar:
@@ -429,60 +426,6 @@ def gauss_rule(chart: VarietyChart, degree: int) -> QuadRule:
     lo, hi = (dom.lo, dom.hi) if dom.kind == "bounded" else (-math.inf, math.inf)
     dims = (DimRule(dom.kind, lo, hi, t, w),)
     return QuadRule(dims if chart.kind == "graph" else dims + (trig,), math.inf)
-
-
-_RUNG = 8  # node-count step between the rungs of a target rule's refinement check
-
-
-def hermite_target_rule(chart: VarietyChart, f, degree: int, eps: float = DEFAULT_EPS,
-                        nodes=None) -> tuple[QuadRule, float]:
-    """The Gauss-Hermite tensor rule to project ``f`` on up to ``degree``, and its delta.
-
-    Rung n is ``gauss_rule(chart, n - 1)``, n nodes per dimension and
-    nothing truncated.  Its delta is the largest relative change of
-    integral f^2  and  integral f (1 + r^2)^degree  against e^{-r^2} dmu
-    from rung n to rung n + 8.  The second stands for the products f p,
-    p of degree up to ``degree``, in the residual (f - p)^2: f^2 alone can
-    settle on too few nodes for them.  The rungs tried
-    are the multiples of 8 from the first one >= degree + 1 whose check
-    rung has at most ``DEFAULT_NODES["unbounded"]`` nodes per dimension, or
-    ``nodes`` alone when it is given.  The first rung whose delta is at most
-    ``eps`` is returned; when none is, :class:`QuadratureError` names eps
-    and the last delta.  ``f`` is sampled once per rung.  A chart that is
-    not euclidean raises :class:`QuadratureError` naming it.
-    """
-    if chart.kind != "euclidean":
-        raise QuadratureError(f"the Gauss-Hermite target rule is for euclidean charts "
-                              f"only, not {chart.chart_id}")
-    if nodes is None:
-        first = -(-(degree + 1) // _RUNG) * _RUNG
-        rungs = range(first, DEFAULT_NODES["unbounded"] - _RUNG + 1, _RUNG)
-        if not rungs:
-            raise QuadratureError(f"no Gauss-Hermite target rule for degree {degree}: "
-                                  f"its first rung, {first} nodes per dimension, has no "
-                                  f"check rung within {DEFAULT_NODES['unbounded']}")
-    else:
-        rungs = [nodes]
-
-    def partial(block):
-        fvals = block.sample(f)
-        wf = block.weights() * fvals
-        return np.array([np.sum(wf * fvals), np.sum(wf * (1.0 + block.r2) ** degree)])
-
-    def integrals(n):
-        rule = gauss_rule(chart, n - 1)
-        return rule, _block_sum(chart, rule, partial)
-
-    rule, coarse = integrals(rungs[0])
-    for n in rungs:
-        fine_rule, fine = integrals(n + _RUNG)
-        delta = float(np.max(np.abs(fine - coarse) / np.abs(fine)))
-        if delta <= eps:
-            return rule, delta
-        rule, coarse = fine_rule, fine
-    raise QuadratureError(f"no Gauss-Hermite target rule meets eps={eps:g}: the last rung "
-                          f"tried, {n} nodes per dimension, has delta {delta:.3g} "
-                          f"against {n + _RUNG}")
 
 
 def _check_nodes(U: np.ndarray, vals: np.ndarray, what: str, start: int = 0) -> None:
@@ -683,29 +626,20 @@ def truncated_rule(chart: VarietyChart, m_max: int, eps: float = DEFAULT_EPS,
 def study_rules(chart: VarietyChart, degree: int, weight: str = "gauss", target=None,
                 eps: float = DEFAULT_EPS, nodes=None) -> tuple[QuadRule, QuadRule]:
     """The rules for the degree-``degree`` Gram matrix under ``weight`` and for
-    ``target``: the one place a study's rules are chosen.
-
-    - Under ``weight="gauss"``, with no target or on a euclidean chart, the
-      Gram rule is the exact :func:`gauss_rule`; ``eps`` and ``nodes`` do not
-      change it.  Only :class:`NoExactRuleError` falls back.
-    - A target on a euclidean chart gets :func:`hermite_target_rule`: ``eps``
-      is its refinement budget, not a tail budget, and ``nodes`` pins its rung.
-    - Otherwise the Gram matrix and the target share one :func:`truncated_rule`
-      for orders up to 2 ``degree``, with tail budget ``eps`` and ``nodes``.
-
-    With no target the target rule is the Gram rule.  Any other
-    :class:`QuadratureError` propagates.
+    ``target``: the one place a study's rules are chosen.  Under ``weight="gauss"``
+    with no target both are the exact :func:`gauss_rule`, and only
+    :class:`NoExactRuleError` falls back; otherwise, and then, both are one
+    :func:`truncated_rule` for orders up to 2 ``degree``, with tail budget ``eps``
+    and ``nodes``.  Any other :class:`QuadratureError` propagates.
     """
     rule = None
-    if weight == "gauss" and (target is None or chart.kind == "euclidean"):
+    if weight == "gauss" and target is None:
         try:
             rule = gauss_rule(chart, degree)
         except NoExactRuleError:
             pass
     if rule is None:
         rule = truncated_rule(chart, 2 * degree, eps, nodes)[1]
-    elif target is not None:
-        return rule, hermite_target_rule(chart, target, degree, eps, nodes)[0]
     return rule, rule
 
 

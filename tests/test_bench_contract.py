@@ -90,7 +90,7 @@ def test_selftest_passes(src_env):
 (WORKLOADS,) = load_bench_modules("workloads")
 
 # (chart, coefficient scale, alpha): the lowest and highest levels of each draw, and
-# every alpha for euclid3, whose target rule a refinement check chooses per alpha.
+# every alpha for euclid3, whose 1-D projection's support and panels grow with alpha.
 # reference.json's euclid3 f_norm comes from the truncated rule, 7.4e-10 off the
 # closed form at alpha 0.375, where check.py allows 1e-9.
 EXTREME_PROJECTIONS = [("euclid3", 1.0, alpha) for alpha in WORKLOADS.ALPHA_LEVELS] + [

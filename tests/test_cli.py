@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import residual_oracle
 from gaussvar import cli, orthobasis, quadrature, variety
 from gaussvar.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
@@ -179,7 +180,7 @@ class TestMoments:
         assert code == EXIT_NUMERICAL
         assert len(lines) == 1 and lines[0].startswith(f"gaussvar {command}: ")
 
-    @pytest.mark.parametrize("command", ["moments", "project", "equivalence"])
+    @pytest.mark.parametrize("command", ["moments", "equivalence"])
     def test_a_chart_past_the_sampled_bracket_names_the_interval(self, command,
                                                                  shifted_cylinder_spec,
                                                                  tmp_path, capsys):
@@ -226,7 +227,7 @@ class TestRuleSettings:
     @pytest.mark.parametrize("command,rules", [
         pytest.param(("moments",), 1, id="moments"),
         pytest.param(("basis", "--degree", "2"), 0, id="basis"),  # on the exact gauss_rule
-        pytest.param(("project", "--degree", "2"), 1, id="project"),
+        pytest.param(("project", "--degree", "2"), 0, id="project"),  # in 1-D, on no rule
         pytest.param(("equivalence",), 1, id="equivalence")])
     def test_one_truncated_rule_per_study(self, command, rules, cylinder_spec, tmp_path,
                                           monkeypatch):
@@ -242,10 +243,11 @@ class TestRuleSettings:
                      "--out", str(tmp_path / "o")]) == EXIT_OK
         assert len(calls) == rules
 
-    @pytest.mark.parametrize("command,target_rules", [("basis", 0), ("project", 1)])
-    def test_euclidean_gram_needs_no_truncated_rule(self, command, target_rules, euclid_spec,
+    @pytest.mark.parametrize("command,rules", [("basis", ["gauss_rule"]), ("project", [])],
+                             ids=["basis", "project"])
+    def test_euclidean_gram_needs_no_truncated_rule(self, command, rules, euclid_spec,
                                                     tmp_path, monkeypatch):
-        # the Gram rule is Gauss-Hermite, and so is project's refined target rule
+        # the Gram rule is Gauss-Hermite, and project works in 1-D and builds no rule
         calls = []
 
         def counting(name):
@@ -256,15 +258,12 @@ class TestRuleSettings:
                 return original(*args, **kwargs)
             return spy
 
-        for name in ("estimate_growth", "build_rule", "gauss_rule", "hermite_target_rule"):
+        for name in ("estimate_growth", "build_rule", "gauss_rule", "truncated_rule"):
             monkeypatch.setattr(quadrature, name, counting(name))
         assert main([command, "--spec", str(euclid_spec), "--degree", "4",
                      "--out", str(tmp_path / "o")]) == EXIT_OK
-        names = [name for name, _ in calls]
-        assert names.count("estimate_growth") == names.count("build_rule") == 0
-        assert names.count("hermite_target_rule") == target_rules
-        name, (_, degree) = calls[0]
-        assert (name, degree) == ("gauss_rule", 4)  # the Gram rule, built first
+        assert [name for name, _ in calls] == rules
+        assert all(degree == 4 for _, (_, degree) in calls)  # the Gram rule's degree
 
 
 class TestLemma:
@@ -362,7 +361,8 @@ class TestBasis:
     def test_surface_studies_build_the_class_tables_once(self, cylinder_spec, tmp_path):
         # basis and project at degree 12 on both surface charts, as a
         # surface-sweep pass runs them: every Gram matrix, gram.csv and
-        # elimination reads the tables of the same 455 monomials in 3 variables
+        # elimination reads the tables of the same 455 monomials in 3 variables;
+        # the cylinder's project works in 1-D and forms none of them
         modgraph_spec = tmp_path / "modgraph.json"
         modgraph_spec.write_text(json.dumps({"kind": "modulus_graph", "F": "1*x1^2"}))
         tables = (orthobasis._sum_classes, orthobasis._divisor_table)
@@ -373,8 +373,8 @@ class TestBasis:
                 assert main([command, "--spec", str(spec), "--degree", "12",
                              "--out", str(tmp_path / command / spec.stem)]) == EXIT_OK
         classes, divisors = (table.cache_info() for table in tables)
-        assert (classes.misses, classes.hits) == (1, 5)  # 4 gram_matrix + 2 gram_to_csv
-        assert (divisors.misses, divisors.hits) == (1, 3)  # 4 orthonormalize
+        assert (classes.misses, classes.hits) == (1, 4)  # 3 gram_matrix + 2 gram_to_csv
+        assert (divisors.misses, divisors.hits) == (1, 2)  # 3 orthonormalize
 
     def test_a_cylinder_shifted_in_its_parameter_gets_the_cylinders_gram(
             self, cylinder_spec, shifted_cylinder_spec, tmp_path):
@@ -427,7 +427,10 @@ class TestProject:
         rels = [float(r[3]) for r in rows]
         assert all(b < a for a, b in zip(rels, rels[1:]))
 
-    def test_sweep_uses_one_factorization(self, cylinder_spec, tmp_path, monkeypatch):
+    def test_sweep_uses_one_factorization(self, tmp_path, monkeypatch):
+        # on the modulus graph, whose project keeps the Gram path
+        modgraph_spec = tmp_path / "modgraph.json"
+        modgraph_spec.write_text(json.dumps({"kind": "modulus_graph", "F": "1*x1^2"}))
         calls = []
         original = orthobasis.orthonormalize
 
@@ -436,7 +439,7 @@ class TestProject:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(orthobasis, "orthonormalize", counting)
-        assert main(["project", "--spec", str(cylinder_spec), "--degree", "8",
+        assert main(["project", "--spec", str(modgraph_spec), "--degree", "8",
                      "--out", str(tmp_path / "out")]) == EXIT_OK
         assert calls == [8]
 
@@ -447,30 +450,66 @@ class TestProject:
         path.write_text(json.dumps({"kind": "euclidean", "n": 3}))
         return path
 
-    def test_euclidean_target_beyond_the_ladder_exits_1(self, euclid3_spec, tmp_path, capsys):
-        # no Gauss-Hermite rung up to 64 nodes per dimension settles e^{0.45 r^2}
-        code = main(["project", "--spec", str(euclid3_spec), "--degree", "6",
-                     "--alpha", "0.45", "--out", str(tmp_path / "o")])
+    def test_a_cylinder_shifted_in_its_parameter_gets_the_cylinders_projection(
+            self, cylinder_spec, shifted_cylinder_spec, tmp_path):
+        # the 1-D support comes from the roots of r^2(t) - cap, past the box solver's
+        # sampled bracket, which the Gram path still needs
+        cols = []
+        for spec in (cylinder_spec, shifted_cylinder_spec):
+            out = tmp_path / spec.stem
+            assert main(["project", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
+            cols.append(np.array([[float(c) for c in row[1:3]]
+                                  for row in read_rows(out / "projection.csv")[1]]))
+        assert np.max(np.abs(cols[1] - cols[0])) <= 1e-12 * cols[0][0, 1]
+
+    def test_euclidean_target_at_alpha_045_matches_the_closed_form(self, euclid3_spec,
+                                                                  tmp_path):
+        out = tmp_path / "o"
+        assert main(["project", "--spec", str(euclid3_spec), "--degree", "6",
+                     "--alpha", "0.45", "--out", str(out)]) == EXIT_OK
+        f_norm = residual_oracle.f_norm(3, 0.45)
+        exact = residual_oracle.residual_norms(3, 0.45, 6)
+        _, rows = read_rows(out / "projection.csv")
+        assert [int(r[0]) for r in rows] == [2, 4, 6]
+        for D, residual, norm, _ in rows:
+            assert abs(float(norm) - f_norm) <= 1e-12 * f_norm
+            assert abs(float(residual) - exact[int(D)]) <= 1e-12 * f_norm
+
+    @pytest.mark.parametrize("spec", ["euclid3_spec", "cylinder_spec"])
+    def test_a_tiny_eps_exits_1_naming_the_degree_and_the_move(self, spec, tmp_path,
+                                                               capsys, request):
+        out = tmp_path / "o"
+        code = main(["project", "--spec", str(request.getfixturevalue(spec)),
+                     "--degree", "6", "--eps", "1e-30", "--out", str(out)])
         lines = capsys.readouterr().err.splitlines()
-        assert code == EXIT_NUMERICAL
-        assert len(lines) == 1 and "eps=1e-12" in lines[0]
+        assert code == EXIT_NUMERICAL and not (out / "projection.csv").exists()
+        assert len(lines) == 1 and "eps=1e-30" in lines[0]
+        assert re.search(r"move (f_norm|the residual at D = \d) by \S+ f_norm", lines[0])
 
-    def test_euclidean_eps_is_the_refinement_budget(self, euclid3_spec, tmp_path):
-        assert main(["project", "--spec", str(euclid3_spec), "--degree", "6",
-                     "--alpha", "0.4", "--eps", "1e-6", "--out", str(tmp_path / "o")]) == EXIT_OK
+    @pytest.mark.parametrize("spec", ["euclid3_spec", "cylinder_spec"])
+    def test_the_1d_path_does_not_read_nodes(self, spec, tmp_path, request):
+        texts = []
+        for nodes in ("8", "40"):
+            out = tmp_path / nodes
+            assert main(["project", "--spec", str(request.getfixturevalue(spec)),
+                         "--degree", "6", "--nodes", nodes, "--out", str(out)]) == EXIT_OK
+            texts.append((out / "projection.csv").read_bytes())
+        assert texts[0] == texts[1]
 
-    def test_euclidean_nodes_pins_the_target_rule(self, euclid3_spec, tmp_path, monkeypatch):
-        rules = []
-        original = orthobasis.project
-
-        def spy(gb, f, rule):
-            rules.append(rule)
-            return original(gb, f, rule)
-
-        monkeypatch.setattr(orthobasis, "project", spy)
-        assert main(["project", "--spec", str(euclid3_spec), "--degree", "6",
-                     "--nodes", "40", "--out", str(tmp_path / "o")]) == EXIT_OK
-        assert [rule.nodes_per_dim for rule in rules] == [(40, 40, 40)]
+    def test_a_kinked_revolution_exits_1_naming_the_panel_move(self, tmp_path, capsys):
+        # the density |h'| kinks at u = +-1/sqrt(3), inside a panel: the panels do
+        # not settle the projection, and the run says so
+        spec = tmp_path / "kinked.json"
+        spec.write_text(json.dumps({"kind": "revolution", "f": "1",
+                                    "h": "0.5*x1^1-0.5*x1^3"}))
+        for degree in ("2", "4", "8"):
+            out = tmp_path / degree
+            code = main(["project", "--spec", str(spec), "--degree", degree,
+                         "--out", str(out)])
+            lines = capsys.readouterr().err.splitlines()
+            assert code == EXIT_NUMERICAL and not (out / "projection.csv").exists()
+            assert len(lines) == 1 and "twice the panels move" in lines[0]
+            assert "more than eps=1e-12" in lines[0]
 
 
 class TestAlpha:

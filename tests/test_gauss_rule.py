@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gaussvar import (
     GAUSS_DELTA, MultiPoly, NoExactRuleError, QuadratureError, QuadRule,
     build_rule, chart_circle, chart_euclidean, chart_graph, chart_modulus_graph,
-    chart_revolution, discretize, gauss_rule, gram_matrix, hermite_target_rule,
+    chart_revolution, discretize, gauss_rule, gram_matrix,
     load_chart, orthonormalize, parse_poly, quadrature, study_rules, truncated_rule,
 )
 from gaussvar.cli import EXIT_OK, main
@@ -359,11 +359,6 @@ def exact(chart, degree):
     return rule, rule
 
 
-def hermite(chart, degree):
-    return (gauss_rule(chart, degree),
-            hermite_target_rule(chart, exp_target(0.25), degree)[0])
-
-
 def truncated(chart, degree):
     rule = truncated_rule(chart, 2 * degree)[1]
     return rule, rule
@@ -375,13 +370,12 @@ EUCLID3 = chart_euclidean(3)
 class TestStudyRules:
     @pytest.mark.parametrize("chart,weight,alpha,direct,uncertified", [
         (EUCLID3, "gauss", None, exact, False),
-        (EUCLID3, "gauss", 0.25, hermite, False),
         (CYLINDER, "gauss", None, exact, False),
         (CYLINDER, "gauss", 0.25, truncated, False),
         (chart_modulus_graph(parse_poly("1+1*x1^2", 1)), "gauss", None, truncated, False),
         (chart_circle(), "none", None, truncated, False),
         (CYLINDER, "gauss", None, truncated, True),
-    ], ids=["euclid3", "euclid3-target", "cylinder", "cylinder-target",
+    ], ids=["euclid3", "cylinder", "cylinder-target",
             "general-modulus-graph", "circle-weight-none", "uncertified-cylinder"])
     def test_the_rules_are_the_direct_calls(self, chart, weight, alpha, direct,
                                             uncertified, stubbed):
@@ -392,12 +386,7 @@ class TestStudyRules:
         for rule, ref in zip(rules, direct(chart, 4), strict=True):
             np.testing.assert_array_equal(rule.points, ref.points)
             np.testing.assert_array_equal(rule.weights, ref.weights)
-        # only a euclidean target gets a rule of its own
-        assert (rules[0] is rules[1]) == (direct is not hermite)
-
-    def test_a_target_ladder_that_misses_eps_raises(self):
-        with pytest.raises(QuadratureError, match="no Gauss-Hermite target rule meets"):
-            study_rules(EUCLID3, 8, target=exp_target(0.45))
+        assert rules[0] is rules[1]
 
     def test_hermite_underflow_does_not_fall_back(self):
         with pytest.raises(QuadratureError, match="degree 400") as err:

@@ -1,4 +1,5 @@
-"""Euclidean projections of e^{alpha r^2} against the closed form in residual_oracle."""
+"""Projections of e^{alpha r^2} on R^n and on cylinders against the closed form in
+residual_oracle."""
 
 import math
 
@@ -8,11 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import residual_oracle
-from gaussvar import (
-    DEFAULT_EPS, chart_euclidean, gauss_rule, gram_matrix, hermite_target_rule,
-    orthonormalize, project,
-)
-from gaussvar.polyring import squared_norms
+from gaussvar import MultiPoly, chart_euclidean, chart_revolution, parse_poly, project_radial
+
+ALPHAS = [0.125, 0.25, 0.375, 0.45, 0.49]
 
 
 @pytest.mark.parametrize("alpha", [0.125, 0.375])
@@ -38,18 +37,36 @@ def test_energies_add_up_to_the_norm(n, alpha):
         math.sqrt(math.fsum(energies[1:])), rel=1e-14)
 
 
+def assert_matches(reports, f_norm, residuals):
+    for rep, residual in zip(reports, residuals, strict=True):
+        assert abs(rep.f_norm - f_norm) <= 1e-12 * f_norm
+        assert abs(rep.residual_norm - residual) <= 1e-12 * f_norm
+
+
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(1, 3), degree=st.integers(2, 10), alpha=st.floats(0.05, 0.375))
+@given(n=st.integers(1, 3), degree=st.integers(2, 20), alpha=st.floats(0.05, 0.49))
 def test_projection_matches_closed_form(n, degree, alpha):
-    # the CLI's euclidean project: the Gram matrix on gauss_rule, the target on
-    # hermite_target_rule.  The residual comes from integral (f - p)^2, whose
-    # error is eps f_norm^2 at most, so the norm's is eps f_norm^2 / residual.
-    chart = chart_euclidean(n)
-    f = lambda X: np.exp(alpha * squared_norms(X))
-    gb = orthonormalize(gram_matrix(chart, degree, gauss_rule(chart, degree)))
-    rule, _ = hermite_target_rule(chart, f, degree, DEFAULT_EPS)
-    f_norm = residual_oracle.f_norm(n, alpha)
-    exact = residual_oracle.residual_norms(n, alpha, degree)
-    for rep, residual in zip(project(gb, f, rule), exact, strict=True):
-        assert rep.f_norm == pytest.approx(f_norm, rel=1e-12)
-        assert abs(rep.residual_norm - residual) <= (DEFAULT_EPS + 1e-15) * f_norm ** 2 / residual
+    # the 1-D projection of the CLI's euclidean project, certified at the default eps
+    assert_matches(project_radial(chart_euclidean(n), alpha, degree),
+                   residual_oracle.f_norm(n, alpha),
+                   residual_oracle.residual_norms(n, alpha, degree))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_euclidean_projection_up_to_alpha_049(n, alpha):
+    assert_matches(project_radial(chart_euclidean(n), alpha, 12),
+                   residual_oracle.f_norm(n, alpha),
+                   residual_oracle.residual_norms(n, alpha, 12))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_cylinder_projection_up_to_alpha_049(a, alpha):
+    # on the cylinder of radius a, f = e^{alpha a^2} e^{alpha z^2} under 2 pi a e^{-a^2}
+    # e^{-z^2} dz: the n = 1 closed form times sqrt(2 pi a e^{(2 alpha - 1) a^2})
+    scale = math.sqrt(2.0 * math.pi * a * math.exp((2.0 * alpha - 1.0) * a * a))
+    cylinder = chart_revolution(MultiPoly.constant(1, a), parse_poly("1*x1^1", 1))
+    assert_matches(project_radial(cylinder, alpha, 12),
+                   scale * residual_oracle.f_norm(1, alpha),
+                   [scale * r for r in residual_oracle.residual_norms(1, alpha, 12)])

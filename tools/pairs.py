@@ -18,10 +18,21 @@ prints, whose metrics under ``--trace 0`` are the end-to-end ones.
 
 Printed: each pair's metrics on both sides, then per metric each side's
 median and quartiles, the median of the per-pair differences (this minus
-parent) and the number of pairs in which this checkout was lower.  The exit code is 1 when a run failed a
-check, and 2 when a run printed no result.  The tool only reads and runs
-the bench; it is a before/after harness for a change, not the bench's own
-statistic.
+parent), the number of pairs in which this checkout was lower, and a
+verdict:
+
+- ``gain`` when this checkout is better in at least 9 of 10 pairs and the
+  medians differ, its way, by more than the parent's interquartile range;
+- ``REGRESSION`` when its median is worse than the parent's by more than
+  the bound this checkout's ``BENCHMARK.json`` gives the metric under
+  ``end_to_end`` (a fraction of the parent's median);
+- ``none`` otherwise.
+
+"Better" is the metric's ``better`` direction in ``BENCHMARK.json``
+(lower for a metric it does not list, which gets no bound).  The exit code
+is 1 when a run failed a check, and 2 when a run printed no result.  The
+tool only reads and runs the bench; it is a before/after harness for a
+change, not the bench's own statistic.
 """
 
 from __future__ import annotations
@@ -62,6 +73,26 @@ def spread(xs: list[float]) -> str:
     return f"median {statistics.median(xs):.6g}, quartiles {q1:.6g} .. {q3:.6g}"
 
 
+def end_to_end(checkout: Path) -> dict[str, tuple[float, str]]:
+    """Each end-to-end metric's (bound, better) from ``checkout``'s BENCHMARK.json."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
+
+
+def verdict(parent: list[float], this: list[float], bound: float | None = None,
+            better: str = "lower") -> str:
+    """``gain``, ``REGRESSION`` or ``none`` for one metric's paired runs."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (t - p) < 0 for p, t in zip(parent, this))
+    worse = sign * (statistics.median(this) - statistics.median(parent))
+    q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
+    if 10 * wins >= 9 * len(parent) and -worse > q3 - q1:
+        return "gain"
+    if bound is not None and worse > bound * abs(statistics.median(parent)):
+        return "REGRESSION"
+    return "none"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path, help="checkout to compare against")
@@ -74,6 +105,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error(f"--pairs must be >= 1, got {args.pairs}")
     sides = {"parent": args.parent.resolve(), "this": ROOT}
+    bounds = end_to_end(ROOT)
     rows, failed = [], 0
     for i in range(args.pairs):
         order = ("parent", "this") if i % 2 == 0 else ("this", "parent")
@@ -96,6 +128,9 @@ def main(argv=None) -> int:
         lower = sum(d < 0 for d in diffs)
         print(f"{name}: median difference {median:+.6g}{rel}, "
               f"this lower in {lower} of {len(rows)} pairs")
+        bound, better = bounds.get(name, (None, "lower"))
+        print(f"{name} verdict: " + verdict([p["parent"][name] for p in rows],
+                                            [p["this"][name] for p in rows], bound, better))
     if failed:
         print(f"pairs: {failed} failed studies across the runs", file=sys.stderr)
         return 1
